@@ -14,7 +14,7 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -35,42 +35,56 @@ ALL_METHODS = ("spg", "spg-ada") + SGD_METHODS
 BENCH_SIZES = ((100, 5, 5), (100, 10, 10), (100, 20, 20), (100, 40, 40),
                (100, 100, 10), (1000, 100, 10), (10000, 784, 1000))
 
-# train-command defaults; config files and flags may override any of them
-TRAIN_DEFAULTS = {
-    "method": "spg",
-    "datatype": 1,
-    "eps0": 0.05,
-    "ntest": 0,
-    "seeds": "0",
-    "workers": 1,
-    "lambda1": 1e-4,
-    "lambda2": 0.1,
-    "beta": None,
-    "theta": None,
-    "alpha": None,
-    "mu0": 1e-3,
-    "tau1": 0.5,
-    "tau2": 1e-3,
-    "tau3": 1.1,
-    "L0": None,
-    "epsilon": 1e-7,
-    "max_iters": 4000,
-    "sub_tol": 1e-6,
-    "sub_max_iter": 10000,
-    "theoretical_L": False,
-    "epochs": 1000,
-    "ada_epochs": 1000,
-    "batch_size": None,
-    "lr": None,
-    "preset": None,
-    "n": None,
-    "n1": None,
-    "n0": None,
-    "train_file": None,
-    "test_file": None,
-    "mnist_images": None,
-    "mnist_labels": None,
-    "per_class": None,
+_SPG_DEFAULTS = {f.name: f.default for f in fields(SpgConfig)}
+_SGD_DEFAULTS = {f.name: f.default for f in fields(SgdConfig)}
+
+# train-command options as (key, type, default), in --help order; each is the
+# flag --key (underscores as dashes) and the config-file key.  Config files
+# and flags may override any default.
+TRAIN_OPTIONS = (
+    ("method", str, "spg"),
+    ("preset", int, None),
+    ("datatype", int, 1),
+    ("eps0", float, 0.05),
+    ("n", int, None),
+    ("n1", int, None),
+    ("n0", int, None),
+    ("ntest", int, 0),
+    ("train_file", str, None),
+    ("test_file", str, None),
+    ("mnist_images", str, None),
+    ("mnist_labels", str, None),
+    ("per_class", int, None),
+    ("seeds", str, "0"),
+    ("workers", int, 1),
+    ("lambda1", float, 1e-4),
+    ("lambda2", float, 0.1),
+    ("beta", float, None),
+    ("theta", float, None),
+    ("alpha", float, None),
+    ("mu0", float, _SPG_DEFAULTS["mu0"]),
+    ("tau1", float, _SPG_DEFAULTS["tau1"]),
+    ("tau2", float, _SPG_DEFAULTS["tau2"]),
+    ("tau3", float, _SPG_DEFAULTS["tau3"]),
+    ("L0", float, _SPG_DEFAULTS["L0"]),
+    ("epsilon", float, _SPG_DEFAULTS["epsilon"]),
+    ("max_iters", int, _SPG_DEFAULTS["max_outer_iters"]),
+    ("sub_tol", float, _SPG_DEFAULTS["sub_tol"]),
+    ("sub_max_iter", int, _SPG_DEFAULTS["sub_max_iter"]),
+    ("theoretical_L", bool, False),
+    ("epochs", int, _SGD_DEFAULTS["epochs"]),
+    ("ada_epochs", int, 1000),
+    ("batch_size", int, _SGD_DEFAULTS["batch_size"]),
+    ("lr", float, _SGD_DEFAULTS["lr"]),
+)
+TRAIN_DEFAULTS = {key: default for key, _, default in TRAIN_OPTIONS}
+_TRAIN_TYPES = {key: typ for key, typ, _ in TRAIN_OPTIONS}
+_TRAIN_FLAG_EXTRAS = {
+    "method": {"choices": ALL_METHODS},
+    "datatype": {"choices": (1, 2)},
+    "seeds": {"help": "comma or space separated seed list"},
+    "theoretical_L": {"action": "store_const", "const": True,
+                      "help": "derive L0 from the sampled descent bound"},
 }
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
@@ -78,25 +92,18 @@ _BOOL_FALSE = {"0", "false", "no", "off"}
 
 
 def _coerce(key: str, raw: str):
-    """Parse a config-file string to the type of the built-in default."""
-    default = TRAIN_DEFAULTS[key]
+    """Parse a config-file string to the type of the option."""
+    typ = _TRAIN_TYPES[key]
     if raw == "none":
         return None
-    if isinstance(default, bool):
+    if typ is bool:
         low = raw.lower()
         if low in _BOOL_TRUE:
             return True
         if low in _BOOL_FALSE:
             return False
         raise ValueError(f"config key {key}: expected boolean, got {raw!r}")
-    if key in ("seeds", "method", "train_file", "test_file", "mnist_images",
-               "mnist_labels"):
-        return raw
-    if key in ("datatype", "ntest", "workers", "max_iters", "sub_max_iter",
-               "epochs", "ada_epochs", "batch_size", "preset", "n", "n1", "n0",
-               "per_class"):
-        return int(raw)
-    return float(raw)
+    return typ(raw)
 
 
 def resolve_train_config(args: argparse.Namespace) -> dict:
@@ -215,7 +222,12 @@ def train_one_seed(cfg: dict, seed: int, outdir: str) -> dict:
             z = net_to_feasible(p, data, params)
             summary["epochs"] = cfg["epochs"]
 
-    m = datamod.metrics(z, data, params, test_X=test_X)
+    if method in ("spg", "spg-ada"):
+        # the solver's last trace row already holds the metrics of z
+        last = trace.rows[-1]
+        m = {k: getattr(last, k) for k in ("fval", "feasvi", "trainerr", "testerr")}
+    else:
+        m = datamod.metrics(z, data, params, test_X=test_X)
     summary.update({k: ("" if v is None else v) for k, v in m.items()})
     summary["termination"] = trace.termination_reason
     summary["elapsed_s"] = time.perf_counter() - t_start
@@ -403,42 +415,12 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="run one training method")
     t.add_argument("--config", help="key = value file; flags override it")
     t.add_argument("--out", required=True)
-    t.add_argument("--method", choices=ALL_METHODS)
-    t.add_argument("--preset", type=int)
-    t.add_argument("--datatype", type=int, choices=(1, 2))
-    t.add_argument("--eps0", type=float)
-    t.add_argument("--n", type=int)
-    t.add_argument("--n1", type=int)
-    t.add_argument("--n0", type=int)
-    t.add_argument("--ntest", type=int)
-    t.add_argument("--train-file", dest="train_file")
-    t.add_argument("--test-file", dest="test_file")
-    t.add_argument("--mnist-images", dest="mnist_images")
-    t.add_argument("--mnist-labels", dest="mnist_labels")
-    t.add_argument("--per-class", dest="per_class", type=int)
     t.add_argument("--seed", type=int, help="shorthand for --seeds with one entry")
-    t.add_argument("--seeds", help="comma or space separated seed list")
-    t.add_argument("--workers", type=int)
-    t.add_argument("--lambda1", type=float)
-    t.add_argument("--lambda2", type=float)
-    t.add_argument("--beta", type=float)
-    t.add_argument("--theta", type=float)
-    t.add_argument("--alpha", type=float)
-    t.add_argument("--mu0", type=float)
-    t.add_argument("--tau1", type=float)
-    t.add_argument("--tau2", type=float)
-    t.add_argument("--tau3", type=float)
-    t.add_argument("--L0", type=float)
-    t.add_argument("--epsilon", type=float)
-    t.add_argument("--max-iters", dest="max_iters", type=int)
-    t.add_argument("--sub-tol", dest="sub_tol", type=float)
-    t.add_argument("--sub-max-iter", dest="sub_max_iter", type=int)
-    t.add_argument("--theoretical-L", dest="theoretical_L", action="store_const",
-                   const=True, help="derive L0 from the sampled descent bound")
-    t.add_argument("--epochs", type=int)
-    t.add_argument("--ada-epochs", dest="ada_epochs", type=int)
-    t.add_argument("--batch-size", dest="batch_size", type=int)
-    t.add_argument("--lr", type=float)
+    for key, typ, _ in TRAIN_OPTIONS:
+        extras = _TRAIN_FLAG_EXTRAS.get(key, {})
+        if typ not in (str, bool):
+            extras = {"type": typ, **extras}
+        t.add_argument("--" + key.replace("_", "-"), dest=key, **extras)
     t.set_defaults(func=cmd_train)
 
     q = sub.add_parser("qp-bench", help="time the inner solver on standard sizes")

@@ -7,8 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, ProblemData, Variables, fidelity, objective, relu
+from .model import (Forward, ModelParams, ProblemData, Variables, fidelity, objective,
+                    preactivations, relu)
 from .rng import stream
+from .serialize import FormatError as IdxFormatError, _read_exact
 
 # preset id -> (N, N1, N0)
 PRESETS = {
@@ -88,18 +90,6 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
 
-class IdxFormatError(ValueError):
-    """Malformed IDX file; message carries the byte offset of the problem."""
-
-
-def _read_exact(fh, count, path, what):
-    buf = fh.read(count)
-    if len(buf) != count:
-        raise IdxFormatError(f"{path}: truncated {what}: wanted {count} bytes at "
-                             f"offset {fh.tell() - len(buf)}, got {len(buf)}")
-    return buf
-
-
 def load_idx_images(path) -> np.ndarray:
     """Read an IDX3 image file into (count, rows*cols) uint8."""
     with open(path, "rb") as fh:
@@ -176,15 +166,15 @@ def load_mnist(spec: MnistSpec) -> tuple[np.ndarray, np.ndarray]:
 # Metrics
 
 def metrics(z: Variables, data: ProblemData, params: ModelParams,
-            test_X=None) -> dict:
+            test_X=None, *, fw: Forward | None = None) -> dict:
     """FVal = O(z); FeasVi = mean l1 gap between V and the encoder output;
     TrainErr = F(z); TestErr reconstructs test columns through v = (W x + b1)_+."""
-    S = z.W @ data.X + z.b1[:, None]
-    feasvi = float(np.sum(np.abs(z.V - relu(S)))) / (data.n_samples * data.n_hidden)
+    fw = fw or preactivations(z, data)
+    feasvi = float(np.sum(np.abs(z.V - relu(fw.S)))) / (data.n_samples * data.n_hidden)
     out = {
-        "fval": objective(z, data, params),
+        "fval": objective(z, data, params, fw=fw),
         "feasvi": feasvi,
-        "trainerr": fidelity(z, data),
+        "trainerr": fidelity(z, data, fw=fw),
         "testerr": None,
     }
     if test_X is not None and np.size(test_X) > 0:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -190,16 +191,25 @@ class Variables:
                          V=self.V.copy())
 
 
-def preactivations(z: Variables, data: ProblemData) -> tuple[np.ndarray, np.ndarray]:
-    """Decoder and encoder pre-activations (Y, S) = (W^T V + b2 1^T, W X + b1 1^T)."""
-    Y = z.W.T @ z.V + z.b2[:, None]
-    S = z.W @ data.X + z.b1[:, None]
-    return Y, S
+class Forward(NamedTuple):
+    """Pre-activations of one iterate; every objective term reads them."""
+
+    Y: np.ndarray   # decoder, W^T V + b2 1^T, (N0, N)
+    S: np.ndarray   # encoder, W X + b1 1^T, (N1, N)
 
 
-def fidelity(z: Variables, data: ProblemData) -> float:
+def preactivations(z: Variables, data: ProblemData) -> Forward:
+    """Decoder and encoder pre-activations (Y, S) = (W^T V + b2 1^T, W X + b1 1^T).
+
+    The only place the two products are formed: evaluations of one iterate
+    take the result as ``fw`` and compute it themselves when it is omitted.
+    """
+    return Forward(Y=z.W.T @ z.V + z.b2[:, None], S=z.W @ data.X + z.b1[:, None])
+
+
+def fidelity(z: Variables, data: ProblemData, *, fw: Forward | None = None) -> float:
     """F(z) = (1/N) sum_n ||(W^T v_n + b2)_+ - x_n||^2."""
-    Y = z.W.T @ z.V + z.b2[:, None]
+    Y = (fw or preactivations(z, data)).Y
     diff = relu(Y) - data.X
     return float(np.sum(diff * diff)) / data.n_samples
 
@@ -209,15 +219,18 @@ def regularizer(z: Variables, params: ModelParams) -> float:
     return float(params.lambda1 * np.sum(z.V) + params.lambda2 * np.sum(z.W * z.W))
 
 
-def penalty(z: Variables, data: ProblemData, params: ModelParams) -> float:
+def penalty(z: Variables, data: ProblemData, params: ModelParams, *,
+            fw: Forward | None = None) -> float:
     """P(z) = beta * sum_n e^T (v_n - (W x_n + b1)_+); nonnegative on Omega2."""
-    S = z.W @ data.X + z.b1[:, None]
+    S = (fw or preactivations(z, data)).S
     return float(params.beta * np.sum(z.V - relu(S)))
 
 
-def objective(z: Variables, data: ProblemData, params: ModelParams) -> float:
+def objective(z: Variables, data: ProblemData, params: ModelParams, *,
+              fw: Forward | None = None) -> float:
     """O(z) = F + R + P."""
-    return fidelity(z, data) + regularizer(z, params) + penalty(z, data, params)
+    fw = fw or preactivations(z, data)
+    return fidelity(z, data, fw=fw) + regularizer(z, params) + penalty(z, data, params, fw=fw)
 
 
 def project_bias_box(z: Variables, alpha: float) -> Variables:
@@ -245,8 +258,7 @@ class FeasibilityReport:
 
 def feasibility(z: Variables, data: ProblemData, params: ModelParams,
                 tol: float = 1e-10) -> FeasibilityReport:
-    S = z.W @ data.X + z.b1[:, None]
-    target = relu(S)
+    target = relu(preactivations(z, data).S)
     om1 = float(np.max(np.abs(z.V - target))) if z.V.size else 0.0
     om2 = float(max(0.0, np.max(target - z.V))) if z.V.size else 0.0
     binf = float(np.max(np.abs(np.concatenate([z.b1, z.b2]))))
@@ -263,10 +275,9 @@ def constraint_residuals(z: Variables, data: ProblemData, params: ModelParams) -
     code nonnegativity rows (-v_n), upper box rows (b - alpha), lower box rows
     (-b - alpha).  z in Z iff every entry is <= 0.
     """
-    S = z.W @ data.X + z.b1[:, None]
     b = np.concatenate([z.b1, z.b2])
     return np.concatenate([
-        (S - z.V).ravel(order="F"),
+        (preactivations(z, data).S - z.V).ravel(order="F"),
         (-z.V).ravel(order="F"),
         b - params.alpha,
         -b - params.alpha,

@@ -182,6 +182,22 @@ def net_to_feasible(p: NetParams, data: ProblemData, params: ModelParams) -> Var
     return Variables(W=p.W.copy(), b1=b1, b2=b2, V=V)
 
 
+class _RenumberingSink:
+    """Continues the row numbering of a trace that already holds ``offset`` rows.
+
+    Rows are renumbered in place, so the solver's own trace and the sink agree.
+    """
+
+    def __init__(self, offset: int, sink):
+        self.offset = offset
+        self.sink = sink
+
+    def write_row(self, row: TraceRow):
+        row.k += self.offset
+        if self.sink is not None:
+            self.sink.write_row(row)
+
+
 def spg_ada(data: ProblemData, params: ModelParams, spg_config: SpgConfig | None = None,
             ada_epochs: int = 1000, seed: int = 0, test_X=None,
             sink=None) -> tuple[SpgResult, RunTrace]:
@@ -189,10 +205,11 @@ def spg_ada(data: ProblemData, params: ModelParams, spg_config: SpgConfig | None
 
     Returns the solver result plus a combined trace whose row numbering
     continues across the handoff; the handoff row is the first row with a
-    non-blank mu and its index is recorded on the trace.
+    non-blank mu and its index is recorded on the trace.  Rows reach the
+    sink as each phase produces them.
     """
     ada_cfg = SgdConfig(method="adadelta", epochs=ada_epochs, seed=seed)
-    p, ada_trace = sgd_run(data, params, ada_cfg, test_X=test_X)
+    p, ada_trace = sgd_run(data, params, ada_cfg, test_X=test_X, sink=sink)
     z0 = net_to_feasible(p, data, params)
     config = spg_config if spg_config is not None else SpgConfig()
     if config.L0 is None:
@@ -205,16 +222,11 @@ def spg_ada(data: ProblemData, params: ModelParams, spg_config: SpgConfig | None
             # construction; replace() re-runs validation
             warnings.simplefilter("ignore")
             config = replace(config, L0=l0)
-    result = spg_run_driver(data, params, config=config, z0=z0, seed=seed,
-                            test_X=test_X)
-    combined = RunTrace()
-    for row in ada_trace.rows:
-        combined.append(row, sink)
     offset = len(ada_trace.rows)
-    for row in result.trace.rows:
-        row.k += offset
-        combined.append(row, sink)
-    combined.handoff_index = offset
-    combined.stationarity = list(result.trace.stationarity)
-    combined.termination_reason = result.trace.termination_reason
+    result = spg_run_driver(data, params, config=config, z0=z0, seed=seed,
+                            test_X=test_X, sink=_RenumberingSink(offset, sink))
+    combined = RunTrace(rows=ada_trace.rows + result.trace.rows,
+                        termination_reason=result.trace.termination_reason,
+                        stationarity=result.trace.stationarity,
+                        handoff_index=offset)
     return result, combined

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, ProblemData, Variables, regularizer, relu
+from .model import (Forward, ModelParams, ProblemData, Variables, preactivations,
+                    regularizer, relu)
 
 
 def smooth_relu(y, mu: float):
@@ -62,27 +63,28 @@ class GradientBlocks:
                                self.g_V.ravel(order="F")])
 
 
-def smoothed_loss(z: Variables, mu: float, data: ProblemData, params: ModelParams) -> float:
+def smoothed_loss(z: Variables, mu: float, data: ProblemData, params: ModelParams, *,
+                  fw: Forward | None = None) -> float:
     """H~(z, mu) = F~ + P~ (everything except the regularizer)."""
     if mu <= 0:
         raise ValueError("mu must be positive")
     n = data.n_samples
-    Y = z.W.T @ z.V + z.b2[:, None]
+    Y, S = fw or preactivations(z, data)
     ry = relu(Y)
     f_tilde = (np.sum(ry * ry) + data.fro_sq
                - 2.0 * np.sum(data.X * smooth_relu(Y, mu))) / n
-    S = z.W @ data.X + z.b1[:, None]
     p_tilde = params.beta * (np.sum(z.V) - np.sum(smooth_relu(S, mu)))
     return float(f_tilde + p_tilde)
 
 
-def smoothed_objective(z: Variables, mu: float, data: ProblemData, params: ModelParams) -> float:
+def smoothed_objective(z: Variables, mu: float, data: ProblemData, params: ModelParams, *,
+                       fw: Forward | None = None) -> float:
     """O~(z, mu) = H~(z, mu) + R(z)."""
-    return smoothed_loss(z, mu, data, params) + regularizer(z, params)
+    return smoothed_loss(z, mu, data, params, fw=fw) + regularizer(z, params)
 
 
 def smoothed_loss_grad(z: Variables, mu: float, data: ProblemData,
-                       params: ModelParams) -> GradientBlocks:
+                       params: ModelParams, *, fw: Forward | None = None) -> GradientBlocks:
     """Analytic gradient of H~ at z.
 
     With Y = W^T V + b2 1^T and S = W X + b1 1^T:
@@ -95,8 +97,7 @@ def smoothed_loss_grad(z: Variables, mu: float, data: ProblemData,
     if mu <= 0:
         raise ValueError("mu must be positive")
     n = data.n_samples
-    Y = z.W.T @ z.V + z.b2[:, None]
-    S = z.W @ data.X + z.b1[:, None]
+    Y, S = fw or preactivations(z, data)
     Q = (2.0 / n) * (relu(Y) - data.X * smooth_relu_deriv(Y, mu))
     Ds = smooth_relu_deriv(S, mu)
     g_W = z.V @ Q.T - params.beta * (Ds @ data.X.T)

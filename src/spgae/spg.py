@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, ProblemData, Variables, relu
+from .data import metrics
+from .model import Forward, ModelParams, ProblemData, Variables, preactivations, relu
 from .rng import stream
-from .smoothing import smoothed_loss_grad, smoothed_objective
+from .smoothing import smoothed_loss, smoothed_loss_grad, smoothed_objective
 from .subproblem import SubproblemResult, SubproblemSpec, solve_subproblem
 from .trace import RunTrace, TraceRow
 
@@ -104,16 +105,25 @@ class StepResult:
     smoothed_before: float
     smoothed_after: float
     sub: SubproblemResult
+    fw_next: Forward          # pre-activations of z_next
 
 
 def spg_step(z: Variables, mu: float, L: float, data: ProblemData,
-             params: ModelParams, config: SpgConfig) -> StepResult:
-    """One proximal step plus the (mu, L) update rule."""
-    grads = smoothed_loss_grad(z, mu, data, params)
+             params: ModelParams, config: SpgConfig, *, fw: Forward | None = None,
+             before: float | None = None) -> StepResult:
+    """One proximal step plus the (mu, L) update rule.
+
+    ``fw`` and ``before`` are z's pre-activations and O~(z, mu) when the
+    caller already has them; the step then forms only z_next's.
+    """
+    fw = fw or preactivations(z, data)
+    if before is None:
+        before = smoothed_objective(z, mu, data, params, fw=fw)
+    grads = smoothed_loss_grad(z, mu, data, params, fw=fw)
     spec = SubproblemSpec(anchor=z, grads=grads, L=L, mu=mu, params=params, data=data)
     sub = solve_subproblem(spec, tol=config.sub_tol, max_iter=config.sub_max_iter)
-    before = smoothed_objective(z, mu, data, params)
-    after = smoothed_objective(sub.z, mu, data, params)
+    fw_next = preactivations(sub.z, data)
+    after = smoothed_objective(sub.z, mu, data, params, fw=fw_next)
     decrease = after - before
     accepted = decrease < -config.tau2 * mu / L
     if accepted:
@@ -122,7 +132,7 @@ def spg_step(z: Variables, mu: float, L: float, data: ProblemData,
         mu_next, L_next = config.tau1 * mu, config.tau3 * L
     return StepResult(z_next=sub.z, mu_next=mu_next, L_next=L_next, accepted=accepted,
                       decrease=decrease, smoothed_before=before, smoothed_after=after,
-                      sub=sub)
+                      sub=sub, fw_next=fw_next)
 
 
 @dataclass
@@ -135,41 +145,40 @@ class SpgResult:
     b1_clamp_hits: int
 
 
-def _metrics_row(z, data, params, test_X):
-    # local import: the metrics live with the data tooling
-    from .data import metrics
-    return metrics(z, data, params, test_X=test_X)
-
-
 def run(data: ProblemData, params: ModelParams, config: SpgConfig | None = None,
         z0: Variables | None = None, seed: int = 0, test_X=None,
         sink=None) -> SpgResult:
-    """Iterate spg_step until mu <= epsilon (or max iterations / divergence)."""
+    """Iterate spg_step until mu <= epsilon (or max iterations / divergence).
+
+    Each iterate's pre-activations are formed once; its trace row, its
+    O~(z, mu) and the next step's gradient and "before" value all read them.
+    """
     config = config or SpgConfig()
     z = z0.copy() if z0 is not None else init_variables(data, seed)
     mu = config.mu0
     L = config.L0 if config.L0 is not None else default_l0(data, params)
     trace = RunTrace()
 
-    m = _metrics_row(z, data, params, test_X)
-    smoothed0 = smoothed_objective(z, mu, data, params)
-    trace.append(TraceRow(k=0, mu=mu, L=L, fval=m["fval"], smoothed=smoothed0,
+    fw = preactivations(z, data)
+    m = metrics(z, data, params, test_X=test_X, fw=fw)
+    smoothed = smoothed_objective(z, mu, data, params, fw=fw)
+    trace.append(TraceRow(k=0, mu=mu, L=L, fval=m["fval"], smoothed=smoothed,
                           feasvi=m["feasvi"], trainerr=m["trainerr"],
                           testerr=m["testerr"], sub_iters=0, wall_ms=0.0), sink)
-    guard = config.divergence_factor * abs(smoothed0) + 1e-9
+    guard = config.divergence_factor * abs(smoothed) + 1e-9
     clamp_hits = 0
     k = 0
     while k < config.max_outer_iters:
         k += 1
         t0 = time.perf_counter()
-        step = spg_step(z, mu, L, data, params, config)
+        step = spg_step(z, mu, L, data, params, config, fw=fw, before=smoothed)
         wall_ms = 1e3 * (time.perf_counter() - t0)
         clamp_hits += step.sub.b1_clamp_hits
         trace.stationarity.append(
             stationarity_diagnostic(z, step.z_next, L, params))
-        z, mu, L = step.z_next, step.mu_next, step.L_next
-        m = _metrics_row(z, data, params, test_X)
-        smoothed = smoothed_objective(z, mu, data, params)
+        z, mu, L, fw = step.z_next, step.mu_next, step.L_next, step.fw_next
+        m = metrics(z, data, params, test_X=test_X, fw=fw)
+        smoothed = smoothed_objective(z, mu, data, params, fw=fw)
         trace.append(TraceRow(k=k, mu=mu, L=L, fval=m["fval"], smoothed=smoothed,
                               feasvi=m["feasvi"], trainerr=m["trainerr"],
                               testerr=m["testerr"], sub_iters=step.sub.iters,
@@ -215,8 +224,6 @@ def estimate_validated_l0(data: ProblemData, params: ModelParams, mu0: float,
     pairs and inflated by ``safety``; overestimation only makes steps smaller.
     Returns (L0, box_radius).
     """
-    from .smoothing import smoothed_loss  # local to avoid import noise at top
-
     radius = _box_radius(data, params)
     n, n0, n1 = data.dims
     eta = radius / 2.0 if radius > params.alpha else max(

@@ -182,8 +182,6 @@ def vu_closed_form(xi1, xi2, L):
 
 def update_vu(state: AdmmState, spec: SubproblemSpec) -> AdmmState:
     """Exact (V, U) block minimizer given the current (W, b1) and multipliers."""
-    if state.S is None:
-        state.S = state.W @ spec.data.X + state.b1[:, None]
     xi2 = state.rho - state.S
     V, U = vu_closed_form(state.xi1, xi2, spec.L)
     state.delta_u_sq = float(np.sum((U - state.U) ** 2))

@@ -11,7 +11,7 @@ from spgae.model import (ModelParams, ProblemData, fidelity, penalty,
 from spgae.sgd import (METHODS, NetParams, SgdConfig, _Optimizer,
                        autoencoder_error, default_batch_size, minibatch_grad,
                        net_to_feasible, sgd_run, spg_ada)
-from spgae.spg import SpgConfig
+from spgae.spg import DivergenceError, SpgConfig
 
 from conftest import random_problem
 
@@ -264,3 +264,25 @@ class TestSpgAda:
         r2, t2 = spg_ada(data, params, spg_config=cfg, ada_epochs=2, seed=8)
         assert np.array_equal(r1.z.pack(), r2.z.pack())
         assert [r.fval for r in t1.rows] == [r.fval for r in t2.rows]
+
+    def test_rows_stream_before_divergence(self, tiny_problem):
+        data, params = tiny_problem
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cfg = SpgConfig(divergence_factor=1e-12)
+
+        class Recorder:
+            def __init__(self):
+                self.rows = []
+
+            def write_row(self, row):
+                self.rows.append((row.k, row.mu))
+
+        rec = Recorder()
+        with pytest.raises(DivergenceError):
+            spg_ada(data, params, cfg, ada_epochs=2, seed=6, sink=rec)
+        # three Adadelta rows (initial point plus two epochs), then the
+        # solver's initial row and the row of the step that diverged
+        assert [k for k, _ in rec.rows] == [0, 1, 2, 3, 4]
+        assert all(mu is None for _, mu in rec.rows[:3])
+        assert all(mu is not None for _, mu in rec.rows[3:])

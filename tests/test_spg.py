@@ -1,11 +1,13 @@
 """Outer solver: step contracts, schedules, guards, and full tiny runs."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import spgae.model
 from spgae.model import (ModelParams, ProblemData, Variables, feasibility,
                          objective, penalty)
 from spgae.smoothing import smoothed_objective, smoothing_gap_bound
@@ -188,6 +190,25 @@ class TestRun:
         for prev, cur in zip(vals, vals[1:]):
             assert cur <= prev + 1e-12
         assert float(np.max(np.abs(res.z.pack()))) <= radius
+
+    def test_one_forward_pass_per_iterate(self, tiny_problem, monkeypatch):
+        data, params = tiny_problem
+        original = spgae.model.preactivations
+        calls = []
+
+        def counted(z, d):
+            calls.append(1)
+            return original(z, d)
+
+        # modules that did `from .model import preactivations` hold their own
+        # reference
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("spgae") and getattr(mod, "preactivations", None) is original:
+                monkeypatch.setattr(mod, "preactivations", counted)
+        steps = 4
+        res = run(data, params, config=self.config(max_outer_iters=steps), seed=2)
+        assert res.iterations == steps
+        assert len(calls) == steps + 1
 
     def test_stationarity_series_recorded(self, tiny_problem):
         data, params = tiny_problem
