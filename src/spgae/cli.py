@@ -20,7 +20,7 @@ import numpy as np
 
 from . import data as datamod
 from . import serialize
-from .model import ModelParams, ProblemData
+from .model import ModelParams, ProblemData, Variables, packed_size, relu
 from .rng import stream
 from .sgd import (METHODS as SGD_METHODS, SgdConfig, net_to_feasible,
                   sgd_run, spg_ada)
@@ -28,7 +28,6 @@ from .smoothing import GradientBlocks
 from .spg import SpgConfig, estimate_validated_l0, run as spg_run
 from .subproblem import SubproblemSpec, solve_subproblem
 from .trace import RunTrace, TraceWriter
-from .model import Variables, relu
 
 ALL_METHODS = ("spg", "spg-ada") + SGD_METHODS
 
@@ -320,7 +319,7 @@ def cmd_qp_bench(args) -> int:
     print(f"{'N':>6} {'N1':>5} {'N0':>5} {'N2':>9} {'iters':>6} {'seconds':>9} "
           f"{'resid':>9} {'ref_gap':>9} {'kkt':>9}")
     for n, n1, n0 in sizes:
-        n2 = n0 * n1 + n1 + n0 + n1 * n
+        n2 = packed_size((n, n0, n1))
         if n2 > args.max_n2:
             print(f"{n:>6} {n1:>5} {n0:>5} {n2:>9} {'skip':>6} (raise --max-n2)")
             continue

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (Forward, ModelParams, ProblemData, Variables, fidelity, objective,
-                    preactivations, relu)
+from .model import (Forward, ModelParams, ProblemData, Variables, autoencoder_error,
+                    fidelity, objective, preactivations, relu)
 from .rng import stream
 from .serialize import FormatError as IdxFormatError, _read_exact
 
@@ -178,8 +178,5 @@ def metrics(z: Variables, data: ProblemData, params: ModelParams,
         "testerr": None,
     }
     if test_X is not None and np.size(test_X) > 0:
-        test_X = np.asarray(test_X, dtype=np.float64)
-        V_test = relu(z.W @ test_X + z.b1[:, None])
-        recon = relu(z.W.T @ V_test + z.b2[:, None])
-        out["testerr"] = float(np.sum((recon - test_X) ** 2)) / test_X.shape[1]
+        out["testerr"] = autoencoder_error(z, np.asarray(test_X, dtype=np.float64))
     return out

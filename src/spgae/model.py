@@ -70,9 +70,14 @@ class ProblemData:
 
     @property
     def n_packed(self) -> int:
-        """Length of the packed variable, N0*N1 + N1 + N0 + N1*N."""
-        n, n0, n1 = self.n_samples, self.n_visible, self.n_hidden
-        return n0 * n1 + n1 + n0 + n1 * n
+        """Length of the packed variable."""
+        return packed_size(self.dims)
+
+
+def packed_size(dims) -> int:
+    """Length N0*N1 + N1 + N0 + N1*N of the packed variable for dims (N, N0, N1)."""
+    n, n0, n1 = dims
+    return n0 * n1 + n1 + n0 + n1 * n
 
 
 def constraint_count(data: ProblemData) -> int:
@@ -167,7 +172,7 @@ class Variables:
             dims = dims.dims
         vec = np.asarray(vec, dtype=np.float64).ravel()
         n, n0, n1 = dims
-        expected = n0 * n1 + n1 + n0 + n1 * n
+        expected = packed_size(dims)
         if vec.size != expected:
             raise ValueError(f"packed length {vec.size} != expected {expected}")
         o = 0
@@ -212,6 +217,17 @@ def fidelity(z: Variables, data: ProblemData, *, fw: Forward | None = None) -> f
     Y = (fw or preactivations(z, data)).Y
     diff = relu(Y) - data.X
     return float(np.sum(diff * diff)) / data.n_samples
+
+
+def autoencoder_error(p, X: np.ndarray) -> float:
+    """(1/M) sum ||relu(W^T relu(W x + b1) + b2) - x||^2 over the M columns of X.
+
+    Reads only ``p.W``, ``p.b1`` and ``p.b2``, so ``p`` may be Variables or
+    the SGD baselines' NetParams.
+    """
+    H = relu(p.W @ X + p.b1[:, None])
+    recon = relu(p.W.T @ H + p.b2[:, None])
+    return float(np.sum((recon - X) ** 2)) / X.shape[1]
 
 
 def regularizer(z: Variables, params: ModelParams) -> float:

@@ -15,7 +15,7 @@ import struct
 
 import numpy as np
 
-from .model import Variables
+from .model import Variables, packed_size
 
 VAR_MAGIC = b"SPGAEZ1\n"
 MAT_MAGIC = b"SPGAEM1\n"
@@ -39,7 +39,7 @@ def save_variables(path, z: Variables, dims) -> None:
         dims = dims.dims
     n, n0, n1 = (int(d) for d in dims)
     vec = z.pack().astype("<f8")
-    expected = n0 * n1 + n1 + n0 + n1 * n
+    expected = packed_size((n, n0, n1))
     if vec.size != expected:
         raise ValueError(f"variables do not match dims {dims}: "
                          f"{vec.size} != {expected}")
@@ -57,7 +57,7 @@ def load_variables(path) -> tuple[Variables, tuple[int, int, int]]:
         n, n0, n1 = struct.unpack("<qqq", _read_exact(fh, 24, path, "header"))
         if min(n, n0, n1) < 1:
             raise FormatError(f"{path}: nonpositive dimension in header at offset 8")
-        expected = n0 * n1 + n1 + n0 + n1 * n
+        expected = packed_size((n, n0, n1))
         raw = _read_exact(fh, 8 * expected, path, "payload")
         if fh.read(1):
             raise FormatError(f"{path}: trailing bytes at offset {fh.tell() - 1}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ModelParams, ProblemData, Variables, relu
+from .model import ModelParams, ProblemData, Variables, autoencoder_error, relu
 from .rng import stream
 from .spg import SpgConfig, SpgResult, estimate_local_l0, run as spg_run_driver
 from .trace import RunTrace, TraceRow
@@ -52,13 +52,19 @@ class SgdConfig:
             raise ValueError("lr must be positive")
 
 
-@dataclass
 class NetParams:
-    """Tied-weight autoencoder parameters."""
+    """Tied-weight autoencoder parameters packed in one vector.
 
-    W: np.ndarray    # (N1, N0)
-    b1: np.ndarray   # (N1,)
-    b2: np.ndarray   # (N0,)
+    ``theta`` = (W row-major, b1, b2); ``W`` (N1, N0), ``b1`` (N1,) and ``b2``
+    (N0,) are views into it, so an in-place step on ``theta`` moves all three.
+    """
+
+    def __init__(self, W: np.ndarray, b1: np.ndarray, b2: np.ndarray):
+        n1, n0 = np.shape(W)
+        self.theta = np.concatenate([np.ravel(W), b1, b2], dtype=np.float64)
+        self.W = self.theta[:n1 * n0].reshape(n1, n0)
+        self.b1 = self.theta[n1 * n0:n1 * n0 + n1]
+        self.b2 = self.theta[n1 * n0 + n1:]
 
     @classmethod
     def default_init(cls, data: ProblemData, seed: int = 0) -> "NetParams":
@@ -67,22 +73,12 @@ class NetParams:
         return cls(W=W, b1=np.zeros(n1), b2=np.zeros(n0))
 
     def copy(self) -> "NetParams":
-        return NetParams(W=self.W.copy(), b1=self.b1.copy(), b2=self.b2.copy())
-
-    def tensors(self):
-        return [self.W, self.b1, self.b2]
-
-
-def autoencoder_error(p: NetParams, X: np.ndarray) -> float:
-    """(1/M) sum ||relu(W^T relu(W x + b1) + b2) - x||^2 over the columns of X."""
-    H = relu(p.W @ X + p.b1[:, None])
-    recon = relu(p.W.T @ H + p.b2[:, None])
-    return float(np.sum((recon - X) ** 2)) / X.shape[1]
+        return NetParams(W=self.W, b1=self.b1, b2=self.b2)
 
 
 def minibatch_grad(p: NetParams, data: ProblemData, idx: np.ndarray,
-                   lambda2: float) -> list[np.ndarray]:
-    """Backprop gradients [g_W, g_b1, g_b2], batch-averaged, decay term included."""
+                   lambda2: float) -> NetParams:
+    """Backprop gradient packed like ``p``, batch-averaged, decay term included."""
     Xb = data.X[:, idx]
     bs = Xb.shape[1]
     pre1 = p.W @ Xb + p.b1[:, None]
@@ -91,56 +87,49 @@ def minibatch_grad(p: NetParams, data: ProblemData, idx: np.ndarray,
     recon = relu(pre2)
     d2 = 2.0 * (recon - Xb) * (pre2 > 0)          # (N0, B)
     d1 = (p.W @ d2) * (pre1 > 0)                  # (N1, B)
-    g_W = (H @ d2.T + d1 @ Xb.T) / bs + 2.0 * lambda2 * p.W
-    g_b1 = np.sum(d1, axis=1) / bs
-    g_b2 = np.sum(d2, axis=1) / bs
-    return [g_W, g_b1, g_b2]
+    return NetParams(W=(H @ d2.T + d1 @ Xb.T) / bs + 2.0 * lambda2 * p.W,
+                     b1=np.sum(d1, axis=1) / bs, b2=np.sum(d2, axis=1) / bs)
 
 
 class _Optimizer:
-    """Per-tensor state; update() applies one step in place."""
+    """Flat state m, v over the packed parameters; update() applies one step in place."""
 
-    def __init__(self, method: str, lr: float | None):
+    def __init__(self, method: str, lr: float | None, size: int):
         self.method = method
         self.lr = DEFAULT_LR[method] if lr is None else lr
         self.t = 0
-        self.state: list[dict] = []
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
-    def _ensure_state(self, tensors):
-        if not self.state:
-            self.state = [{k: np.zeros_like(v) for k in ("m", "v")} for v in tensors]
-
-    def update(self, tensors, grads):
-        self._ensure_state(tensors)
+    def update(self, theta: np.ndarray, g: np.ndarray):
         self.t += 1
-        m = self.method
-        for p, g, s in zip(tensors, grads, self.state):
-            if m == "vanilla":
-                p -= self.lr * g
-            elif m == "adam":
-                s["m"] = 0.9 * s["m"] + 0.1 * g
-                s["v"] = 0.999 * s["v"] + 0.001 * g * g
-                mhat = s["m"] / (1.0 - 0.9 ** self.t)
-                vhat = s["v"] / (1.0 - 0.999 ** self.t)
-                p -= self.lr * mhat / (np.sqrt(vhat) + 1e-8)
-            elif m == "adamax":
-                s["m"] = 0.9 * s["m"] + 0.1 * g
-                s["v"] = np.maximum(0.999 * s["v"], np.abs(g))
-                p -= (self.lr / (1.0 - 0.9 ** self.t)) * s["m"] / (s["v"] + 1e-8)
-            elif m == "adadelta":
-                rho, eps = 0.95, 1e-6
-                s["m"] = rho * s["m"] + (1 - rho) * g * g          # E[g^2]
-                dx = -np.sqrt((s["v"] + eps) / (s["m"] + eps)) * g
-                s["v"] = rho * s["v"] + (1 - rho) * dx * dx        # E[dx^2]
-                p += dx
-            elif m == "adagrad":
-                s["v"] += g * g
-                p -= self.lr * g / (np.sqrt(s["v"]) + 1e-8)
-            elif m == "adagrad-decay":
-                s["v"] += g * g
-                p -= (self.lr / math.sqrt(self.t)) * g / (np.sqrt(s["v"]) + 1e-8)
-            else:  # pragma: no cover
-                raise AssertionError(m)
+        method = self.method
+        if method == "vanilla":
+            theta -= self.lr * g
+        elif method == "adam":
+            self.m = 0.9 * self.m + 0.1 * g
+            self.v = 0.999 * self.v + 0.001 * g * g
+            mhat = self.m / (1.0 - 0.9 ** self.t)
+            vhat = self.v / (1.0 - 0.999 ** self.t)
+            theta -= self.lr * mhat / (np.sqrt(vhat) + 1e-8)
+        elif method == "adamax":
+            self.m = 0.9 * self.m + 0.1 * g
+            self.v = np.maximum(0.999 * self.v, np.abs(g))
+            theta -= (self.lr / (1.0 - 0.9 ** self.t)) * self.m / (self.v + 1e-8)
+        elif method == "adadelta":
+            rho, eps = 0.95, 1e-6
+            self.m = rho * self.m + (1 - rho) * g * g            # E[g^2]
+            dx = -np.sqrt((self.v + eps) / (self.m + eps)) * g
+            self.v = rho * self.v + (1 - rho) * dx * dx          # E[dx^2]
+            theta += dx
+        elif method == "adagrad":
+            self.v += g * g
+            theta -= self.lr * g / (np.sqrt(self.v) + 1e-8)
+        elif method == "adagrad-decay":
+            self.v += g * g
+            theta -= (self.lr / math.sqrt(self.t)) * g / (np.sqrt(self.v) + 1e-8)
+        else:  # pragma: no cover
+            raise AssertionError(method)
 
 
 def sgd_run(data: ProblemData, params: ModelParams, config: SgdConfig,
@@ -149,7 +138,7 @@ def sgd_run(data: ProblemData, params: ModelParams, config: SgdConfig,
     """Minibatch training; one trace row per epoch (row 0 is the initial point)."""
     p = p0.copy() if p0 is not None else NetParams.default_init(data, config.seed)
     bs = config.batch_size or default_batch_size(data.n_samples)
-    opt = _Optimizer(config.method, config.lr)
+    opt = _Optimizer(config.method, config.lr, p.theta.size)
     batch_rng = stream(config.seed, "batch")
     trace = RunTrace()
 
@@ -160,14 +149,12 @@ def sgd_run(data: ProblemData, params: ModelParams, config: SgdConfig,
                               testerr=te, wall_ms=wall_ms), sink)
 
     epoch_row(0, 0.0)
-    tensors = p.tensors()
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
         perm = batch_rng.permutation(data.n_samples)
         for lo in range(0, data.n_samples, bs):
-            idx = perm[lo:lo + bs]
-            grads = minibatch_grad(p, data, idx, params.lambda2)
-            opt.update(tensors, grads)
+            g = minibatch_grad(p, data, perm[lo:lo + bs], params.lambda2)
+            opt.update(p.theta, g.theta)
         epoch_row(epoch, 1e3 * (time.perf_counter() - t0))
     trace.termination_reason = "epochs"
     return p, trace

@@ -68,45 +68,37 @@ def subproblem_objective(spec: SubproblemSpec, z: Variables) -> float:
                  + 0.5 * spec.L * (dz @ dz))
 
 
-@dataclass
+@dataclass(frozen=True)
 class FactorizationCache:
     """M = L I + 2 lambda2 I~^T I~ + X^ X^^T, factored and applied once per subproblem.
 
-    ``build`` factors M and applies the factor to X^ once, giving
-    P = (M^{-1} X^)^T of shape (N, N0+1).  On first use with a subproblem,
-    ``constants`` applies it once more to the anchor/gradient term, giving
-    C = [-g_W + L W_bar, -g_b1 + L b1_bar] M^{-1}, and clamps b2 (which no
-    sweep changes).  Each sweep's (W, b) step is then the single product
-    W^ = C + (rho + U) P, with no triangular solve.
+    ``build`` factors M and applies the factor twice: to X^, giving
+    P = (M^{-1} X^)^T of shape (N, N0+1), and to the anchor/gradient term,
+    giving C = [-g_W + L W_bar, -g_b1 + L b1_bar] M^{-1}.  It also clamps b2,
+    which no sweep changes.  Each sweep's (W, b) step is then the single
+    product W^ = C + (rho + U) P, with no triangular solve.
     """
 
-    cho: tuple = field(repr=False)
-    P: np.ndarray = field(repr=False)           # (N, N0+1), C-contiguous
-    C: np.ndarray | None = field(repr=False, default=None)    # (N1, N0+1)
-    b2: np.ndarray | None = field(repr=False, default=None)
-    spec: SubproblemSpec | None = field(repr=False, default=None)  # owner of C, b2
+    P: np.ndarray = field(repr=False)    # (N, N0+1), C-contiguous
+    C: np.ndarray = field(repr=False)    # (N1, N0+1)
+    b2: np.ndarray = field(repr=False)   # (N0,)
 
     @classmethod
-    def build(cls, data: ProblemData, params: ModelParams, L: float) -> "FactorizationCache":
+    def build(cls, spec: SubproblemSpec) -> "FactorizationCache":
+        data, a, g, L = spec.data, spec.anchor, spec.grads, spec.L
         n0 = data.n_visible
         Xhat = np.vstack([data.X, np.ones((1, data.n_samples))])
         M = Xhat @ Xhat.T
         idx = np.arange(n0)
-        M[idx, idx] += L + 2.0 * params.lambda2
+        M[idx, idx] += L + 2.0 * spec.params.lambda2
         M[n0, n0] += L
         cho = cho_factor(M, lower=True)
-        return cls(cho=cho, P=np.ascontiguousarray(cho_solve(cho, Xhat).T))
-
-    def constants(self, spec: SubproblemSpec) -> tuple[np.ndarray, np.ndarray]:
-        """(C, clamped b2) for ``spec``, computed on its first use."""
-        if self.spec is not spec:
-            a, g, L = spec.anchor, spec.grads, spec.L
-            alpha = spec.params.alpha
-            rhs = np.hstack([-g.g_W + L * a.W, (-g.g_b1 + L * a.b1)[:, None]])
-            self.C = np.ascontiguousarray(cho_solve(self.cho, rhs.T).T)
-            self.b2 = np.clip(a.b2 - g.g_b2 / L, -alpha, alpha)
-            self.spec = spec
-        return self.C, self.b2
+        del M  # as large as the factor: free it before the two solves below
+        rhs = np.hstack([-g.g_W + L * a.W, (-g.g_b1 + L * a.b1)[:, None]])
+        alpha = spec.params.alpha
+        return cls(P=np.ascontiguousarray(cho_solve(cho, Xhat).T),
+                   C=np.ascontiguousarray(cho_solve(cho, rhs.T).T),
+                   b2=np.clip(a.b2 - g.g_b2 / L, -alpha, alpha))
 
 
 @dataclass
@@ -148,14 +140,13 @@ def update_wb(state: AdmmState, spec: SubproblemSpec, cache: FactorizationCache)
     """
     alpha = spec.params.alpha
     n0 = spec.data.n_visible
-    C, b2 = cache.constants(spec)
-    What = C + (state.rho + state.U) @ cache.P
+    What = cache.C + (state.rho + state.U) @ cache.P
     state.W = np.ascontiguousarray(What[:, :n0])
     b1_cand = What[:, n0]
     b1 = np.clip(b1_cand, -alpha, alpha)
     state.b1_clamp_hits += int(np.count_nonzero(b1 != b1_cand))
     state.b1 = b1
-    state.b2 = b2
+    state.b2 = cache.b2
     state.S = state.W @ spec.data.X + state.b1[:, None]
     return state
 
@@ -215,7 +206,7 @@ def solve_subproblem(spec: SubproblemSpec, tol: float = 1e-6,
         if not np.all(np.isfinite(block)):
             raise NumericError("non-finite gradient block passed to solver")
     state = AdmmState.from_anchor(spec)
-    cache = FactorizationCache.build(spec.data, spec.params, spec.L)
+    cache = FactorizationCache.build(spec)
     converged = False
     for it in range(1, max_iter + 1):
         update_wb(state, spec, cache)

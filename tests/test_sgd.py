@@ -19,8 +19,8 @@ from conftest import random_problem
 def one_scalar_step(method, p0, g, lr=None):
     """Drive the real optimizer one step on a 1-element tensor."""
     t = np.array([p0])
-    opt = _Optimizer(method, lr)
-    opt.update([t], [np.array([g])])
+    opt = _Optimizer(method, lr, 1)
+    opt.update(t, np.array([g]))
     return float(t[0])
 
 
@@ -58,12 +58,12 @@ class TestUpdateRecurrences:
     def test_adadelta_second_step_uses_update_average(self):
         g, rho, eps = 2.0, 0.95, 1e-6
         t = np.array([1.0])
-        opt = _Optimizer("adadelta", None)
-        opt.update([t], [np.array([g])])
+        opt = _Optimizer("adadelta", None, 1)
+        opt.update(t, np.array([g]))
         eg2 = (1 - rho) * g * g
         dx1 = -math.sqrt(eps / (eg2 + eps)) * g
         ed2 = (1 - rho) * dx1 * dx1
-        opt.update([t], [np.array([g])])
+        opt.update(t, np.array([g]))
         eg2b = rho * eg2 + (1 - rho) * g * g
         dx2 = -math.sqrt((ed2 + eps) / (eg2b + eps)) * g
         assert float(t[0]) == pytest.approx(1.0 + dx1 + dx2, abs=1e-15)
@@ -77,9 +77,9 @@ class TestUpdateRecurrences:
     def test_adagrad_decay_divides_by_sqrt_t(self):
         g = 2.0
         t = np.array([1.0])
-        opt = _Optimizer("adagrad-decay", None)
-        opt.update([t], [np.array([g])])
-        opt.update([t], [np.array([g])])
+        opt = _Optimizer("adagrad-decay", None, 1)
+        opt.update(t, np.array([g]))
+        opt.update(t, np.array([g]))
         acc1 = g * g
         step1 = (1e-2 / math.sqrt(1)) * g / (math.sqrt(acc1) + 1e-8)
         acc2 = acc1 + g * g
@@ -91,6 +91,50 @@ class TestUpdateRecurrences:
             0.8, abs=1e-15)
 
 
+class TestPackedParams:
+    def test_blocks_are_views_into_theta(self, tiny_problem):
+        data, _ = tiny_problem
+        init = NetParams.default_init(data, seed=2)
+        built = NetParams(W=np.ones((2, 3)), b1=np.zeros(2), b2=np.zeros(3))
+        for p in (init, init.copy(), built):
+            for block in (p.W, p.b1, p.b2):
+                assert np.shares_memory(p.theta, block)
+        assert built.theta.size == 2 * 3 + 2 + 3
+        assert not np.shares_memory(init.theta, init.copy().theta)
+
+    def test_theta_order_is_w_row_major_then_b1_then_b2(self):
+        W = np.arange(6.0).reshape(2, 3)
+        p = NetParams(W=W, b1=np.array([6.0, 7.0]), b2=np.array([8.0, 9.0, 10.0]))
+        assert np.array_equal(p.theta, np.arange(11.0))
+        assert np.array_equal(p.W, W)
+
+    def test_gradient_is_packed_like_params(self, tiny_problem):
+        data, _ = tiny_problem
+        p = NetParams.default_init(data, seed=3)
+        g = minibatch_grad(p, data, np.arange(data.n_samples), lambda2=0.1)
+        assert g.theta.shape == p.theta.shape
+        for block in (g.W, g.b1, g.b2):
+            assert np.shares_memory(g.theta, block)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_one_update_moves_every_block(self, method):
+        p = NetParams(W=np.ones((2, 3)), b1=np.ones(2), b2=np.ones(3))
+        g = NetParams(W=np.full((2, 3), 0.5), b1=np.full(2, -0.5), b2=np.full(3, 2.0))
+        # reference: one optimizer per block, as a per-tensor loop would run it
+        blocks = [p.W.ravel().copy(), p.b1.copy(), p.b2.copy()]
+        per_block = [_Optimizer(method, None, b.size) for b in blocks]
+        opt = _Optimizer(method, None, p.theta.size)
+        for step in range(3):
+            opt.update(p.theta, g.theta)
+            for o, b, gb in zip(per_block, blocks, (g.W.ravel(), g.b1, g.b2)):
+                o.update(b, gb)
+            if step == 0:
+                assert np.all(p.W != 1.0) and np.all(p.b1 != 1.0) and np.all(p.b2 != 1.0)
+            g.theta *= -0.7
+        for packed, ref in zip((p.W.ravel(), p.b1, p.b2), blocks):
+            assert np.array_equal(packed, ref)
+
+
 class TestBackprop:
     def test_hand_1x1_chain_rule(self):
         X = np.array([[2.0]])
@@ -99,7 +143,8 @@ class TestBackprop:
                       b2=np.array([-0.2]))
         # pre1 = 1.1, H = 1.1, pre2 = 0.35, recon = 0.35
         # d2 = 2(0.35-2) = -3.3, d1 = 0.5 * -3.3 = -1.65
-        g_W, g_b1, g_b2 = minibatch_grad(p, data, np.array([0]), lambda2=0.0)
+        g = minibatch_grad(p, data, np.array([0]), lambda2=0.0)
+        g_W, g_b1, g_b2 = g.W, g.b1, g.b2
         assert g_W[0, 0] == pytest.approx(1.1 * -3.3 + -1.65 * 2.0, abs=1e-12)
         assert g_b1[0] == pytest.approx(-1.65, abs=1e-12)
         assert g_b2[0] == pytest.approx(-3.3, abs=1e-12)
@@ -111,16 +156,16 @@ class TestBackprop:
         idx = np.arange(data.n_samples)
         bare = minibatch_grad(p, data, idx, lambda2=0.0)
         dec = minibatch_grad(p, data, idx, lambda2=0.3)
-        assert np.allclose(dec[0] - bare[0], 0.6 * p.W, atol=1e-12)
-        assert np.allclose(dec[1], bare[1], atol=1e-15)
-        assert np.allclose(dec[2], bare[2], atol=1e-15)
+        assert np.allclose(dec.W - bare.W, 0.6 * p.W, atol=1e-12)
+        assert np.allclose(dec.b1, bare.b1, atol=1e-15)
+        assert np.allclose(dec.b2, bare.b2, atol=1e-15)
 
     def test_perfect_reconstruction_zero_gradient(self):
         X = np.array([[1.0, 2.0], [3.0, 1.0]])
         data = ProblemData.from_matrix(X, 2)
         p = NetParams(W=np.eye(2), b1=np.zeros(2), b2=np.zeros(2))
         grads = minibatch_grad(p, data, np.array([0, 1]), lambda2=0.0)
-        for g in grads:
+        for g in (grads.W, grads.b1, grads.b2):
             assert np.allclose(g, 0.0, atol=1e-15)
         assert autoencoder_error(p, X) == 0.0
 
@@ -139,18 +184,17 @@ class TestBackprop:
 
         grads = minibatch_grad(p, data, idx, lambda2=lam2)
         h = 1e-6
-        for ti, tensor in enumerate(p.tensors()):
-            flat = tensor.reshape(-1)
-            for j in range(flat.size):
-                orig = flat[j]
-                flat[j] = orig + h
-                up = loss(p)
-                flat[j] = orig - h
-                dn = loss(p)
-                flat[j] = orig
-                fd = (up - dn) / (2 * h)
-                got = grads[ti].reshape(-1)[j]
-                assert got == pytest.approx(fd, rel=2e-5, abs=1e-7)
+        flat = p.theta    # W, b1 and b2 are views into it
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + h
+            up = loss(p)
+            flat[j] = orig - h
+            dn = loss(p)
+            flat[j] = orig
+            fd = (up - dn) / (2 * h)
+            got = grads.theta[j]
+            assert got == pytest.approx(fd, rel=2e-5, abs=1e-7)
 
 
 class TestSgdRun:

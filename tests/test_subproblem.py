@@ -119,7 +119,7 @@ class TestWbUpdate:
         spec = SubproblemSpec(anchor=anchor,
                               grads=canceling_grads(anchor, params, data),
                               L=2.0, mu=1e-3, params=params, data=data)
-        cache = FactorizationCache.build(data, params, spec.L)
+        cache = FactorizationCache.build(spec)
         state = AdmmState.from_anchor(spec)
         state = update_wb(state, spec, cache)
         # g_W = 0 at W = 0, U = S(anchor) = 0, rho = 0: solves to anchor
@@ -131,7 +131,7 @@ class TestWbUpdate:
         data, params = tiny_problem
         spec = make_spec(data.n_samples, data.n_visible, data.n_hidden,
                          seed=21, L=1.7)
-        cache = FactorizationCache.build(spec.data, spec.params, spec.L)
+        cache = FactorizationCache.build(spec)
         state = AdmmState.from_anchor(spec)
         rng = np.random.default_rng(4)
         state.U = rng.standard_normal(state.U.shape)
@@ -164,7 +164,7 @@ class TestWbUpdate:
         Minv = np.linalg.inv(M)
         const = np.hstack([-spec.grads.g_W + spec.L * spec.anchor.W,
                            (-spec.grads.g_b1 + spec.L * spec.anchor.b1)[:, None]])
-        cache = FactorizationCache.build(spec.data, spec.params, spec.L)
+        cache = FactorizationCache.build(spec)
         state = AdmmState.from_anchor(spec)
         rng = np.random.default_rng(5)
         for _ in range(2):
@@ -187,7 +187,7 @@ class TestWbUpdate:
                                g_V=np.zeros((2, 4)))
         spec = SubproblemSpec(anchor=anchor, grads=grads, L=1.0, mu=1e-3,
                               params=params, data=data)
-        cache = FactorizationCache.build(data, params, 1.0)
+        cache = FactorizationCache.build(spec)
         state = update_wb(AdmmState.from_anchor(spec), spec, cache)
         assert state.b2[0] == -params.alpha
         assert state.b2[1] == params.alpha
