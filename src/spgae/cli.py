@@ -300,8 +300,7 @@ def bench_instance(n: int, n1: int, n0: int, seed: int = 0):
     anchor = Variables(W=W_bar, b1=np.zeros(n1), b2=np.zeros(n0),
                        V=relu(W_bar @ X))
     grads = GradientBlocks(g_W=g_W, g_b1=g_b[:n1], g_b2=g_b[n1:], g_V=g_V)
-    return SubproblemSpec(anchor=anchor, grads=grads, L=1.0, mu=1e-3,
-                          params=params, data=data)
+    return SubproblemSpec(anchor=anchor, grads=grads, L=1.0, params=params, data=data)
 
 
 def cmd_qp_bench(args) -> int:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (Forward, ModelParams, ProblemData, Variables, autoencoder_error,
-                    fidelity, objective, preactivations, relu)
+                    fidelity, penalty, preactivations, regularizer, relu)
 from .rng import stream
 from .serialize import FormatError as IdxFormatError, _read_exact
 
@@ -171,10 +171,12 @@ def metrics(z: Variables, data: ProblemData, params: ModelParams,
     TrainErr = F(z); TestErr reconstructs test columns through v = (W x + b1)_+."""
     fw = fw or preactivations(z, data)
     feasvi = float(np.sum(np.abs(z.V - relu(fw.S)))) / (data.n_samples * data.n_hidden)
+    trainerr = fidelity(z, data, fw=fw)
     out = {
-        "fval": objective(z, data, params, fw=fw),
+        # O = F + R + P, summed in the order ``objective`` uses
+        "fval": trainerr + regularizer(z, params) + penalty(z, data, params, fw=fw),
         "feasvi": feasvi,
-        "trainerr": fidelity(z, data, fw=fw),
+        "trainerr": trainerr,
         "testerr": None,
     }
     if test_X is not None and np.size(test_X) > 0:

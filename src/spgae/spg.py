@@ -66,8 +66,9 @@ class SpgConfig:
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be >= 1")
         if self.tau1 * self.tau3 < 1.0:
+            # stacklevel 3 skips the generated __init__: report the caller's line
             warnings.warn("tau1*tau3 < 1: mu*L may shrink, descent guarantees do not "
-                          "apply (practical setting)", stacklevel=2)
+                          "apply (practical setting)", stacklevel=3)
 
 
 def default_l0(data: ProblemData, params: ModelParams) -> float:
@@ -120,8 +121,9 @@ def spg_step(z: Variables, mu: float, L: float, data: ProblemData,
     if before is None:
         before = smoothed_objective(z, mu, data, params, fw=fw)
     grads = smoothed_loss_grad(z, mu, data, params, fw=fw)
-    spec = SubproblemSpec(anchor=z, grads=grads, L=L, mu=mu, params=params, data=data)
-    sub = solve_subproblem(spec, tol=config.sub_tol, max_iter=config.sub_max_iter)
+    spec = SubproblemSpec(anchor=z, grads=grads, L=L, params=params, data=data)
+    sub = solve_subproblem(spec, tol=config.sub_tol, max_iter=config.sub_max_iter,
+                           anchor_S=fw.S)
     fw_next = preactivations(sub.z, data)
     after = smoothed_objective(sub.z, mu, data, params, fw=fw_next)
     decrease = after - before

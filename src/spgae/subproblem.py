@@ -9,13 +9,18 @@ linear constraints v_n >= u_n, v_n >= 0 plus the equality u_n = W x_n + b1,
 handled by an augmented Lagrangian of unit weight.  The two primal blocks have
 exact closed-form updates:
 
-* (W, b): the minimizer solves against M = L I + 2 lambda2 I~^T I~ + X^ X^^T,
-  where X^ stacks a row of ones under X.  M is fixed for the whole subproblem,
-  so its Cholesky factor is applied once per subproblem: P = (M^{-1} X^)^T and
-  the constant C = [-g_W + L W_bar, -g_b1 + L b1_bar] M^{-1} are formed up
-  front, and each sweep is the single product W^ = C + (rho + U) P.  b is then
-  clamped into the box [-alpha, alpha] (the clamp is exact for b2, and
-  diagnostics count any b1 activations).
+* (W, b): the minimizer solves against M = D + X^ X^^T, where X^ stacks a row
+  of ones under X and D = L I + 2 lambda2 I~^T I~ is diagonal.  M is fixed for
+  the whole subproblem, so P = (M^{-1} X^)^T and the constant
+  C = [-g_W + L W_bar, -g_b1 + L b1_bar] M^{-1} are formed up front and each
+  sweep's minimizer is W^ = C + (rho + U) P.  With more samples than input
+  dimensions (N > N0) M is Cholesky-factored and each sweep forms W^ and
+  S = W X + b1 1^T.  With N <= N0 the matrix inversion lemma factors the
+  N x N matrix I + X^^T D^{-1} X^ instead, and each sweep stays in sample
+  space: S = C_W X + (rho + U) P_W X + b1 1^T from two products formed up
+  front, and W is formed once, after the last sweep.  b is clamped into the
+  box [-alpha, alpha] (the clamp is exact for b2, and diagnostics count any
+  b1 activations).
 * (V, U): an entrywise four-case formula driven by xi1 = g_V/L - V_bar +
   lambda1/L and xi2 = rho - (W X + b1 1^T).
 
@@ -52,7 +57,6 @@ class SubproblemSpec:
     anchor: Variables
     grads: GradientBlocks
     L: float
-    mu: float          # provenance only; the QP itself does not involve mu
     params: ModelParams
     data: ProblemData
 
@@ -70,42 +74,70 @@ def subproblem_objective(spec: SubproblemSpec, z: Variables) -> float:
 
 @dataclass(frozen=True)
 class FactorizationCache:
-    """M = L I + 2 lambda2 I~^T I~ + X^ X^^T, factored and applied once per subproblem.
+    """M = L I + 2 lambda2 I~^T I~ + X^ X^^T, solved against once per subproblem.
 
-    ``build`` factors M and applies the factor twice: to X^, giving
-    P = (M^{-1} X^)^T of shape (N, N0+1), and to the anchor/gradient term,
-    giving C = [-g_W + L W_bar, -g_b1 + L b1_bar] M^{-1}.  It also clamps b2,
-    which no sweep changes.  Each sweep's (W, b) step is then the single
-    product W^ = C + (rho + U) P, with no triangular solve.
+    ``build`` applies M^{-1} twice: to X^, giving P = (M^{-1} X^)^T of shape
+    (N, N0+1), and to the anchor/gradient term, giving
+    C = [-g_W + L W_bar, -g_b1 + L b1_bar] M^{-1}.  It also clamps b2, which no
+    sweep changes.  Each sweep's (W, b) minimizer is then W^ = C + (rho + U) P,
+    with no triangular solve.
+
+    The form follows from the shape.  With N > N0 it Cholesky-factors M, of
+    order N0+1.  With N <= N0 it uses the matrix inversion lemma on the
+    diagonal D = L I + 2 lambda2 I~^T I~: with K = X^^T D^{-1} X^ it factors
+    I + K, of order N, so P = (I + K)^{-1} (D^{-1} X^)^T and
+    C = R D^{-1} - (R D^{-1} X^) P for R = [-g_W + L W_bar, -g_b1 + L b1_bar],
+    and M is never formed.  It then also keeps G = P_W X (N x N) and
+    CX = C_W X (N1 x N), where P_W and C_W are the first N0 columns, so a
+    sweep costs N1 N^2 multiply-adds instead of 2 N1 N (N0+1).
     """
 
     P: np.ndarray = field(repr=False)    # (N, N0+1), C-contiguous
     C: np.ndarray = field(repr=False)    # (N1, N0+1)
     b2: np.ndarray = field(repr=False)   # (N0,)
+    G: np.ndarray | None = field(default=None, repr=False)   # (N, N), sample space only
+    CX: np.ndarray | None = field(default=None, repr=False)  # (N1, N), sample space only
+
+    @property
+    def sample_space(self) -> bool:
+        return self.G is not None
 
     @classmethod
     def build(cls, spec: SubproblemSpec) -> "FactorizationCache":
         data, a, g, L = spec.data, spec.anchor, spec.grads, spec.L
-        n0 = data.n_visible
-        Xhat = np.vstack([data.X, np.ones((1, data.n_samples))])
-        M = Xhat @ Xhat.T
-        idx = np.arange(n0)
-        M[idx, idx] += L + 2.0 * spec.params.lambda2
-        M[n0, n0] += L
-        cho = cho_factor(M, lower=True)
-        del M  # as large as the factor: free it before the two solves below
+        n, n0 = data.n_samples, data.n_visible
+        lambda2, alpha = spec.params.lambda2, spec.params.alpha
+        Xhat = np.vstack([data.X, np.ones((1, n))])
         rhs = np.hstack([-g.g_W + L * a.W, (-g.g_b1 + L * a.b1)[:, None]])
-        alpha = spec.params.alpha
-        return cls(P=np.ascontiguousarray(cho_solve(cho, Xhat).T),
-                   C=np.ascontiguousarray(cho_solve(cho, rhs.T).T),
-                   b2=np.clip(a.b2 - g.g_b2 / L, -alpha, alpha))
+        b2 = np.clip(a.b2 - g.g_b2 / L, -alpha, alpha)
+        if n > n0:
+            M = Xhat @ Xhat.T
+            idx = np.arange(n0)
+            M[idx, idx] += L + 2.0 * lambda2
+            M[n0, n0] += L
+            cho = cho_factor(M, lower=True)
+            del M  # as large as the factor: free it before the two solves below
+            return cls(P=np.ascontiguousarray(cho_solve(cho, Xhat).T),
+                       C=np.ascontiguousarray(cho_solve(cho, rhs.T).T), b2=b2)
+        d = np.full(n0 + 1, L + 2.0 * lambda2)
+        d[n0] = L
+        DiX = Xhat / d[:, None]
+        IK = Xhat.T @ DiX
+        IK[np.diag_indices(n)] += 1.0
+        P = np.ascontiguousarray(cho_solve(cho_factor(IK, lower=True), DiX.T))
+        RD = rhs / d
+        C = RD - (RD @ Xhat) @ P
+        return cls(P=P, C=C, b2=b2, G=P[:, :n0] @ data.X, CX=C[:, :n0] @ data.X)
 
 
 @dataclass
 class AdmmState:
-    """Primal blocks, auxiliary U, multipliers rho, and progress bookkeeping."""
+    """Primal blocks, auxiliary U, multipliers rho, and progress bookkeeping.
 
-    W: np.ndarray
+    After a sample-space (W, b) step, ``W`` = C_W + (rho + U) P_W is formed
+    the first time it is read.
+    """
+
     b1: np.ndarray
     b2: np.ndarray
     V: np.ndarray
@@ -117,14 +149,37 @@ class AdmmState:
     b1_clamp_hits: int = 0
     S: np.ndarray | None = None   # cached W X + b1 1^T for the current (W, b1)
     xi1: np.ndarray | None = None  # g_V/L - V_bar + lambda1/L, fixed per subproblem
+    _W: np.ndarray | None = field(default=None, init=False, repr=False)
+    _W_pending: tuple | None = field(default=None, init=False, repr=False)  # (cache, T)
+
+    @property
+    def W(self) -> np.ndarray:
+        if self._W is None:
+            cache, T = self._W_pending
+            n0 = cache.b2.size
+            self.W = cache.C[:, :n0] + T @ cache.P[:, :n0]
+        return self._W
+
+    @W.setter
+    def W(self, value: np.ndarray) -> None:
+        self._W, self._W_pending = value, None
 
     @classmethod
-    def from_anchor(cls, spec: SubproblemSpec) -> "AdmmState":
+    def from_anchor(cls, spec: SubproblemSpec,
+                    anchor_S: np.ndarray | None = None) -> "AdmmState":
+        """Start at the anchor.  ``anchor_S`` is its W X + b1 1^T when the caller
+        already holds it; the state only reads it, through a read-only view."""
         a, L = spec.anchor, spec.L
-        S = a.W @ spec.data.X + a.b1[:, None]
+        if anchor_S is None:
+            S = a.W @ spec.data.X + a.b1[:, None]
+        else:
+            S = anchor_S.view()
+            S.flags.writeable = False
         xi1 = spec.grads.g_V / L - a.V + spec.params.lambda1 / L
-        return cls(W=a.W.copy(), b1=a.b1.copy(), b2=a.b2.copy(), V=a.V.copy(),
-                   U=S.copy(), rho=np.zeros_like(S), S=S, xi1=xi1)
+        state = cls(b1=a.b1.copy(), b2=a.b2.copy(), V=a.V.copy(),
+                    U=S.copy(), rho=np.zeros_like(S), S=S, xi1=xi1)
+        state.W = a.W.copy()
+        return state
 
     @property
     def last_deltas(self) -> tuple[float, float]:
@@ -137,17 +192,27 @@ def update_wb(state: AdmmState, spec: SubproblemSpec, cache: FactorizationCache)
     W^ = (-[g_W, g_b1] + L [W_bar, b1_bar] + (rho + U) X^^T) M^{-1}
        = C + (rho + U) P;
     b2 = clamp(b2_bar - g_b2 / L); b1 = clamp(last column of W^).
+    In sample space only the b1 column is formed; S comes from the cached
+    products and W is left for the first read of ``state.W``.
     """
     alpha = spec.params.alpha
     n0 = spec.data.n_visible
-    What = cache.C + (state.rho + state.U) @ cache.P
-    state.W = np.ascontiguousarray(What[:, :n0])
-    b1_cand = What[:, n0]
+    if cache.sample_space:
+        T = state.rho + state.U
+        b1_cand = cache.C[:, n0] + T @ cache.P[:, n0]
+        WX = cache.CX + T @ cache.G
+        state._W, state._W_pending = None, (cache, T)
+    else:
+        What = cache.C + (state.rho + state.U) @ cache.P
+        W = np.ascontiguousarray(What[:, :n0])
+        b1_cand = What[:, n0]
+        WX = W @ spec.data.X
+        state.W = W
     b1 = np.clip(b1_cand, -alpha, alpha)
     state.b1_clamp_hits += int(np.count_nonzero(b1 != b1_cand))
     state.b1 = b1
     state.b2 = cache.b2
-    state.S = state.W @ spec.data.X + state.b1[:, None]
+    state.S = WX + b1[:, None]
     return state
 
 
@@ -199,13 +264,18 @@ class SubproblemResult:
 
 
 def solve_subproblem(spec: SubproblemSpec, tol: float = 1e-6,
-                     max_iter: int = 10000) -> SubproblemResult:
-    """Run the splitting iteration to tolerance and return a point in Z."""
+                     max_iter: int = 10000, *,
+                     anchor_S: np.ndarray | None = None) -> SubproblemResult:
+    """Run the splitting iteration to tolerance and return a point in Z.
+
+    ``anchor_S`` is the anchor's W X + b1 1^T if the caller has it; it is
+    never written to.
+    """
     g = spec.grads
     for block in (g.g_W, g.g_b1, g.g_b2, g.g_V):
         if not np.all(np.isfinite(block)):
             raise NumericError("non-finite gradient block passed to solver")
-    state = AdmmState.from_anchor(spec)
+    state = AdmmState.from_anchor(spec, anchor_S)
     cache = FactorizationCache.build(spec)
     converged = False
     for it in range(1, max_iter + 1):

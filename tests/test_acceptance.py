@@ -23,7 +23,8 @@ from spgae.sgd import SgdConfig, sgd_run, spg_ada
 from spgae.smoothing import (smoothed_loss, smoothed_loss_grad,
                              smoothed_objective, smoothing_gap_bound)
 from spgae.spg import SpgConfig, estimate_validated_l0, run as spg_run
-from spgae.subproblem import solve_subproblem, subproblem_objective, vu_closed_form
+from spgae.subproblem import (FactorizationCache, solve_subproblem, subproblem_objective,
+                              vu_closed_form)
 
 from conftest import (random_feasible, random_problem, write_idx_images,
                       write_idx_labels)
@@ -109,13 +110,15 @@ def test_03_inner_solver_agrees_with_reference_qp():
     t0 = time.perf_counter()
     rng = np.random.default_rng(777)
     worst_gap, worst_kkt = 0.0, 0.0
+    sample_space = 0
     for i in range(50):
         n = int(rng.integers(2, 11))
         n1 = int(rng.integers(1, 5))
         n0 = int(rng.integers(1, 4))
-        spec = make_spec(n, n0, n1, seed=5000 + i,
-                         L=float(rng.uniform(0.5, 4.0)),
-                         mu=float(rng.uniform(1e-4, 1e-2)))
+        L = float(rng.uniform(0.5, 4.0))
+        rng.uniform(1e-4, 1e-2)  # once a smoothing level; drawn to keep the instances
+        spec = make_spec(n, n0, n1, seed=5000 + i, L=L)
+        sample_space += FactorizationCache.build(spec).sample_space
         got = solve_subproblem(spec, tol=1e-14, max_iter=200000)
         ref = reference_solve(spec)
         gap = abs(subproblem_objective(spec, got.z)
@@ -126,7 +129,10 @@ def test_03_inner_solver_agrees_with_reference_qp():
     elapsed = time.perf_counter() - t0
     ok = worst_gap <= 1e-6 and worst_kkt <= 1e-5 and elapsed < 60.0
     assert verdict(3, ok, f"max obj gap {worst_gap:.2e} <= 1e-6, "
-                          f"max KKT {worst_kkt:.2e} <= 1e-5, {elapsed:.1f}s < 60s")
+                          f"max KKT {worst_kkt:.2e} <= 1e-5, {elapsed:.1f}s < 60s, "
+                          f"{sample_space} of 50 solved in sample space")
+    # the gate covers both forms of the (W, b) solve
+    assert 0 < sample_space < 50
 
 
 def test_04_inner_solver_scaling_envelopes():

@@ -53,7 +53,7 @@ class TestDenseConstraints:
             g_b1=np.zeros(data.n_hidden), g_b2=np.zeros(data.n_visible),
             g_V=np.zeros((data.n_hidden, data.n_samples)))
         spec = SubproblemSpec(anchor=Variables.zeros(data), grads=zero_grads,
-                              L=1.0, mu=1e-3, params=params, data=data)
+                              L=1.0, params=params, data=data)
         with pytest.raises(ValueError):
             reference_solve(spec)
 
@@ -83,7 +83,7 @@ class TestReferenceSolve:
                            V=np.maximum(W @ data.X + 0.1, 0.0) + 0.8)
         spec = SubproblemSpec(anchor=anchor,
                               grads=canceling_grads(anchor, params, data),
-                              L=1.5, mu=1e-3, params=params, data=data)
+                              L=1.5, params=params, data=data)
         z = reference_solve(spec)
         assert np.allclose(z.pack(), anchor.pack(), atol=1e-6)
 
@@ -96,7 +96,7 @@ class TestReferenceSolve:
                            b2=np.array([-0.5]), V=np.array([[1.0]]))
         grads = GradientBlocks(g_W=np.array([[1.0]]), g_b1=np.array([-0.5]),
                                g_b2=np.array([1.0]), g_V=np.array([[-2.0]]))
-        spec = SubproblemSpec(anchor=anchor, grads=grads, L=2.0, mu=1e-3,
+        spec = SubproblemSpec(anchor=anchor, grads=grads, L=2.0,
                               params=params, data=data)
         z = reference_solve(spec)
         assert z.W[0, 0] == pytest.approx(0.0, abs=1e-7)
@@ -113,7 +113,7 @@ class TestReferenceSolve:
                            b2=np.array([-0.5]), V=np.array([[1.0]]))
         grads = GradientBlocks(g_W=np.array([[1.0]]), g_b1=np.array([-0.5]),
                                g_b2=np.array([1.0]), g_V=np.array([[3.0]]))
-        spec = SubproblemSpec(anchor=anchor, grads=grads, L=2.0, mu=1e-3,
+        spec = SubproblemSpec(anchor=anchor, grads=grads, L=2.0,
                               params=params, data=data)
         z = reference_solve(spec)
         assert z.W[0, 0] == pytest.approx(-2.0 / 9.0, abs=1e-7)
@@ -140,6 +140,20 @@ class TestReferenceSolve:
             assert gap <= 1e-7
 
 
+    def test_agrees_with_splitting_solver_sample_space(self):
+        # N <= N0: the (W, b) step runs in sample space; same bounds as
+        # the acceptance gate on the reference QP
+        for n, n0, n1, seed in ((3, 8, 2, 140), (2, 10, 3, 141), (4, 4, 3, 142),
+                                (5, 20, 4, 143)):
+            spec = make_spec(n, n0, n1, seed=seed, L=1.1)
+            assert spec.data.n_packed <= MAX_REFERENCE_DIM
+            res = solve_subproblem(spec, tol=1e-14, max_iter=200000)
+            gap = abs(subproblem_objective(spec, res.z)
+                      - subproblem_objective(spec, reference_solve(spec)))
+            assert gap <= 1e-6
+            assert kkt_residual(spec, res.z)["max"] <= 1e-5
+
+
 class TestKktResidual:
     def test_zero_at_unconstrained_minimum(self):
         # gradients that cancel R at a strictly interior anchor make the
@@ -152,7 +166,7 @@ class TestKktResidual:
                            V=np.maximum(W @ data.X + 0.2, 0.0) + 1.0)
         spec = SubproblemSpec(anchor=anchor,
                               grads=canceling_grads(anchor, params, data),
-                              L=2.0, mu=1e-3, params=params, data=data)
+                              L=2.0, params=params, data=data)
         res = kkt_residual(spec, anchor)
         assert res["max"] <= 1e-10
 

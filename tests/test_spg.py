@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import spgae.model
+import spgae.spg
 from spgae.model import (ModelParams, ProblemData, Variables, feasibility,
                          objective, penalty)
 from spgae.smoothing import smoothed_objective, smoothing_gap_bound
@@ -23,6 +24,11 @@ class TestConfig:
         with pytest.warns(UserWarning, match="tau1\\*tau3"):
             cfg = SpgConfig()
         assert cfg.tau1 * cfg.tau3 < 1.0
+
+    def test_warning_points_at_the_constructing_line(self):
+        with pytest.warns(UserWarning, match="tau1\\*tau3") as rec:
+            SpgConfig(tau1=0.5, tau3=1.5)
+        assert rec[0].filename == __file__
 
     def test_no_warning_with_compensating_tau3(self):
         with warnings.catch_warnings():
@@ -94,6 +100,24 @@ class TestStep:
             seen.add(step.accepted)
             z, mu, L = step.z_next, step.mu_next, step.L_next
         assert seen == {True, False}
+
+    def test_solver_reads_the_anchors_preactivations(self, tiny_problem, monkeypatch):
+        data, params = tiny_problem
+        cfg = self.config()
+        z = init_variables(data, seed=1)
+        fw = spgae.model.preactivations(z, data)
+        S_before = fw.S.copy()
+        passed = []
+        solve = spgae.spg.solve_subproblem
+
+        def spy(spec, **kwargs):
+            passed.append(kwargs.get("anchor_S"))
+            return solve(spec, **kwargs)
+
+        monkeypatch.setattr(spgae.spg, "solve_subproblem", spy)
+        spg_step(z, cfg.mu0, 1.0, data, params, cfg, fw=fw)
+        assert passed[0] is fw.S
+        assert np.array_equal(fw.S, S_before)
 
     def test_zero_data_shrinks_at_fixed_point(self):
         # with X = 0 and z = 0 the subproblem returns the anchor, giving

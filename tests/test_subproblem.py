@@ -40,7 +40,7 @@ def two_var_kkt_oracle(xi1, xi2, L):
     return best
 
 
-def make_spec(n, n0, n1, seed, L=1.0, mu=1e-3, grads=None, anchor=None):
+def make_spec(n, n0, n1, seed, L=1.0, grads=None, anchor=None):
     data, params = random_problem(n, n0, n1, seed=seed)
     rng = np.random.default_rng(seed + 1000)
     if anchor is None:
@@ -52,8 +52,19 @@ def make_spec(n, n0, n1, seed, L=1.0, mu=1e-3, grads=None, anchor=None):
                                g_b1=rng.standard_normal(n1),
                                g_b2=rng.standard_normal(n0),
                                g_V=rng.standard_normal((n1, n)))
-    return SubproblemSpec(anchor=anchor, grads=grads, L=L, mu=mu,
+    return SubproblemSpec(anchor=anchor, grads=grads, L=L,
                           params=params, data=data)
+
+
+def dense_wb_oracle(spec):
+    """(M^{-1}, anchor term, X^) of the (W, b) normal equations, formed densely."""
+    n0 = spec.data.n_visible
+    Xhat = np.vstack([spec.data.X, np.ones(spec.data.n_samples)])
+    M = spec.L * np.eye(n0 + 1) + Xhat @ Xhat.T
+    M[:n0, :n0] += 2.0 * spec.params.lambda2 * np.eye(n0)
+    const = np.hstack([-spec.grads.g_W + spec.L * spec.anchor.W,
+                       (-spec.grads.g_b1 + spec.L * spec.anchor.b1)[:, None]])
+    return np.linalg.inv(M), const, Xhat
 
 
 def canceling_grads(anchor, params, data):
@@ -118,7 +129,7 @@ class TestWbUpdate:
         anchor = Variables.zeros(data)
         spec = SubproblemSpec(anchor=anchor,
                               grads=canceling_grads(anchor, params, data),
-                              L=2.0, mu=1e-3, params=params, data=data)
+                              L=2.0, params=params, data=data)
         cache = FactorizationCache.build(spec)
         state = AdmmState.from_anchor(spec)
         state = update_wb(state, spec, cache)
@@ -127,10 +138,8 @@ class TestWbUpdate:
         assert np.allclose(state.b1, 0.0, atol=1e-12)
         assert np.allclose(state.b2, 0.0, atol=1e-12)
 
-    def test_matches_dense_solve(self, tiny_problem):
-        data, params = tiny_problem
-        spec = make_spec(data.n_samples, data.n_visible, data.n_hidden,
-                         seed=21, L=1.7)
+    @staticmethod
+    def check_matches_dense_solve(spec):
         cache = FactorizationCache.build(spec)
         state = AdmmState.from_anchor(spec)
         rng = np.random.default_rng(4)
@@ -138,32 +147,22 @@ class TestWbUpdate:
         state.rho = rng.standard_normal(state.rho.shape)
         got = update_wb(state, spec, cache)
         # dense normal-equations oracle
-        n0, n1 = spec.data.n_visible, spec.data.n_hidden
-        Xhat = np.vstack([spec.data.X, np.ones(spec.data.n_samples)])
-        M = spec.L * np.eye(n0 + 1) + Xhat @ Xhat.T
-        M[:n0, :n0] += 2.0 * spec.params.lambda2 * np.eye(n0)
-        rhs = np.hstack([-spec.grads.g_W + spec.L * spec.anchor.W,
-                         (-spec.grads.g_b1 + spec.L * spec.anchor.b1)[:, None]])
+        n0 = spec.data.n_visible
+        Minv, rhs, Xhat = dense_wb_oracle(spec)
         rhs = rhs + (state.rho + state.U) @ Xhat.T
-        Whb = rhs @ np.linalg.inv(M)
+        Whb = rhs @ Minv
         assert np.allclose(got.W, Whb[:, :n0], atol=1e-10)
         b1 = np.clip(Whb[:, n0], -spec.params.alpha, spec.params.alpha)
         assert np.allclose(got.b1, b1, atol=1e-10)
         b2 = np.clip(spec.anchor.b2 - spec.grads.g_b2 / spec.L,
                      -spec.params.alpha, spec.params.alpha)
         assert np.allclose(got.b2, b2, atol=1e-12)
+        return cache
 
-    def test_cached_constant_matches_dense_across_sweeps(self, tiny_problem):
-        data, params = tiny_problem
-        spec = make_spec(data.n_samples, data.n_visible, data.n_hidden,
-                         seed=22, L=0.9)
+    @staticmethod
+    def check_cached_constant_across_sweeps(spec):
         n0 = spec.data.n_visible
-        Xhat = np.vstack([spec.data.X, np.ones(spec.data.n_samples)])
-        M = spec.L * np.eye(n0 + 1) + Xhat @ Xhat.T
-        M[:n0, :n0] += 2.0 * spec.params.lambda2 * np.eye(n0)
-        Minv = np.linalg.inv(M)
-        const = np.hstack([-spec.grads.g_W + spec.L * spec.anchor.W,
-                           (-spec.grads.g_b1 + spec.L * spec.anchor.b1)[:, None]])
+        Minv, const, Xhat = dense_wb_oracle(spec)
         cache = FactorizationCache.build(spec)
         state = AdmmState.from_anchor(spec)
         rng = np.random.default_rng(5)
@@ -174,9 +173,40 @@ class TestWbUpdate:
             state = update_wb(state, spec, cache)
             assert np.allclose(cache.C, const @ Minv, atol=1e-10)
             Whb = (const + (state.rho + state.U) @ Xhat.T) @ Minv
-            assert np.allclose(state.W, Whb[:, :n0], atol=1e-10)
             b1 = np.clip(Whb[:, n0], -spec.params.alpha, spec.params.alpha)
             assert np.allclose(state.b1, b1, atol=1e-10)
+            assert np.allclose(state.S, Whb[:, :n0] @ spec.data.X + b1[:, None],
+                               atol=1e-10)
+            assert np.allclose(state.W, Whb[:, :n0], atol=1e-10)
+        return cache
+
+    def test_matches_dense_solve(self, tiny_problem):
+        data, params = tiny_problem
+        spec = make_spec(data.n_samples, data.n_visible, data.n_hidden,
+                         seed=21, L=1.7)
+        assert not self.check_matches_dense_solve(spec).sample_space
+
+    def test_cached_constant_matches_dense_across_sweeps(self, tiny_problem):
+        data, params = tiny_problem
+        spec = make_spec(data.n_samples, data.n_visible, data.n_hidden,
+                         seed=22, L=0.9)
+        assert not self.check_cached_constant_across_sweeps(spec).sample_space
+
+    # N <= N0: the matrix inversion lemma form, checked against the same oracle
+
+    def test_matches_dense_solve_sample_space(self):
+        spec = make_spec(3, 8, 2, seed=23, L=1.7)
+        assert self.check_matches_dense_solve(spec).sample_space
+
+    def test_cached_constant_matches_dense_across_sweeps_sample_space(self):
+        for n, n0, n1, seed in ((3, 8, 2, 24), (5, 5, 3, 25), (1, 4, 2, 26)):
+            spec = make_spec(n, n0, n1, seed=seed, L=0.9)
+            assert self.check_cached_constant_across_sweeps(spec).sample_space
+
+    def test_form_follows_shape(self):
+        for n, n0, wide in ((6, 3, False), (4, 3, False), (3, 3, True), (2, 7, True)):
+            spec = make_spec(n, n0, 2, seed=27)
+            assert FactorizationCache.build(spec).sample_space is wide
 
     def test_b2_clamp_exact(self):
         data, params = random_problem(4, 2, 2, seed=30)
@@ -185,7 +215,7 @@ class TestWbUpdate:
                                g_b2=np.array([10.0 * params.alpha,
                                               -10.0 * params.alpha]),
                                g_V=np.zeros((2, 4)))
-        spec = SubproblemSpec(anchor=anchor, grads=grads, L=1.0, mu=1e-3,
+        spec = SubproblemSpec(anchor=anchor, grads=grads, L=1.0,
                               params=params, data=data)
         cache = FactorizationCache.build(spec)
         state = update_wb(AdmmState.from_anchor(spec), spec, cache)
@@ -244,7 +274,7 @@ class TestSolveSubproblem:
         anchor = Variables(W=W, b1=b1, b2=b2, V=V)
         spec = SubproblemSpec(anchor=anchor,
                               grads=canceling_grads(anchor, params, data),
-                              L=2.0, mu=1e-3, params=params, data=data)
+                              L=2.0, params=params, data=data)
         res = solve_subproblem(spec, tol=1e-14)
         assert np.allclose(res.z.W, anchor.W, atol=1e-5)
         assert np.allclose(res.z.b, anchor.b, atol=1e-5)
@@ -268,7 +298,7 @@ class TestSolveSubproblem:
                            b2=np.array([-0.5]), V=np.array([[1.0]]))
         grads = GradientBlocks(g_W=np.array([[1.0]]), g_b1=np.array([-0.5]),
                                g_b2=np.array([1.0]), g_V=np.array([[-2.0]]))
-        spec = SubproblemSpec(anchor=anchor, grads=grads, L=2.0, mu=1e-3,
+        spec = SubproblemSpec(anchor=anchor, grads=grads, L=2.0,
                               params=params, data=data)
         res = solve_subproblem(spec, tol=1e-16, max_iter=50000)
         assert res.z.W[0, 0] == pytest.approx(0.0, abs=1e-6)
@@ -290,7 +320,7 @@ class TestSolveSubproblem:
                            b2=np.array([-0.5]), V=np.array([[1.0]]))
         grads = GradientBlocks(g_W=np.array([[1.0]]), g_b1=np.array([-0.5]),
                                g_b2=np.array([1.0]), g_V=np.array([[3.0]]))
-        spec = SubproblemSpec(anchor=anchor, grads=grads, L=2.0, mu=1e-3,
+        spec = SubproblemSpec(anchor=anchor, grads=grads, L=2.0,
                               params=params, data=data)
         res = solve_subproblem(spec, tol=1e-16, max_iter=50000)
         assert res.z.W[0, 0] == pytest.approx(-2.0 / 9.0, abs=1e-5)
@@ -312,7 +342,7 @@ class TestSolveSubproblem:
                              g_b1=np.zeros(2), g_b2=np.zeros(2),
                              g_V=np.zeros((2, 4)))
         spec2 = SubproblemSpec(anchor=spec.anchor, grads=bad, L=1.0,
-                               mu=1e-3, params=spec.params, data=spec.data)
+                               params=spec.params, data=spec.data)
         with pytest.raises(NumericError):
             solve_subproblem(spec2)
 
@@ -323,6 +353,19 @@ class TestSolveSubproblem:
             res = solve_subproblem(spec, tol=1e-10)
             assert subproblem_objective(spec, res.z) <= \
                 subproblem_objective(spec, spec.anchor) + 1e-9
+
+    def test_anchor_preactivations_reused_read_only(self):
+        for n, n0, n1, seed in ((6, 3, 2, 71), (3, 6, 2, 72)):
+            spec = make_spec(n, n0, n1, seed=seed, L=1.3)
+            a = spec.anchor
+            S = a.W @ spec.data.X + a.b1[:, None]
+            before = S.copy()
+            got = solve_subproblem(spec, tol=1e-10, anchor_S=S)
+            ref = solve_subproblem(spec, tol=1e-10)
+            assert np.array_equal(S, before)
+            assert S.flags.writeable
+            assert got.iters == ref.iters
+            assert np.array_equal(got.z.pack(), ref.z.pack())
 
     def test_converged_flag_and_iter_cap(self):
         spec = make_spec(6, 2, 2, seed=70)
