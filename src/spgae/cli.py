@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import inspect
 import os
 import statistics
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 
@@ -36,10 +37,12 @@ BENCH_SIZES = ((100, 5, 5), (100, 10, 10), (100, 20, 20), (100, 40, 40),
 
 _SPG_DEFAULTS = {f.name: f.default for f in fields(SpgConfig)}
 _SGD_DEFAULTS = {f.name: f.default for f in fields(SgdConfig)}
+_PARAM_DEFAULTS = inspect.signature(ModelParams.from_data).parameters
 
 # train-command options as (key, type, default), in --help order; each is the
 # flag --key (underscores as dashes) and the config-file key.  Config files
-# and flags may override any default.
+# and flags may override any default.  generate-data's shape flags are rows
+# of this table too.
 TRAIN_OPTIONS = (
     ("method", str, "spg"),
     ("preset", int, None),
@@ -56,8 +59,8 @@ TRAIN_OPTIONS = (
     ("per_class", int, None),
     ("seeds", str, "0"),
     ("workers", int, 1),
-    ("lambda1", float, 1e-4),
-    ("lambda2", float, 0.1),
+    ("lambda1", float, _PARAM_DEFAULTS["lambda1"].default),
+    ("lambda2", float, _PARAM_DEFAULTS["lambda2"].default),
     ("beta", float, None),
     ("theta", float, None),
     ("alpha", float, None),
@@ -72,7 +75,7 @@ TRAIN_OPTIONS = (
     ("sub_max_iter", int, _SPG_DEFAULTS["sub_max_iter"]),
     ("theoretical_L", bool, False),
     ("epochs", int, _SGD_DEFAULTS["epochs"]),
-    ("ada_epochs", int, 1000),
+    ("ada_epochs", int, inspect.signature(spg_ada).parameters["ada_epochs"].default),
     ("batch_size", int, _SGD_DEFAULTS["batch_size"]),
     ("lr", float, _SGD_DEFAULTS["lr"]),
 )
@@ -108,7 +111,7 @@ def _coerce(key: str, raw: str):
 def resolve_train_config(args: argparse.Namespace) -> dict:
     """defaults <- config file <- explicit flags."""
     cfg = dict(TRAIN_DEFAULTS)
-    if args.config:
+    if getattr(args, "config", None):
         for key, raw in serialize.load_kv(args.config).items():
             key = key.replace("-", "_")
             if key not in TRAIN_DEFAULTS:
@@ -121,32 +124,37 @@ def resolve_train_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _build_problem(cfg: dict, seed: int):
-    """Return (ProblemData, test matrix or None) from whichever source is configured."""
-    if cfg["train_file"]:
-        X = serialize.load_matrix(cfg["train_file"])
-        if cfg["n1"] is None:
-            raise ValueError("--n1 is required with --train-file")
-        test_X = serialize.load_matrix(cfg["test_file"]) if cfg["test_file"] else None
-        return ProblemData.from_matrix(X, cfg["n1"]), test_X
-    if cfg["mnist_images"]:
-        if cfg["n1"] is None:
-            raise ValueError("--n1 is required with --mnist-images")
-        X, _ = datamod.load_mnist(datamod.MnistSpec(
-            images_path=cfg["mnist_images"], labels_path=cfg["mnist_labels"],
-            per_class=cfg["per_class"], seed=seed))
-        return ProblemData.from_matrix(X, cfg["n1"]), None
+def _synthetic(cfg: dict, seed: int):
+    """(SynthSpec, N1, train X, test X) for train and generate-data: sizes from
+    --preset, whose N1 beats --n1, or from --n/--n1/--n0."""
     if cfg["preset"] is not None:
         n, n1, n0 = datamod.preset(cfg["preset"])
+    elif cfg["n"] is None or cfg["n0"] is None:
+        raise ValueError("need --preset or both --n and --n0 "
+                         "(train also takes --train-file or --mnist-images)")
     else:
-        if cfg["n"] is None or cfg["n1"] is None or cfg["n0"] is None:
-            raise ValueError("need --preset, --train-file, --mnist-images, "
-                             "or all of --n/--n1/--n0")
         n, n1, n0 = cfg["n"], cfg["n1"], cfg["n0"]
     spec = datamod.SynthSpec(kind=cfg["datatype"], n_train=n, n_test=cfg["ntest"],
                              n_visible=n0, eps0=cfg["eps0"], seed=seed)
-    Xtr, Xte = datamod.generate(spec)
-    return ProblemData.from_matrix(Xtr, n1), (Xte if Xte.shape[1] else None)
+    return spec, n1, *datamod.generate(spec)
+
+
+def _build_problem(cfg: dict, seed: int):
+    """Return (ProblemData, test matrix or None) from whichever source is configured."""
+    test_X, n1 = None, cfg["n1"]
+    if cfg["train_file"]:
+        X = serialize.load_matrix(cfg["train_file"])
+        test_X = serialize.load_matrix(cfg["test_file"]) if cfg["test_file"] else None
+    elif cfg["mnist_images"]:
+        X, _ = datamod.load_mnist(datamod.MnistSpec(
+            images_path=cfg["mnist_images"], labels_path=cfg["mnist_labels"],
+            per_class=cfg["per_class"], seed=seed))
+    else:
+        _, n1, X, Xte = _synthetic(cfg, seed)
+        test_X = Xte if Xte.shape[1] else None
+    if n1 is None:
+        raise ValueError("--n1 is required unless --preset gives it")
+    return ProblemData.from_matrix(X, n1), test_X
 
 
 def _model_params(cfg: dict, data: ProblemData) -> ModelParams:
@@ -157,14 +165,13 @@ def _model_params(cfg: dict, data: ProblemData) -> ModelParams:
 
 def _spg_config(cfg: dict, data: ProblemData, params: ModelParams,
                 seed: int) -> SpgConfig:
-    config = SpgConfig(mu0=cfg["mu0"], tau1=cfg["tau1"], tau2=cfg["tau2"],
-                       tau3=cfg["tau3"], L0=cfg["L0"], epsilon=cfg["epsilon"],
-                       max_outer_iters=cfg["max_iters"], sub_tol=cfg["sub_tol"],
-                       sub_max_iter=cfg["sub_max_iter"])
+    l0, radius = cfg["L0"], None
     if cfg["theoretical_L"]:
-        l0, radius = estimate_validated_l0(data, params, config.mu0, seed=seed)
-        config = replace(config, L0=l0, infnorm_bound=radius)
-    return config
+        l0, radius = estimate_validated_l0(data, params, cfg["mu0"], seed=seed)
+    return SpgConfig(mu0=cfg["mu0"], tau1=cfg["tau1"], tau2=cfg["tau2"],
+                     tau3=cfg["tau3"], L0=l0, epsilon=cfg["epsilon"],
+                     max_outer_iters=cfg["max_iters"], sub_tol=cfg["sub_tol"],
+                     sub_max_iter=cfg["sub_max_iter"], infnorm_bound=radius)
 
 
 def _write_config_snapshot(path, cfg: dict, seed: int, params: ModelParams,
@@ -264,15 +271,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate_data(args) -> int:
-    if args.preset is not None:
-        n, _, n0 = datamod.preset(args.preset)
-    else:
-        if args.n is None or args.n0 is None:
-            raise ValueError("need --preset or both --n and --n0")
-        n, n0 = args.n, args.n0
-    spec = datamod.SynthSpec(kind=args.datatype, n_train=n, n_test=args.ntest,
-                             n_visible=n0, eps0=args.eps0, seed=args.seed)
-    Xtr, Xte = datamod.generate(spec)
+    spec, _, Xtr, Xte = _synthetic(resolve_train_config(args), args.seed)
     os.makedirs(args.out, exist_ok=True)
     serialize.save_matrix(os.path.join(args.out, "train.bin"), Xtr)
     serialize.save_matrix(os.path.join(args.out, "test.bin"), Xte)
@@ -283,7 +282,8 @@ def cmd_generate_data(args) -> int:
         "datatype": spec.kind, "n_train": spec.n_train, "n_test": spec.n_test,
         "n_visible": spec.n_visible, "eps0": spec.eps0, "seed": spec.seed,
     })
-    print(f"wrote {n}+{args.ntest} samples of dim {n0} to {args.out}")
+    print(f"wrote {spec.n_train}+{spec.n_test} samples of dim {spec.n_visible} "
+          f"to {args.out}")
     return 0
 
 
@@ -393,18 +393,22 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _add_train_flags(parser: argparse.ArgumentParser, keys) -> None:
+    """One flag per TRAIN_OPTIONS key; unset flags stay None for resolve_train_config."""
+    for key in keys:
+        extras = _TRAIN_FLAG_EXTRAS.get(key, {})
+        if _TRAIN_TYPES[key] not in (str, bool):
+            extras = {"type": _TRAIN_TYPES[key], **extras}
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, **extras)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="spgae",
                                  description="ReLU autoencoder training experiments")
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate-data", help="write synthetic train/test matrices")
-    g.add_argument("--datatype", type=int, choices=(1, 2), default=1)
-    g.add_argument("--preset", type=int)
-    g.add_argument("--n", type=int)
-    g.add_argument("--n0", type=int)
-    g.add_argument("--ntest", type=int, default=0)
-    g.add_argument("--eps0", type=float, default=0.05)
+    _add_train_flags(g, ("datatype", "preset", "n", "n0", "ntest", "eps0"))
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--csv", action="store_true", help="also write CSV copies")
     g.add_argument("--out", required=True)
@@ -414,17 +418,13 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--config", help="key = value file; flags override it")
     t.add_argument("--out", required=True)
     t.add_argument("--seed", type=int, help="shorthand for --seeds with one entry")
-    for key, typ, _ in TRAIN_OPTIONS:
-        extras = _TRAIN_FLAG_EXTRAS.get(key, {})
-        if typ not in (str, bool):
-            extras = {"type": typ, **extras}
-        t.add_argument("--" + key.replace("_", "-"), dest=key, **extras)
+    _add_train_flags(t, TRAIN_DEFAULTS)
     t.set_defaults(func=cmd_train)
 
     q = sub.add_parser("qp-bench", help="time the inner solver on standard sizes")
     q.add_argument("--sizes", help="comma list of N:N1:N0 triples")
     q.add_argument("--max-n2", dest="max_n2", type=int, default=200000)
-    q.add_argument("--tol", type=float, default=1e-6)
+    q.add_argument("--tol", type=float, default=_SPG_DEFAULTS["sub_tol"])
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--out")
     q.set_defaults(func=cmd_qp_bench)

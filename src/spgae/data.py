@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -10,7 +11,7 @@ import numpy as np
 from .model import (Forward, ModelParams, ProblemData, Variables, autoencoder_error,
                     fidelity, penalty, preactivations, regularizer, relu)
 from .rng import stream
-from .serialize import FormatError as IdxFormatError, _read_exact
+from .serialize import FormatError as IdxFormatError, read_framed
 
 # preset id -> (N, N1, N0)
 PRESETS = {
@@ -92,35 +93,15 @@ IDX_LABEL_MAGIC = 0x00000801
 
 def load_idx_images(path) -> np.ndarray:
     """Read an IDX3 image file into (count, rows*cols) uint8."""
-    with open(path, "rb") as fh:
-        magic, = struct.unpack(">i", _read_exact(fh, 4, path, "magic"))
-        if magic != IDX_IMAGE_MAGIC:
-            raise IdxFormatError(f"{path}: bad image magic 0x{magic:08x} at offset 0, "
-                                 f"expected 0x{IDX_IMAGE_MAGIC:08x}")
-        count, rows, cols = struct.unpack(">iii", _read_exact(fh, 12, path, "header"))
-        if min(count, rows, cols) < 0:
-            raise IdxFormatError(f"{path}: negative dimension in header at offset 4")
-        raw = _read_exact(fh, count * rows * cols, path, "pixel data")
-        extra = fh.read(1)
-        if extra:
-            raise IdxFormatError(f"{path}: trailing bytes at offset {fh.tell() - 1}")
+    (count, rows, cols), raw = read_framed(path, struct.pack(">i", IDX_IMAGE_MAGIC),
+                                           ">iii", 0, math.prod, "pixel data")
     return np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
 
 
 def load_idx_labels(path) -> np.ndarray:
     """Read an IDX1 label file into (count,) uint8."""
-    with open(path, "rb") as fh:
-        magic, = struct.unpack(">i", _read_exact(fh, 4, path, "magic"))
-        if magic != IDX_LABEL_MAGIC:
-            raise IdxFormatError(f"{path}: bad label magic 0x{magic:08x} at offset 0, "
-                                 f"expected 0x{IDX_LABEL_MAGIC:08x}")
-        count, = struct.unpack(">i", _read_exact(fh, 4, path, "header"))
-        if count < 0:
-            raise IdxFormatError(f"{path}: negative count in header at offset 4")
-        raw = _read_exact(fh, count, path, "label data")
-        extra = fh.read(1)
-        if extra:
-            raise IdxFormatError(f"{path}: trailing bytes at offset {fh.tell() - 1}")
+    _, raw = read_framed(path, struct.pack(">i", IDX_LABEL_MAGIC), ">i", 0, math.prod,
+                         "label data")
     return np.frombuffer(raw, dtype=np.uint8).copy()
 
 

@@ -7,10 +7,16 @@ Formats are deliberately simple:
 * matrix: magic ``SPGAEM1\\n``, two little-endian int64 (rows, cols), then
   row-major little-endian float64;
 * reports/configs: ``key = value`` lines, ``#`` comments allowed.
+
+The binary formats here and the two IDX formats ``data`` reads (images,
+labels) share one framing: magic, a header of dimensions, a payload whose
+length the header fixes, nothing after it.  ``read_framed`` owns the checks
+of that framing for all four.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -33,6 +39,29 @@ def _read_exact(fh, count, path, what):
     return buf
 
 
+def read_framed(path, magic: bytes, header: str, min_dim: int, payload_bytes,
+                payload: str = "payload") -> tuple[tuple, bytes]:
+    """Read ``magic``, the struct ``header`` of dimensions (each >= ``min_dim``),
+    then exactly ``payload_bytes(dims)`` bytes; returns (dims, payload bytes).
+
+    Every error names the byte offset where the file departs from the format.
+    """
+    with open(path, "rb") as fh:
+        got = _read_exact(fh, len(magic), path, "magic")
+        if got != magic:
+            raise FormatError(f"{path}: bad magic {got!r} at offset 0, "
+                              f"expected {magic!r}")
+        dims = struct.unpack(header, _read_exact(fh, struct.calcsize(header), path,
+                                                 "header"))
+        if min(dims) < min_dim:
+            raise FormatError(f"{path}: {'nonpositive' if min_dim else 'negative'} "
+                              f"dimension in header at offset {len(magic)}")
+        raw = _read_exact(fh, payload_bytes(dims), path, payload)
+        if fh.read(1):
+            raise FormatError(f"{path}: trailing bytes at offset {fh.tell() - 1}")
+    return dims, raw
+
+
 def save_variables(path, z: Variables, dims) -> None:
     """dims is (N, N0, N1) or an object with a .dims tuple."""
     if hasattr(dims, "dims"):
@@ -50,19 +79,9 @@ def save_variables(path, z: Variables, dims) -> None:
 
 
 def load_variables(path) -> tuple[Variables, tuple[int, int, int]]:
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, len(VAR_MAGIC), path, "magic")
-        if magic != VAR_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r} at offset 0")
-        n, n0, n1 = struct.unpack("<qqq", _read_exact(fh, 24, path, "header"))
-        if min(n, n0, n1) < 1:
-            raise FormatError(f"{path}: nonpositive dimension in header at offset 8")
-        expected = packed_size((n, n0, n1))
-        raw = _read_exact(fh, 8 * expected, path, "payload")
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing bytes at offset {fh.tell() - 1}")
+    dims, raw = read_framed(path, VAR_MAGIC, "<qqq", 1, lambda d: 8 * packed_size(d))
     vec = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    return Variables.unpack(vec, (n, n0, n1)), (n, n0, n1)
+    return Variables.unpack(vec, dims), dims
 
 
 def save_matrix(path, M) -> None:
@@ -76,17 +95,8 @@ def save_matrix(path, M) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, len(MAT_MAGIC), path, "magic")
-        if magic != MAT_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r} at offset 0")
-        rows, cols = struct.unpack("<qq", _read_exact(fh, 16, path, "header"))
-        if rows < 0 or cols < 0:
-            raise FormatError(f"{path}: negative dimension in header at offset 8")
-        raw = _read_exact(fh, 8 * rows * cols, path, "payload")
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing bytes at offset {fh.tell() - 1}")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(rows, cols)
+    dims, raw = read_framed(path, MAT_MAGIC, "<qq", 0, lambda d: 8 * math.prod(d))
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dims)
 
 
 def save_matrix_csv(path, M) -> None:

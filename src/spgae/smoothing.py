@@ -54,10 +54,6 @@ class GradientBlocks:
     g_b2: np.ndarray  # (N0,)
     g_V: np.ndarray   # (N1, N)
 
-    @property
-    def g_b(self) -> np.ndarray:
-        return np.concatenate([self.g_b1, self.g_b2])
-
     def pack(self) -> np.ndarray:
         return np.concatenate([self.g_W.ravel(order="F"), self.g_b1, self.g_b2,
                                self.g_V.ravel(order="F")])

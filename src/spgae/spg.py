@@ -13,6 +13,7 @@ sandwich bound the smoothed and true objectives then agree to
 
 from __future__ import annotations
 
+import inspect
 import math
 import time
 import warnings
@@ -26,6 +27,8 @@ from .rng import stream
 from .smoothing import smoothed_loss, smoothed_loss_grad, smoothed_objective
 from .subproblem import SubproblemResult, SubproblemSpec, solve_subproblem
 from .trace import RunTrace, TraceRow
+
+_SOLVE_DEFAULTS = inspect.signature(solve_subproblem).parameters
 
 
 class DivergenceError(RuntimeError):
@@ -45,8 +48,8 @@ class SpgConfig:
     L0: float | None = None          # None -> size-based default
     epsilon: float = 1e-7
     max_outer_iters: int = 4000
-    sub_tol: float = 1e-6
-    sub_max_iter: int = 10000
+    sub_tol: float = _SOLVE_DEFAULTS["tol"].default
+    sub_max_iter: int = _SOLVE_DEFAULTS["max_iter"].default
     divergence_factor: float = 10.0
     infnorm_bound: float | None = None  # validated-L mode: assert ||z||_inf stays below
 
@@ -205,14 +208,14 @@ def run(data: ProblemData, params: ModelParams, config: SpgConfig | None = None,
                      b1_clamp_hits=clamp_hits)
 
 
-def _box_radius(data: ProblemData, params: ModelParams) -> float:
-    """Infinity-norm bound max{alpha, 2*eta} on level-set iterates."""
+def _box_radius(data: ProblemData, params: ModelParams) -> tuple[float, float]:
+    """Infinity-norm bound max{alpha, 2*eta} on level-set iterates, and eta."""
     if params.lambda1 <= 0 or params.lambda2 <= 0:
         raise ValueError("validated-L mode requires positive lambda1, lambda2")
     n, n0, n1 = data.dims
     eta = max(math.sqrt(n1 * n0 * params.theta / params.lambda2),
               params.theta / params.lambda1)
-    return max(params.alpha, 2.0 * eta)
+    return max(params.alpha, 2.0 * eta), eta
 
 
 def estimate_validated_l0(data: ProblemData, params: ModelParams, mu0: float,
@@ -226,11 +229,10 @@ def estimate_validated_l0(data: ProblemData, params: ModelParams, mu0: float,
     pairs and inflated by ``safety``; overestimation only makes steps smaller.
     Returns (L0, box_radius).
     """
-    radius = _box_radius(data, params)
+    if not 0.0 < mu0 < 1.0:
+        raise ValueError("mu0 must lie in (0, 1)")
+    radius, eta = _box_radius(data, params)
     n, n0, n1 = data.dims
-    eta = radius / 2.0 if radius > params.alpha else max(
-        math.sqrt(n1 * n0 * params.theta / params.lambda2),
-        params.theta / params.lambda1)
     rng = stream(seed, "test")
     nz = data.n_packed
     lh = lg = 0.0

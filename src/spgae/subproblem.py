@@ -181,10 +181,6 @@ class AdmmState:
         state.W = a.W.copy()
         return state
 
-    @property
-    def last_deltas(self) -> tuple[float, float]:
-        return (self.delta_rho_sq, self.delta_u_sq)
-
 
 def update_wb(state: AdmmState, spec: SubproblemSpec, cache: FactorizationCache) -> AdmmState:
     """Exact (W, b) block minimizer, then clamp b into the box.
@@ -295,5 +291,6 @@ def solve_subproblem(spec: SubproblemSpec, tol: float = 1e-6,
     # though U only matches W X + b1 in the limit.
     V = np.maximum(np.maximum(state.V, state.S), 0.0)
     z = Variables(W=state.W, b1=state.b1, b2=state.b2, V=V)
-    return SubproblemResult(z=z, iters=state.iters, deltas=state.last_deltas,
+    return SubproblemResult(z=z, iters=state.iters,
+                            deltas=(state.delta_rho_sq, state.delta_u_sq),
                             b1_clamp_hits=state.b1_clamp_hits, converged=converged)

@@ -66,11 +66,6 @@ class RunTrace:
         if sink is not None:
             sink.write_row(row)
 
-    def column(self, name: str) -> list:
-        if name not in TRACE_HEADER:
-            raise KeyError(name)
-        return [getattr(r, name) for r in self.rows]
-
     def to_csv(self, path):
         with open(path, "w", encoding="ascii") as fh:
             fh.write(",".join(TRACE_HEADER) + "\n")

@@ -2,14 +2,16 @@
 
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spgae.cli import (_coerce, aggregate_traces, build_parser, main,
-                       resolve_train_config)
+from spgae.cli import (_build_problem, _coerce, aggregate_traces, build_parser,
+                       main, resolve_train_config)
 from spgae.data import SynthSpec, generate
-from spgae.serialize import load_kv, load_matrix, load_matrix_csv
+from spgae.serialize import load_kv, load_matrix, load_matrix_csv, load_variables
 from spgae.trace import RunTrace, TraceRow
 
 
@@ -54,6 +56,21 @@ class TestGenerateData:
         rc = run_cli(["generate-data", "--out", tmp_path / "x"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape,n1_flag,n1", [
+        (["--n", 20, "--n0", 3, "--ntest", 5], ["--n1", 2], 2),
+        (["--preset", 4, "--ntest", 5], ["--n1", 7], 10),   # the preset's N1 wins
+    ])
+    def test_train_sees_the_generated_matrices(self, tmp_path, shape, n1_flag, n1):
+        shape = [*shape, "--datatype", 2, "--eps0", 0.2]
+        out = tmp_path / "g"
+        assert run_cli(["generate-data", *shape, "--seed", 4, "--out", out]) == 0
+        args = build_parser().parse_args(
+            [str(a) for a in ["train", *shape, *n1_flag, "--out", tmp_path / "t"]])
+        data, test_X = _build_problem(resolve_train_config(args), seed=4)
+        assert np.array_equal(data.X, load_matrix(out / "train.bin"))
+        assert np.array_equal(test_X, load_matrix(out / "test.bin"))
+        assert data.n_hidden == n1
 
 
 class TestTrain:
@@ -150,6 +167,27 @@ class TestTrain:
         rc = run_cli(["train", "--method", "spg", "--out", tmp_path / "x"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_preset_n1_beats_the_flag(self, tmp_path):
+        out = tmp_path / "p"
+        assert run_cli(["train", "--method", "spg", "--preset", 4, "--n1", 7,
+                        "--max-iters", 1, "--out", out]) == 0
+        assert load_variables(out / "model.bin")[1] == (50, 5, 10)
+
+    def test_theoretical_L_warns_once_from_the_cli(self, tmp_path):
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            assert run_cli(self.spg_args(tmp_path / "t")
+                           + ["--theoretical-L", "--max-iters", 2]) == 0
+        tau = [w for w in rec if "tau1*tau3" in str(w.message)]
+        assert len(tau) == 1
+        assert Path(tau[0].filename).name == "cli.py"
+
+    @pytest.mark.parametrize("extra", [[], ["--theoretical-L"]])
+    def test_invalid_mu0_is_an_error(self, tmp_path, capsys, extra):
+        rc = run_cli(self.spg_args(tmp_path / "x") + ["--mu0", 0, *extra])
+        assert rc == 1
+        assert "mu0 must lie in (0, 1)" in capsys.readouterr().err
 
 
 class TestConfigPrecedence:

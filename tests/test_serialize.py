@@ -1,10 +1,14 @@
 """Binary/CSV matrix formats, packed-variable files, and key-value configs."""
 
+import re
+import struct
+
 import numpy as np
 import pytest
 
-from spgae.model import Variables
-from spgae.serialize import (FormatError, load_kv, load_matrix,
+from spgae.data import load_idx_images, load_idx_labels
+from spgae.model import Variables, packed_size
+from spgae.serialize import (MAT_MAGIC, VAR_MAGIC, FormatError, load_kv, load_matrix,
                              load_matrix_csv, load_variables, save_kv,
                              save_matrix, save_matrix_csv, save_variables)
 
@@ -106,6 +110,50 @@ class TestVariables:
         path.write_bytes(b"SPGAEZ1\n" + b"\x00" * 10)
         with pytest.raises(FormatError, match="truncated header"):
             load_variables(path)
+
+
+# reader, magic, header struct, valid dimensions, payload bytes per dims,
+# the payload's name in truncation errors
+FRAMED_FORMATS = {
+    "variables": (load_variables, VAR_MAGIC, "<qqq", (4, 3, 2),
+                  lambda d: 8 * packed_size(d), "payload"),
+    "matrix": (load_matrix, MAT_MAGIC, "<qq", (3, 2), lambda d: 8 * d[0] * d[1],
+               "payload"),
+    "idx-images": (load_idx_images, struct.pack(">i", 0x803), ">iii", (2, 3, 4),
+                   lambda d: d[0] * d[1] * d[2], "pixel data"),
+    "idx-labels": (load_idx_labels, struct.pack(">i", 0x801), ">i", (5,),
+                   lambda d: d[0], "label data"),
+}
+
+
+def framed_file(magic, header, dims, payload_bytes):
+    return magic + struct.pack(header, *dims) + bytes(payload_bytes(dims))
+
+
+@pytest.mark.parametrize("fmt", sorted(FRAMED_FORMATS))
+@pytest.mark.parametrize("fault", ["bad magic", "truncated header", "dimension",
+                                   "truncated payload", "trailing bytes"])
+def test_framed_readers_reject_every_fault_at_its_offset(tmp_path, fmt, fault):
+    reader, magic, header, dims, payload_bytes, payload = FRAMED_FORMATS[fmt]
+    good = framed_file(magic, header, dims, payload_bytes)
+    hsize, nbytes = struct.calcsize(header), payload_bytes(dims)
+    blob, expect = {
+        "bad magic": (b"X" + good[1:], f"bad magic {b'X' + magic[1:]!r} at offset 0"),
+        "truncated header": (good[:len(magic) + hsize - 1],
+                             f"truncated header: wanted {hsize} bytes at offset "
+                             f"{len(magic)}, got {hsize - 1}"),
+        "dimension": (framed_file(magic, header, (-1,) + dims[1:], lambda d: 0),
+                      f"dimension in header at offset {len(magic)}"),
+        "truncated payload": (good[:-1], f"truncated {payload}: wanted {nbytes} bytes "
+                              f"at offset {len(magic) + hsize}, got {nbytes - 1}"),
+        "trailing bytes": (good + b"\x00", f"trailing bytes at offset {len(good)}"),
+    }[fault]
+    path = tmp_path / "f.bin"
+    path.write_bytes(good)
+    reader(path)
+    path.write_bytes(blob)
+    with pytest.raises(FormatError, match=re.escape(expect)):
+        reader(path)
 
 
 class TestKeyValue:
