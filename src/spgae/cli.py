@@ -26,7 +26,7 @@ from .rng import stream
 from .sgd import (METHODS as SGD_METHODS, SgdConfig, net_to_feasible,
                   sgd_run, spg_ada)
 from .smoothing import GradientBlocks
-from .spg import SpgConfig, estimate_validated_l0, run as spg_run
+from .spg import SpgConfig, SpgResult, estimate_validated_l0, run as spg_run
 from .subproblem import SubproblemSpec, solve_subproblem
 from .trace import RunTrace, TraceWriter
 
@@ -188,6 +188,13 @@ def _write_config_snapshot(path, cfg: dict, seed: int, params: ModelParams,
     serialize.save_kv(path, snap)
 
 
+def _spg_summary(result: SpgResult) -> dict:
+    """The summary fields of a deterministic solver run (``spg``, ``spg-ada``)."""
+    return {"iterations": result.iterations, "final_mu": result.mu,
+            "final_L": result.L, "b1_clamp_hits": result.b1_clamp_hits,
+            "capped_solves": result.capped_solves, "mu_shrinks": result.mu_shrinks}
+
+
 def train_one_seed(cfg: dict, seed: int, outdir: str) -> dict:
     """Run one (config, seed) experiment into ``outdir``; returns summary fields."""
     os.makedirs(outdir, exist_ok=True)
@@ -206,10 +213,7 @@ def train_one_seed(cfg: dict, seed: int, outdir: str) -> dict:
             result = spg_run(data, params, config, seed=seed, test_X=test_X, sink=sink)
             z = result.z
             trace = result.trace
-            summary["iterations"] = result.iterations
-            summary["final_mu"] = result.mu
-            summary["final_L"] = result.L
-            summary["b1_clamp_hits"] = result.b1_clamp_hits
+            summary.update(_spg_summary(result))
             if trace.stationarity:
                 summary["final_stationarity"] = trace.stationarity[-1]
         elif method == "spg-ada":
@@ -218,8 +222,7 @@ def train_one_seed(cfg: dict, seed: int, outdir: str) -> dict:
                                     ada_epochs=cfg["ada_epochs"], seed=seed,
                                     test_X=test_X, sink=sink)
             z = result.z
-            summary["iterations"] = result.iterations
-            summary["final_mu"] = result.mu
+            summary.update(_spg_summary(result))
             summary["handoff_index"] = trace.handoff_index
         else:
             sgd_cfg = SgdConfig(method=method, epochs=cfg["epochs"],

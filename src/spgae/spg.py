@@ -148,6 +148,8 @@ class SpgResult:
     L: float
     iterations: int
     b1_clamp_hits: int
+    capped_solves: int   # inner solves that stopped at sub_max_iter (converged=False)
+    mu_shrinks: int      # rejected steps: mu shrank by tau1, L grew by tau3
 
 
 def run(data: ProblemData, params: ModelParams, config: SpgConfig | None = None,
@@ -171,7 +173,7 @@ def run(data: ProblemData, params: ModelParams, config: SpgConfig | None = None,
                           feasvi=m["feasvi"], trainerr=m["trainerr"],
                           testerr=m["testerr"], sub_iters=0, wall_ms=0.0), sink)
     guard = config.divergence_factor * abs(smoothed) + 1e-9
-    clamp_hits = 0
+    clamp_hits = capped = shrinks = 0
     k = 0
     while k < config.max_outer_iters:
         k += 1
@@ -179,6 +181,8 @@ def run(data: ProblemData, params: ModelParams, config: SpgConfig | None = None,
         step = spg_step(z, mu, L, data, params, config, fw=fw, before=smoothed)
         wall_ms = 1e3 * (time.perf_counter() - t0)
         clamp_hits += step.sub.b1_clamp_hits
+        capped += not step.sub.converged
+        shrinks += not step.accepted
         trace.stationarity.append(
             stationarity_diagnostic(z, step.z_next, L, params))
         z, mu, L, fw = step.z_next, step.mu_next, step.L_next, step.fw_next
@@ -205,7 +209,8 @@ def run(data: ProblemData, params: ModelParams, config: SpgConfig | None = None,
     else:
         trace.termination_reason = "max_iters"
     return SpgResult(z=z, trace=trace, mu=mu, L=L, iterations=k,
-                     b1_clamp_hits=clamp_hits)
+                     b1_clamp_hits=clamp_hits, capped_solves=capped,
+                     mu_shrinks=shrinks)
 
 
 def _box_radius(data: ProblemData, params: ModelParams) -> tuple[float, float]:

@@ -29,10 +29,16 @@ max(||d rho||_F^2, ||d U||_F^2) <= tol.  Block order is (W, b) -> (V, U) ->
 multipliers so every update consumes exactly the quantities its closed form
 names.  The returned V is snapped upward onto max(V, W X + b1 1^T, 0) so the
 iterate lies in Z exactly.
+
+The blocks write their (N1 x N) results and temporaries into buffers that
+are allocated once per solve, on the first sweep, after the factorization
+(so they are never live during its peak); a sweep allocates nothing of
+that size.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,9 +137,23 @@ class FactorizationCache:
 
 
 @dataclass
+class _Workspace:
+    """The sweep's (N1 x N) buffers; the three blocks write into them in place."""
+
+    S: np.ndarray   # W X + b1 1^T
+    T: np.ndarray   # rho + U
+    U: np.ndarray   # the U buffer not in use: U and this one swap every sweep
+    a: np.ndarray   # -xi2, then the multiplier step's d
+    b: np.ndarray   # the tied value, then (U_new - U)^2
+
+
+@dataclass
 class AdmmState:
     """Primal blocks, auxiliary U, multipliers rho, and progress bookkeeping.
 
+    The blocks write into buffers allocated once per solve, on the first
+    sweep (so after the factorization): from then on ``S``, ``V`` and ``rho``
+    are the same arrays on every sweep, and ``U`` alternates between two.
     After a sample-space (W, b) step, ``W`` = C_W + (rho + U) P_W is formed
     the first time it is read.
     """
@@ -148,9 +168,11 @@ class AdmmState:
     delta_rho_sq: float = np.inf
     b1_clamp_hits: int = 0
     S: np.ndarray | None = None   # cached W X + b1 1^T for the current (W, b1)
-    xi1: np.ndarray | None = None  # g_V/L - V_bar + lambda1/L, fixed per subproblem
+    neg_xi1: np.ndarray | None = None  # -xi1, xi1 = g_V/L - V_bar + lambda1/L fixed per subproblem
+    L_xi1: np.ndarray | None = None    # L * xi1
     _W: np.ndarray | None = field(default=None, init=False, repr=False)
     _W_pending: tuple | None = field(default=None, init=False, repr=False)  # (cache, T)
+    _ws: _Workspace | None = field(default=None, init=False, repr=False)
 
     @property
     def W(self) -> np.ndarray:
@@ -163,6 +185,12 @@ class AdmmState:
     @W.setter
     def W(self, value: np.ndarray) -> None:
         self._W, self._W_pending = value, None
+
+    def workspace(self) -> _Workspace:
+        """The sweep's buffers, allocated on first use."""
+        if self._ws is None:
+            self._ws = _Workspace(*(np.empty_like(self.U) for _ in range(5)))
+        return self._ws
 
     @classmethod
     def from_anchor(cls, spec: SubproblemSpec,
@@ -177,7 +205,8 @@ class AdmmState:
             S.flags.writeable = False
         xi1 = spec.grads.g_V / L - a.V + spec.params.lambda1 / L
         state = cls(b1=a.b1.copy(), b2=a.b2.copy(), V=a.V.copy(),
-                    U=S.copy(), rho=np.zeros_like(S), S=S, xi1=xi1)
+                    U=S.copy(), rho=np.zeros_like(S), S=S,
+                    neg_xi1=-xi1, L_xi1=L * xi1)
         state.W = a.W.copy()
         return state
 
@@ -193,22 +222,27 @@ def update_wb(state: AdmmState, spec: SubproblemSpec, cache: FactorizationCache)
     """
     alpha = spec.params.alpha
     n0 = spec.data.n_visible
+    ws = state.workspace()
+    T, S = ws.T, ws.S
+    np.add(state.rho, state.U, out=T)
     if cache.sample_space:
-        T = state.rho + state.U
         b1_cand = cache.C[:, n0] + T @ cache.P[:, n0]
-        WX = cache.CX + T @ cache.G
+        np.matmul(T, cache.G, out=S)
+        S += cache.CX
         state._W, state._W_pending = None, (cache, T)
     else:
-        What = cache.C + (state.rho + state.U) @ cache.P
+        What = T @ cache.P
+        What += cache.C
         W = np.ascontiguousarray(What[:, :n0])
         b1_cand = What[:, n0]
-        WX = W @ spec.data.X
+        np.matmul(W, spec.data.X, out=S)
         state.W = W
-    b1 = np.clip(b1_cand, -alpha, alpha)
+    b1 = np.minimum(np.maximum(b1_cand, -alpha), alpha)
     state.b1_clamp_hits += int(np.count_nonzero(b1 != b1_cand))
     state.b1 = b1
     state.b2 = cache.b2
-    state.S = WX + b1[:, None]
+    S += b1[:, None]
+    state.S = S
     return state
 
 
@@ -233,20 +267,33 @@ def vu_closed_form(xi1, xi2, L):
 
 
 def update_vu(state: AdmmState, spec: SubproblemSpec) -> AdmmState:
-    """Exact (V, U) block minimizer given the current (W, b1) and multipliers."""
-    xi2 = state.rho - state.S
-    V, U = vu_closed_form(state.xi1, xi2, spec.L)
-    state.delta_u_sq = float(np.sum((U - state.U) ** 2))
-    state.V = V
-    state.U = U
+    """Exact (V, U) block minimizer given the current (W, b1) and multipliers.
+
+    ``vu_closed_form`` evaluated in place on -xi2 = S - rho, with
+    t = (L xi1 - (-xi2)) / -(L + 1); each rewrite is exact in IEEE arithmetic,
+    so V and U are bit for bit the formula's.
+    """
+    ws = state.workspace()
+    neg_xi2, tied, U = ws.a, ws.b, ws.U
+    np.subtract(state.S, state.rho, out=neg_xi2)
+    np.subtract(state.L_xi1, neg_xi2, out=tied)
+    tied /= -(spec.L + 1.0)
+    np.maximum(state.neg_xi1, tied, out=state.V)   # argument order fixes max(-0.0, 0.0)
+    np.maximum(state.V, 0.0, out=state.V)
+    np.minimum(neg_xi2, state.V, out=U)
+    sq = np.subtract(U, state.U, out=tied)
+    sq *= sq
+    state.delta_u_sq = float(sq.sum())
+    state.U, ws.U = U, state.U
     return state
 
 
 def update_multipliers(state: AdmmState) -> AdmmState:
     """rho += U - (W X + b1 1^T) with the current blocks."""
-    d = state.U - state.S
-    state.rho = state.rho + d
-    state.delta_rho_sq = float(np.sum(d * d))
+    d = np.subtract(state.U, state.S, out=state.workspace().a)
+    state.rho += d
+    d *= d
+    state.delta_rho_sq = float(d.sum())
     return state
 
 
@@ -271,8 +318,8 @@ def solve_subproblem(spec: SubproblemSpec, tol: float = 1e-6,
     for block in (g.g_W, g.g_b1, g.g_b2, g.g_V):
         if not np.all(np.isfinite(block)):
             raise NumericError("non-finite gradient block passed to solver")
-    state = AdmmState.from_anchor(spec, anchor_S)
     cache = FactorizationCache.build(spec)
+    state = AdmmState.from_anchor(spec, anchor_S)
     converged = False
     for it in range(1, max_iter + 1):
         update_wb(state, spec, cache)
@@ -280,7 +327,7 @@ def solve_subproblem(spec: SubproblemSpec, tol: float = 1e-6,
         update_multipliers(state)
         state.iters = it
         worst = max(state.delta_rho_sq, state.delta_u_sq)
-        if not np.isfinite(worst):
+        if not math.isfinite(worst):
             raise NumericError(
                 f"non-finite inner iterate at sweep {it} "
                 f"(|W|max={np.max(np.abs(state.W)):.3e})", state=state)

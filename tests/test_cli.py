@@ -107,6 +107,18 @@ class TestTrain:
                 == read_trace_lines_without_wall(b / "trace.csv"))
         assert (a / "model.bin").read_bytes() == (b / "model.bin").read_bytes()
 
+    def test_capped_solves_and_mu_shrinks_are_counted(self, tmp_path):
+        out = tmp_path / "capped"
+        assert run_cli(self.spg_args(out) + ["--sub-max-iter", 1]) == 0
+        summary = load_kv(out / "summary.txt")
+        steps = int(summary["iterations"])
+        assert steps > 0
+        assert summary["capped_solves"] == str(steps)
+        mus = [r.mu for r in RunTrace.read_csv(out / "trace.csv").rows]
+        shrinks = sum(b < a for a, b in zip(mus, mus[1:]))
+        assert 0 < shrinks < steps
+        assert summary["mu_shrinks"] == str(shrinks)
+
     def test_sgd_rows_leave_solver_columns_blank(self, tmp_path):
         out = tmp_path / "ada"
         rc = run_cli(["train", "--method", "adadelta", "--n", 10, "--n1", 2,
@@ -125,6 +137,8 @@ class TestTrain:
         assert rc == 0
         summary = load_kv(out / "summary.txt")
         assert summary["handoff_index"] == "3"
+        for key in ("final_L", "b1_clamp_hits", "capped_solves", "mu_shrinks"):
+            assert key in summary
         trace = RunTrace.read_csv(out / "trace.csv")
         assert trace.rows[2].mu is None
         assert trace.rows[3].mu is not None
@@ -155,7 +169,9 @@ class TestTrain:
         rc = run_cli(["train", "--method", "spg", "--preset", 6, "--datatype", 1,
                       "--eps0", 0.05, "--seed", 1, "--out", out])
         assert rc == 0
-        assert load_kv(out / "summary.txt")["termination"] == "mu<=eps"
+        summary = load_kv(out / "summary.txt")
+        assert summary["termination"] == "mu<=eps"
+        assert summary["capped_solves"] == "0"
 
     def test_seed_and_seeds_conflict(self, tmp_path):
         with pytest.raises(SystemExit, match="not both"):

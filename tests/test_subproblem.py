@@ -241,6 +241,75 @@ class TestMultipliers:
         assert np.allclose(state.rho, 0.25)
 
 
+def reference_sweeps(spec, cache, sweeps):
+    """The sweep in its allocating form, one fresh array per expression:
+    (S, U, V, rho, delta_rho_sq, delta_u_sq) after each sweep."""
+    a, L, alpha = spec.anchor, spec.L, spec.params.alpha
+    n0 = spec.data.n_visible
+    xi1 = spec.grads.g_V / L - a.V + spec.params.lambda1 / L
+    U = a.W @ spec.data.X + a.b1[:, None]
+    rho = np.zeros_like(U)
+    out = []
+    for _ in range(sweeps):
+        if cache.sample_space:
+            T = rho + U
+            b1_cand = cache.C[:, n0] + T @ cache.P[:, n0]
+            WX = cache.CX + T @ cache.G
+        else:
+            What = cache.C + (rho + U) @ cache.P
+            b1_cand = What[:, n0]
+            WX = np.ascontiguousarray(What[:, :n0]) @ spec.data.X
+        S = WX + np.clip(b1_cand, -alpha, alpha)[:, None]
+        V, U_new = vu_closed_form(xi1, rho - S, L)
+        du = float(np.sum((U_new - U) ** 2))
+        U = U_new
+        d = U - S
+        rho = rho + d
+        out.append((S, U, V, rho, float(np.sum(d * d)), du))
+    return out
+
+
+class TestWorkspace:
+    """The blocks write into buffers allocated once per solve."""
+
+    SHAPES = ((40, 6, 5, 80), (6, 9, 4, 81))   # N > N0, then N <= N0
+
+    def test_buffers_are_reused_across_sweeps(self):
+        for n, n0, n1, seed in self.SHAPES:
+            spec = make_spec(n, n0, n1, seed=seed, L=1.3)
+            cache = FactorizationCache.build(spec)
+            state = AdmmState.from_anchor(spec)
+            seen = []
+            for _ in range(6):
+                update_wb(state, spec, cache)
+                update_vu(state, spec)
+                update_multipliers(state)
+                seen.append((state.S, state.rho, state.V, state.U))
+            S, rho, V, _ = seen[0]
+            for s_, r_, v_, _ in seen[1:]:
+                assert s_ is S and r_ is rho and v_ is V
+            # U alternates between two buffers
+            assert seen[2][3] is seen[0][3] and seen[1][3] is not seen[0][3]
+
+    def test_sweeps_match_allocating_reference_bit_for_bit(self):
+        for n, n0, n1, seed in self.SHAPES:
+            spec = make_spec(n, n0, n1, seed=seed, L=0.8)
+            cache = FactorizationCache.build(spec)
+            assert cache.sample_space is (n <= n0)
+            state = AdmmState.from_anchor(spec)
+            for ref in reference_sweeps(spec, cache, 20):
+                update_wb(state, spec, cache)
+                update_vu(state, spec)
+                update_multipliers(state)
+                S, U, V, rho, drho, du = ref
+                # bytes, so that a -0.0 where the reference has 0.0 shows
+                for got, want in ((state.S, S), (state.U, U), (state.V, V),
+                                  (state.rho, rho)):
+                    assert got.tobytes() == want.tobytes()
+                assert state.delta_rho_sq == drho
+                assert state.delta_u_sq == du
+
+
 class TestSolveSubproblem:
     def test_kkt_tracks_stopping_tolerance_when_tight(self):
         """At tight stopping tolerances the returned point sits within
