@@ -163,15 +163,14 @@ def _model_params(cfg: dict, data: ProblemData) -> ModelParams:
                                  alpha=cfg["alpha"])
 
 
-def _spg_config(cfg: dict, data: ProblemData, params: ModelParams,
-                seed: int) -> SpgConfig:
-    l0, radius = cfg["L0"], None
-    if cfg["theoretical_L"]:
-        l0, radius = estimate_validated_l0(data, params, cfg["mu0"], seed=seed)
+def _spg_config(cfg: dict) -> SpgConfig:
+    """The solver config of a ``train`` command, built (and warned about) once
+    for all its seeds."""
+    l0 = None if cfg["theoretical_L"] else cfg["L0"]   # estimated per seed instead
     return SpgConfig(mu0=cfg["mu0"], tau1=cfg["tau1"], tau2=cfg["tau2"],
                      tau3=cfg["tau3"], L0=l0, epsilon=cfg["epsilon"],
                      max_outer_iters=cfg["max_iters"], sub_tol=cfg["sub_tol"],
-                     sub_max_iter=cfg["sub_max_iter"], infnorm_bound=radius)
+                     sub_max_iter=cfg["sub_max_iter"])
 
 
 def _write_config_snapshot(path, cfg: dict, seed: int, params: ModelParams,
@@ -195,8 +194,13 @@ def _spg_summary(result: SpgResult) -> dict:
             "capped_solves": result.capped_solves, "mu_shrinks": result.mu_shrinks}
 
 
-def train_one_seed(cfg: dict, seed: int, outdir: str) -> dict:
-    """Run one (config, seed) experiment into ``outdir``; returns summary fields."""
+def train_one_seed(cfg: dict, seed: int, outdir: str,
+                   spg_config: SpgConfig | None) -> dict:
+    """Run one (config, seed) experiment into ``outdir``; returns summary fields.
+
+    ``spg_config`` is ``_spg_config(cfg)`` for the ``spg`` and ``spg-ada``
+    methods, else None.
+    """
     os.makedirs(outdir, exist_ok=True)
     t_start = time.perf_counter()
     data, test_X = _build_problem(cfg, seed)
@@ -207,8 +211,11 @@ def train_one_seed(cfg: dict, seed: int, outdir: str) -> dict:
     extra_snap = {}
 
     with TraceWriter(trace_path) as sink:
+        config = spg_config
+        if cfg["theoretical_L"] and config is not None:
+            config = config.with_L0(*estimate_validated_l0(data, params, cfg["mu0"],
+                                                           seed=seed))
         if method == "spg":
-            config = _spg_config(cfg, data, params, seed)
             extra_snap["resolved_L0"] = config.L0 if config.L0 is not None else "auto"
             result = spg_run(data, params, config, seed=seed, test_X=test_X, sink=sink)
             z = result.z
@@ -217,7 +224,6 @@ def train_one_seed(cfg: dict, seed: int, outdir: str) -> dict:
             if trace.stationarity:
                 summary["final_stationarity"] = trace.stationarity[-1]
         elif method == "spg-ada":
-            config = _spg_config(cfg, data, params, seed)
             result, trace = spg_ada(data, params, spg_config=config,
                                     ada_epochs=cfg["ada_epochs"], seed=seed,
                                     test_X=test_X, sink=sink)
@@ -256,13 +262,14 @@ def cmd_train(args) -> int:
         raise ValueError("no seeds given")
     outs = ([args.out] if len(seeds) == 1
             else [os.path.join(args.out, f"seed_{s}") for s in seeds])
+    spg_config = _spg_config(cfg) if cfg["method"] in ("spg", "spg-ada") else None
     if cfg["workers"] > 1 and len(seeds) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg["workers"]) as ex:
-            futures = [ex.submit(train_one_seed, cfg, s, o)
+            futures = [ex.submit(train_one_seed, cfg, s, o, spg_config)
                        for s, o in zip(seeds, outs)]
             summaries = [f.result() for f in futures]
     else:
-        summaries = [train_one_seed(cfg, s, o) for s, o in zip(seeds, outs)]
+        summaries = [train_one_seed(cfg, s, o, spg_config) for s, o in zip(seeds, outs)]
     for s in summaries:
         line = (f"seed {s['seed']}: {s['method']} {s['termination']} "
                 f"fval={s['fval']:.6e} feasvi={s['feasvi']:.3e} "

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,19 +75,71 @@ class NetParams:
         return NetParams(W=self.W, b1=self.b1, b2=self.b2)
 
 
+class GradWorkspace:
+    """The buffers ``minibatch_grad`` fills for one ``NetParams``.
+
+    Holds the packed gradient ``grad``, one (N1, N0) product buffer, the
+    batch-sized intermediates (one set per batch width, so a partial last
+    batch gets its own) and the views ``b1[:, None]``, ``b2[:, None]`` and
+    ``W.T`` of ``p``, built once; they stay valid as long as ``p.theta`` is
+    only updated in place.
+    """
+
+    def __init__(self, p: NetParams):
+        n1, n0 = p.W.shape
+        self.p = p
+        self.grad = NetParams(W=np.zeros((n1, n0)), b1=np.zeros(n1), b2=np.zeros(n0))
+        self.grad_b = self.grad.theta[n1 * n0:]     # (b1, b2): one reduce fills both
+        self.prod = np.empty((n1, n0))
+        self.b1_col, self.b2_col, self.W_T = p.b1[:, None], p.b2[:, None], p.W.T
+        self._widths = {}
+
+    def batch(self, bs: int) -> tuple:
+        """(Xb, pre1, H, pre2, mask1, mask2, d, d1, d2) for a batch of ``bs``;
+        ``d`` stacks ``d1`` (N1 rows) over ``d2`` (N0 rows)."""
+        bufs = self._widths.get(bs)
+        if bufs is None:
+            n1, n0 = self.p.W.shape
+            d = np.empty((n1 + n0, bs))
+            bufs = self._widths[bs] = (
+                np.empty((n0, bs)), np.empty((n1, bs)), np.empty((n1, bs)),
+                np.empty((n0, bs)), np.empty((n1, bs), dtype=bool),
+                np.empty((n0, bs), dtype=bool), d, d[:n1], d[n1:])
+        return bufs
+
+
 def minibatch_grad(p: NetParams, data: ProblemData, idx: np.ndarray,
-                   lambda2: float) -> NetParams:
-    """Backprop gradient packed like ``p``, batch-averaged, decay term included."""
-    Xb = data.X[:, idx]
-    bs = Xb.shape[1]
-    pre1 = p.W @ Xb + p.b1[:, None]
-    H = relu(pre1)
-    pre2 = p.W.T @ H + p.b2[:, None]
-    recon = relu(pre2)
-    d2 = 2.0 * (recon - Xb) * (pre2 > 0)          # (N0, B)
-    d1 = (p.W @ d2) * (pre1 > 0)                  # (N1, B)
-    return NetParams(W=(H @ d2.T + d1 @ Xb.T) / bs + 2.0 * lambda2 * p.W,
-                     b1=np.sum(d1, axis=1) / bs, b2=np.sum(d2, axis=1) / bs)
+                   lambda2: float, out: GradWorkspace | None = None) -> NetParams:
+    """Backprop gradient packed like ``p``, batch-averaged, decay term included.
+
+    The result is ``out.grad``, which the next call with the same ``out``
+    overwrites; without ``out`` a fresh workspace is built.  ``out`` must have
+    been built on ``p``.
+    """
+    ws = GradWorkspace(p) if out is None else out
+    if ws.p is not p:
+        raise ValueError("the workspace was built for other parameters")
+    bs = len(idx)
+    Xb, pre1, H, pre2, mask1, mask2, d, d1, d2 = ws.batch(bs)
+    g = ws.grad
+    np.take(data.X, idx, axis=1, out=Xb, mode="clip")   # idx is in range: no check
+    np.matmul(p.W, Xb, out=pre1)
+    pre1 += ws.b1_col
+    np.maximum(pre1, 0.0, out=H)
+    np.matmul(ws.W_T, H, out=pre2)
+    pre2 += ws.b2_col
+    np.maximum(pre2, 0.0, out=d2)                       # recon
+    d2 -= Xb
+    d2 *= 2.0
+    d2 *= np.greater(pre2, 0.0, out=mask2)              # (N0, B)
+    np.matmul(p.W, d2, out=d1)
+    d1 *= np.greater(pre1, 0.0, out=mask1)              # (N1, B)
+    np.matmul(H, d2.T, out=g.W)
+    g.W += np.matmul(d1, Xb.T, out=ws.prod)
+    np.add.reduce(d, axis=1, out=ws.grad_b)
+    g.theta /= bs
+    g.W += np.multiply(p.W, 2.0 * lambda2, out=ws.prod)
+    return g
 
 
 class _Optimizer:
@@ -100,6 +151,7 @@ class _Optimizer:
         self.t = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
+        self._s1, self._s2 = np.empty(size), np.empty(size)   # adadelta scratch
 
     def update(self, theta: np.ndarray, g: np.ndarray):
         self.t += 1
@@ -117,11 +169,24 @@ class _Optimizer:
             self.v = np.maximum(0.999 * self.v, np.abs(g))
             theta -= (self.lr / (1.0 - 0.9 ** self.t)) * self.m / (self.v + 1e-8)
         elif method == "adadelta":
+            # in place, in the order of m = rho*m + (1-rho)*g*g,
+            # dx = -sqrt((v+eps)/(m+eps))*g, v = rho*v + (1-rho)*dx*dx
             rho, eps = 0.95, 1e-6
-            self.m = rho * self.m + (1 - rho) * g * g            # E[g^2]
-            dx = -np.sqrt((self.v + eps) / (self.m + eps)) * g
-            self.v = rho * self.v + (1 - rho) * dx * dx          # E[dx^2]
-            theta += dx
+            m, v, s1, s2 = self.m, self.v, self._s1, self._s2
+            np.multiply(g, 1 - rho, out=s1)
+            s1 *= g
+            m *= rho
+            m += s1                                              # E[g^2]
+            np.add(v, eps, out=s1)
+            s1 /= np.add(m, eps, out=s2)
+            np.sqrt(s1, out=s1)
+            np.negative(s1, out=s1)
+            s1 *= g                                              # dx
+            np.multiply(s1, 1 - rho, out=s2)
+            s2 *= s1
+            v *= rho
+            v += s2                                              # E[dx^2]
+            theta += s1
         elif method == "adagrad":
             self.v += g * g
             theta -= self.lr * g / (np.sqrt(self.v) + 1e-8)
@@ -139,6 +204,7 @@ def sgd_run(data: ProblemData, params: ModelParams, config: SgdConfig,
     p = p0.copy() if p0 is not None else NetParams.default_init(data, config.seed)
     bs = config.batch_size or default_batch_size(data.n_samples)
     opt = _Optimizer(config.method, config.lr, p.theta.size)
+    ws = GradWorkspace(p)
     batch_rng = stream(config.seed, "batch")
     trace = RunTrace()
 
@@ -153,7 +219,7 @@ def sgd_run(data: ProblemData, params: ModelParams, config: SgdConfig,
         t0 = time.perf_counter()
         perm = batch_rng.permutation(data.n_samples)
         for lo in range(0, data.n_samples, bs):
-            g = minibatch_grad(p, data, perm[lo:lo + bs], params.lambda2)
+            g = minibatch_grad(p, data, perm[lo:lo + bs], params.lambda2, out=ws)
             opt.update(p.theta, g.theta)
         epoch_row(epoch, 1e3 * (time.perf_counter() - t0))
     trace.termination_reason = "epochs"
@@ -203,12 +269,9 @@ def spg_ada(data: ProblemData, params: ModelParams, spg_config: SpgConfig | None
         # warm starts sit in high-curvature territory where the cold-start
         # default proximal weight overshoots; size it to the local gradient
         # Lipschitz scale instead
-        l0 = estimate_local_l0(z0, config.mu0, data, params, seed=seed)
-        with warnings.catch_warnings():
-            # the config was validated (and warned, if applicable) on
-            # construction; replace() re-runs validation
-            warnings.simplefilter("ignore")
-            config = replace(config, L0=l0)
+        config = config.with_L0(
+            estimate_local_l0(z0, config.mu0, data, params, seed=seed),
+            config.infnorm_bound)
     offset = len(ada_trace.rows)
     result = spg_run_driver(data, params, config=config, z0=z0, seed=seed,
                             test_X=test_X, sink=_RenumberingSink(offset, sink))

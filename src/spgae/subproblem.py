@@ -42,7 +42,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .model import ModelParams, ProblemData, Variables, regularizer
 from .smoothing import GradientBlocks
@@ -110,6 +109,10 @@ class FactorizationCache:
 
     @classmethod
     def build(cls, spec: SubproblemSpec) -> "FactorizationCache":
+        # imported here, so that runs which never solve a subproblem (the SGD
+        # baselines, generate-data, report) do not load scipy
+        from scipy.linalg import cho_factor, cho_solve
+
         data, a, g, L = spec.data, spec.anchor, spec.grads, spec.L
         n, n0 = data.n_samples, data.n_visible
         lambda2, alpha = spec.params.lambda2, spec.params.alpha

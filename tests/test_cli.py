@@ -1,5 +1,6 @@
 """End-to-end command line tests: every verb, precedence, determinism."""
 
+import os
 import subprocess
 import sys
 import warnings
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import spgae
 from spgae.cli import (_build_problem, _coerce, aggregate_traces, build_parser,
                        main, resolve_train_config)
 from spgae.data import SynthSpec, generate
@@ -345,3 +347,39 @@ def test_module_entry_point_help():
     assert res.returncode == 0
     for verb in ("generate-data", "train", "qp-bench", "report"):
         assert verb in res.stdout
+
+
+def run_in_fresh_process(argv):
+    """``spgae.cli.main(argv)`` in a new interpreter under the default warning
+    filters; returns its stderr and the scipy modules it had loaded at exit."""
+    code = ("import sys; from spgae.cli import main; rc = main(sys.argv[1:]); "
+            "print(*(m for m in sys.modules if m.split('.')[0] == 'scipy')); sys.exit(rc)")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(spgae.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    return res.stderr, res.stdout.splitlines()[-1].split()
+
+
+class TestFreshProcess:
+    SHAPE = ["--n", 40, "--n0", 3, "--ntest", 5]
+
+    @pytest.mark.parametrize("method", ["spg", "spg-ada"])
+    def test_three_seeds_warn_once(self, tmp_path, method):
+        err, scipy_modules = run_in_fresh_process(
+            ["train", "--method", method, *self.SHAPE, "--n1", 4, "--ada-epochs", 2,
+             "--max-iters", 2, "--seeds", "0,1,2", "--out", tmp_path])
+        # the solver imports scipy between the first seed and the second
+        assert "scipy.linalg" in scipy_modules
+        assert err.count("tau1*tau3 < 1") == 1
+
+    def test_sgd_baselines_generate_data_and_report_do_not_import_scipy(self, tmp_path):
+        ada = tmp_path / "ada"
+        for argv in (["train", "--method", "adadelta", *self.SHAPE, "--n1", 4,
+                      "--epochs", 2, "--seeds", "0,1", "--out", ada],
+                     ["generate-data", *self.SHAPE, "--out", tmp_path / "data"],
+                     ["report", "--traces", ada / "seed_0" / "trace.csv",
+                      ada / "seed_1" / "trace.csv", "--out", tmp_path / "agg.csv"]):
+            _, scipy_modules = run_in_fresh_process(argv)
+            assert scipy_modules == [], argv[0]

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from spgae.model import (ModelParams, ProblemData, fidelity, penalty,
-                         feasibility)
-from spgae.sgd import (METHODS, NetParams, SgdConfig, _Optimizer,
+                         feasibility, relu)
+from spgae.sgd import (METHODS, GradWorkspace, NetParams, SgdConfig, _Optimizer,
                        autoencoder_error, default_batch_size, minibatch_grad,
                        net_to_feasible, sgd_run, spg_ada)
+from spgae.rng import stream
 from spgae.spg import DivergenceError, SpgConfig
 
 from conftest import random_problem
@@ -195,6 +196,90 @@ class TestBackprop:
             fd = (up - dn) / (2 * h)
             got = grads.theta[j]
             assert got == pytest.approx(fd, rel=2e-5, abs=1e-7)
+
+
+def allocating_grad(p, data, idx, lambda2):
+    """minibatch_grad as it was before it wrote into a workspace, verbatim."""
+    Xb = data.X[:, idx]
+    bs = Xb.shape[1]
+    pre1 = p.W @ Xb + p.b1[:, None]
+    H = relu(pre1)
+    pre2 = p.W.T @ H + p.b2[:, None]
+    recon = relu(pre2)
+    d2 = 2.0 * (recon - Xb) * (pre2 > 0)          # (N0, B)
+    d1 = (p.W @ d2) * (pre1 > 0)                  # (N1, B)
+    return NetParams(W=(H @ d2.T + d1 @ Xb.T) / bs + 2.0 * lambda2 * p.W,
+                     b1=np.sum(d1, axis=1) / bs, b2=np.sum(d2, axis=1) / bs)
+
+
+def allocating_adadelta(theta, m, v, g):
+    """The Adadelta step as it was before it ran in place, verbatim; returns m, v."""
+    rho, eps = 0.95, 1e-6
+    m = rho * m + (1 - rho) * g * g            # E[g^2]
+    dx = -np.sqrt((v + eps) / (m + eps)) * g
+    v = rho * v + (1 - rho) * dx * dx          # E[dx^2]
+    theta += dx
+    return m, v
+
+
+def bits(a):
+    return a.view(np.int64)
+
+
+class TestWorkspaceStep:
+    """minibatch_grad(out=) and the in-place Adadelta step against the
+    allocating expressions they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("lambda2", [0.0, 0.03])
+    def test_matches_allocating_step_bit_for_bit(self, lambda2):
+        data, _ = random_problem(105, 4, 6, seed=41)   # bs 10: last batch has 5
+        rng = np.random.default_rng(42)
+        init = NetParams(W=rng.standard_normal((6, 4)) * 0.5,
+                         b1=rng.uniform(-0.3, 0.3, 6), b2=rng.uniform(-0.3, 0.3, 4))
+        p, ref = init.copy(), init.copy()
+        ws = GradWorkspace(p)
+        opt = _Optimizer("adadelta", None, p.theta.size)
+        m_ref, v_ref = np.zeros(p.theta.size), np.zeros(p.theta.size)
+        m_obj, v_obj = opt.m, opt.v
+        widths = set()
+        for _ in range(3):
+            perm = rng.permutation(data.n_samples)
+            for lo in range(0, data.n_samples, 10):
+                idx = perm[lo:lo + 10]
+                widths.add(idx.size)
+                g = minibatch_grad(p, data, idx, lambda2, out=ws)
+                g_ref = allocating_grad(ref, data, idx, lambda2)
+                assert g is ws.grad
+                assert np.array_equal(bits(g.theta), bits(g_ref.theta))
+                opt.update(p.theta, g.theta)
+                m_ref, v_ref = allocating_adadelta(ref.theta, m_ref, v_ref, g_ref.theta)
+                assert np.array_equal(bits(p.theta), bits(ref.theta))
+                assert np.array_equal(bits(opt.m), bits(m_ref))
+                assert np.array_equal(bits(opt.v), bits(v_ref))
+        assert widths == {10, 5}
+        assert opt.m is m_obj and opt.v is v_obj        # updated in place
+        assert not np.array_equal(p.theta, init.theta)
+
+    def test_sgd_run_matches_allocating_loop(self):
+        data, params = random_problem(105, 4, 6, seed=43)
+        cfg = SgdConfig(method="adadelta", epochs=4, batch_size=10, seed=5)
+        p, _ = sgd_run(data, params, cfg)
+        ref = NetParams.default_init(data, cfg.seed)
+        batch_rng = stream(cfg.seed, "batch")
+        m, v = np.zeros(ref.theta.size), np.zeros(ref.theta.size)
+        for _ in range(cfg.epochs):
+            perm = batch_rng.permutation(data.n_samples)
+            for lo in range(0, data.n_samples, 10):
+                g = allocating_grad(ref, data, perm[lo:lo + 10], params.lambda2)
+                m, v = allocating_adadelta(ref.theta, m, v, g.theta)
+        assert np.array_equal(bits(p.theta), bits(ref.theta))
+
+    def test_workspace_belongs_to_its_params(self, tiny_problem):
+        data, _ = tiny_problem
+        p = NetParams.default_init(data, seed=1)
+        ws = GradWorkspace(p)
+        with pytest.raises(ValueError, match="other parameters"):
+            minibatch_grad(p.copy(), data, np.arange(data.n_samples), 0.1, out=ws)
 
 
 class TestSgdRun:
