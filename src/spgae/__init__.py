@@ -20,7 +20,8 @@ from .subproblem import (AdmmState, FactorizationCache, NumericError,
 from .spg import (DivergenceError, SpgConfig, SpgResult, default_l0,
                   estimate_validated_l0, init_variables, run, spg_step,
                   stationarity_diagnostic)
-from .sgd import (NetParams, SgdConfig, net_to_feasible, sgd_run, spg_ada)
+from .sgd import (NetParams, SgdConfig, SgdMember, net_to_feasible, sgd_lockstep,
+                  sgd_run, spg_ada, spg_ada_tail)
 from .data import (MnistSpec, SynthSpec, generate, load_idx_images,
                    load_idx_labels, load_mnist, metrics, preset)
 from .trace import RunTrace, TraceRow, TraceWriter, TRACE_HEADER
@@ -31,16 +32,16 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmmState", "DivergenceError", "FactorizationCache", "FeasibilityReport",
     "GradientBlocks", "MnistSpec", "ModelParams", "NetParams", "NumericError",
-    "ProblemData", "RunTrace", "SgdConfig", "SpgConfig", "SpgResult",
+    "ProblemData", "RunTrace", "SgdConfig", "SgdMember", "SpgConfig", "SpgResult",
     "SubproblemResult", "SubproblemSpec", "SynthSpec", "TRACE_HEADER",
     "TraceRow", "TraceWriter", "Variables", "compute_alpha",
     "constraint_count", "constraint_residuals", "default_l0",
     "estimate_validated_l0", "feasibility", "fidelity", "generate",
     "init_variables", "load_idx_images", "load_idx_labels", "load_mnist",
     "metrics", "net_to_feasible", "objective", "penalty", "preactivations",
-    "preset", "project_bias_box", "regularizer", "relu", "run", "sgd_run",
-    "smooth_relu", "smooth_relu_deriv", "smoothed_loss", "smoothed_loss_grad",
+    "preset", "project_bias_box", "regularizer", "relu", "run", "sgd_lockstep",
+    "sgd_run", "smooth_relu", "smooth_relu_deriv", "smoothed_loss", "smoothed_loss_grad",
     "smoothed_objective", "smoothing_gap_bound", "solve_subproblem",
-    "spg_ada", "spg_step", "stationarity_diagnostic", "stream",
+    "spg_ada", "spg_ada_tail", "spg_step", "stationarity_diagnostic", "stream",
     "subproblem_objective", "vu_closed_form",
 ]

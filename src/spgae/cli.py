@@ -9,10 +9,9 @@ writes byte-identical traces apart from the wall_ms column.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import contextlib
 import inspect
 import os
-import statistics
 import sys
 import time
 from dataclasses import fields
@@ -23,8 +22,8 @@ from . import data as datamod
 from . import serialize
 from .model import ModelParams, ProblemData, Variables, packed_size, relu
 from .rng import stream
-from .sgd import (METHODS as SGD_METHODS, SgdConfig, net_to_feasible,
-                  sgd_run, spg_ada)
+from .sgd import (METHODS as SGD_METHODS, SgdConfig, SgdMember, net_to_feasible,
+                  sgd_lockstep, spg_ada, spg_ada_tail)
 from .smoothing import GradientBlocks
 from .spg import SpgConfig, SpgResult, estimate_validated_l0, run as spg_run
 from .subproblem import SubproblemSpec, solve_subproblem
@@ -194,63 +193,107 @@ def _spg_summary(result: SpgResult) -> dict:
             "capped_solves": result.capped_solves, "mu_shrinks": result.mu_shrinks}
 
 
-def train_one_seed(cfg: dict, seed: int, outdir: str,
-                   spg_config: SpgConfig | None) -> dict:
-    """Run one (config, seed) experiment into ``outdir``; returns summary fields.
+class _SeedRun:
+    """One seed of a ``train`` command: its problem, solver config and open
+    trace, then the files it writes into ``outdir``."""
+
+    def __init__(self, cfg: dict, seed: int, outdir: str, spg_config: SpgConfig | None):
+        os.makedirs(outdir, exist_ok=True)
+        t_start = time.perf_counter()
+        self.cfg, self.seed, self.outdir = cfg, seed, outdir
+        self.data, self.test_X = _build_problem(cfg, seed)
+        self.params = _model_params(cfg, self.data)
+        self.config = spg_config
+        if cfg["theoretical_L"] and spg_config is not None:
+            self.config = spg_config.with_L0(*estimate_validated_l0(
+                self.data, self.params, cfg["mu0"], seed=seed))
+        self.sink = TraceWriter(os.path.join(outdir, "trace.csv"))
+        self.elapsed_s = time.perf_counter() - t_start
+
+    def finish(self, z: Variables, trace: RunTrace, fields: dict,
+               extra_snap: dict | None = None) -> dict:
+        """Write model.bin, config.txt and summary.txt; returns the summary.
+
+        ``fields`` are the method's summary fields.  The summary's
+        ``elapsed_s`` is ``self.elapsed_s`` (the set-up, plus the training
+        time the caller adds) and the metrics of ``z``.
+        """
+        t_start = time.perf_counter()
+        method = self.cfg["method"]
+        summary = {"method": method, "seed": self.seed, **fields}
+        if method in ("spg", "spg-ada"):
+            # the solver's last trace row already holds the metrics of z
+            last = trace.rows[-1]
+            m = {k: getattr(last, k) for k in ("fval", "feasvi", "trainerr", "testerr")}
+        else:
+            m = datamod.metrics(z, self.data, self.params, test_X=self.test_X)
+        summary.update({k: ("" if v is None else v) for k, v in m.items()})
+        summary["termination"] = trace.termination_reason
+        summary["elapsed_s"] = self.elapsed_s + time.perf_counter() - t_start
+        serialize.save_variables(os.path.join(self.outdir, "model.bin"), z, self.data)
+        _write_config_snapshot(os.path.join(self.outdir, "config.txt"), self.cfg,
+                               self.seed, self.params, extra_snap)
+        serialize.save_kv(os.path.join(self.outdir, "summary.txt"), summary)
+        return summary
+
+
+def train_seeds(cfg: dict, seeds, outs, spg_config: SpgConfig | None) -> list[dict]:
+    """Run the seeds of a ``train`` command into their out dirs; returns their
+    summaries.
 
     ``spg_config`` is ``_spg_config(cfg)`` for the ``spg`` and ``spg-ada``
-    methods, else None.
+    methods, else None.  ``spg`` runs one seed after another.  The SGD methods
+    and ``spg-ada`` set up every seed, train all of them as one lockstep group
+    (``sgd_lockstep``), then finish each seed (``spg-ada``: its solver tail)
+    and write its files.
     """
-    os.makedirs(outdir, exist_ok=True)
-    t_start = time.perf_counter()
-    data, test_X = _build_problem(cfg, seed)
-    params = _model_params(cfg, data)
     method = cfg["method"]
-    trace_path = os.path.join(outdir, "trace.csv")
-    summary: dict = {"method": method, "seed": seed}
-    extra_snap = {}
-
-    with TraceWriter(trace_path) as sink:
-        config = spg_config
-        if cfg["theoretical_L"] and config is not None:
-            config = config.with_L0(*estimate_validated_l0(data, params, cfg["mu0"],
-                                                           seed=seed))
-        if method == "spg":
-            extra_snap["resolved_L0"] = config.L0 if config.L0 is not None else "auto"
-            result = spg_run(data, params, config, seed=seed, test_X=test_X, sink=sink)
-            z = result.z
-            trace = result.trace
-            summary.update(_spg_summary(result))
-            if trace.stationarity:
-                summary["final_stationarity"] = trace.stationarity[-1]
-        elif method == "spg-ada":
-            result, trace = spg_ada(data, params, spg_config=config,
-                                    ada_epochs=cfg["ada_epochs"], seed=seed,
-                                    test_X=test_X, sink=sink)
-            z = result.z
-            summary.update(_spg_summary(result))
-            summary["handoff_index"] = trace.handoff_index
-        else:
-            sgd_cfg = SgdConfig(method=method, epochs=cfg["epochs"],
-                                batch_size=cfg["batch_size"], lr=cfg["lr"], seed=seed)
-            p, trace = sgd_run(data, params, sgd_cfg, test_X=test_X, sink=sink)
-            z = net_to_feasible(p, data, params)
-            summary["epochs"] = cfg["epochs"]
-
-    if method in ("spg", "spg-ada"):
-        # the solver's last trace row already holds the metrics of z
-        last = trace.rows[-1]
-        m = {k: getattr(last, k) for k in ("fval", "feasvi", "trainerr", "testerr")}
-    else:
-        m = datamod.metrics(z, data, params, test_X=test_X)
-    summary.update({k: ("" if v is None else v) for k, v in m.items()})
-    summary["termination"] = trace.termination_reason
-    summary["elapsed_s"] = time.perf_counter() - t_start
-    serialize.save_variables(os.path.join(outdir, "model.bin"), z, data)
-    _write_config_snapshot(os.path.join(outdir, "config.txt"), cfg, seed, params,
-                           extra_snap)
-    serialize.save_kv(os.path.join(outdir, "summary.txt"), summary)
-    return summary
+    if method == "spg":
+        summaries = []
+        for seed, outdir in zip(seeds, outs):
+            run = _SeedRun(cfg, seed, outdir, spg_config)
+            t_start = time.perf_counter()
+            with run.sink:
+                result = spg_run(run.data, run.params, run.config, seed=seed,
+                                 test_X=run.test_X, sink=run.sink)
+            run.elapsed_s += time.perf_counter() - t_start
+            fields = _spg_summary(result)
+            if result.trace.stationarity:
+                fields["final_stationarity"] = result.trace.stationarity[-1]
+            resolved = run.config.L0 if run.config.L0 is not None else "auto"
+            summaries.append(run.finish(result.z, result.trace, fields,
+                                        {"resolved_L0": resolved}))
+        return summaries
+    ada = method == "spg-ada"       # the SGD phase is spg-ada's Adadelta warm start
+    sgd_configs = [SgdConfig(method="adadelta" if ada else method,
+                             epochs=cfg["ada_epochs" if ada else "epochs"],
+                             batch_size=cfg["batch_size"], lr=cfg["lr"], seed=seed)
+                   for seed in seeds]
+    with contextlib.ExitStack() as stack:
+        runs = []
+        for seed, outdir in zip(seeds, outs):
+            runs.append(_SeedRun(cfg, seed, outdir, spg_config))
+            stack.enter_context(runs[-1].sink)
+        t_start = time.perf_counter()
+        trained = sgd_lockstep([SgdMember(r.data, r.params, c, test_X=r.test_X,
+                                          sink=r.sink)
+                                for r, c in zip(runs, sgd_configs)])
+        shared_s = time.perf_counter() - t_start
+        summaries = []
+        for run, (p, trace) in zip(runs, trained):
+            t_start = time.perf_counter()
+            if ada:
+                result, trace = spg_ada_tail(p, trace, run.data, run.params, run.config,
+                                             seed=run.seed, test_X=run.test_X,
+                                             sink=run.sink)
+                z = result.z
+                fields = {**_spg_summary(result), "handoff_index": trace.handoff_index}
+            else:
+                z = net_to_feasible(p, run.data, run.params)
+                fields = {"epochs": cfg["epochs"]}
+            run.elapsed_s += shared_s + time.perf_counter() - t_start
+            summaries.append(run.finish(z, trace, fields))
+        return summaries
 
 
 def cmd_train(args) -> int:
@@ -260,16 +303,26 @@ def cmd_train(args) -> int:
     seeds = [int(s) for s in str(cfg["seeds"]).replace(",", " ").split()]
     if not seeds:
         raise ValueError("no seeds given")
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"duplicate seeds in {cfg['seeds']!r}")
     outs = ([args.out] if len(seeds) == 1
             else [os.path.join(args.out, f"seed_{s}") for s in seeds])
+    out_of = dict(zip(seeds, outs))
     spg_config = _spg_config(cfg) if cfg["method"] in ("spg", "spg-ada") else None
-    if cfg["workers"] > 1 and len(seeds) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg["workers"]) as ex:
-            futures = [ex.submit(train_one_seed, cfg, s, o, spg_config)
-                       for s, o in zip(seeds, outs)]
-            summaries = [f.result() for f in futures]
+    # spg seeds run one per task; the other methods' seeds form one lockstep
+    # group per worker
+    workers = max(1, min(cfg["workers"], len(seeds)))
+    groups = ([[s] for s in seeds] if cfg["method"] == "spg"
+              else [g.tolist() for g in np.array_split(seeds, workers)])
+    tasks = [(cfg, g, [out_of[s] for s in g], spg_config) for g in groups]
+    if workers > 1:
+        import concurrent.futures    # here: a one-process command never loads it
+
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
+            futures = [ex.submit(train_seeds, *task) for task in tasks]
+            summaries = [s for f in futures for s in f.result()]
     else:
-        summaries = [train_one_seed(cfg, s, o, spg_config) for s, o in zip(seeds, outs)]
+        summaries = [s for task in tasks for s in train_seeds(*task)]
     for s in summaries:
         line = (f"seed {s['seed']}: {s['method']} {s['termination']} "
                 f"fval={s['fval']:.6e} feasvi={s['feasvi']:.3e} "
@@ -365,6 +418,8 @@ AGG_COLUMNS = ("mu", "L", "fval", "smoothed", "feasvi", "trainerr", "testerr",
 
 def aggregate_traces(paths) -> tuple[list[str], list[list]]:
     """Per-row median and quartiles across runs for every populated column."""
+    import statistics    # here: only the report command loads it
+
     traces = [RunTrace.read_csv(p) for p in paths]
     if not traces:
         raise ValueError("no traces to aggregate")

@@ -5,13 +5,19 @@ The baselines minimize (1/N) sum_n ||relu(W^T relu(W x_n + b1) + b2) - x_n||^2
 + lambda2 ||W||_F^2 by minibatch backpropagation.  The ReLU derivative is taken
 as 0 at exactly 0.  Batches are drawn from a seeded permutation per epoch, so a
 seed pins the whole trajectory.
+
+Networks of one shape train in lockstep (``sgd_lockstep``): their parameters
+are rows of one stacked vector, and one gradient call and one optimizer step
+advance all of them by a batch.  A stacked product runs the same BLAS call per
+network and every other operation is elementwise or a per-row reduction, so
+each network's numbers are the same bits as in a run of its own.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,6 +53,8 @@ class SgdConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.lr is not None and DEFAULT_LR[self.method] is None:
+            raise ValueError(f"{self.method} has no learning rate; do not set lr")
         if self.lr is not None and self.lr <= 0:
             raise ValueError("lr must be positive")
 
@@ -56,14 +64,38 @@ class NetParams:
 
     ``theta`` = (W row-major, b1, b2); ``W`` (N1, N0), ``b1`` (N1,) and ``b2``
     (N0,) are views into it, so an in-place step on ``theta`` moves all three.
+    A stack of S networks (``stack``) has ``theta`` (S, P) and blocks with the
+    same leading axis; ``rows()`` are its networks.
     """
 
     def __init__(self, W: np.ndarray, b1: np.ndarray, b2: np.ndarray):
         n1, n0 = np.shape(W)
-        self.theta = np.concatenate([np.ravel(W), b1, b2], dtype=np.float64)
-        self.W = self.theta[:n1 * n0].reshape(n1, n0)
-        self.b1 = self.theta[n1 * n0:n1 * n0 + n1]
-        self.b2 = self.theta[n1 * n0 + n1:]
+        self._bind(np.concatenate([np.ravel(W), b1, b2], dtype=np.float64), n1, n0)
+
+    def _bind(self, theta: np.ndarray, n1: int, n0: int):
+        k = n1 * n0
+        self.theta = theta
+        self.W = theta[..., :k].reshape(*theta.shape[:-1], n1, n0)
+        self.b1 = theta[..., k:k + n1]
+        self.b2 = theta[..., k + n1:]
+
+    @classmethod
+    def over(cls, theta: np.ndarray, n1: int, n0: int) -> "NetParams":
+        """Parameters whose blocks are views into ``theta``, (P,) or (S, P)."""
+        p = cls.__new__(cls)
+        p._bind(theta, n1, n0)
+        return p
+
+    @classmethod
+    def stack(cls, nets) -> "NetParams":
+        """Copies of networks of one shape, stacked into ``theta`` (S, P)."""
+        n1, n0 = nets[0].W.shape
+        return cls.over(np.stack([p.theta for p in nets]), n1, n0)
+
+    def rows(self) -> list["NetParams"]:
+        """The networks of a stack, each a view into its row of ``theta``."""
+        n1, n0 = self.W.shape[-2:]
+        return [NetParams.over(row, n1, n0) for row in self.theta]
 
     @classmethod
     def default_init(cls, data: ProblemData, seed: int = 0) -> "NetParams":
@@ -72,58 +104,69 @@ class NetParams:
         return cls(W=W, b1=np.zeros(n1), b2=np.zeros(n0))
 
     def copy(self) -> "NetParams":
-        return NetParams(W=self.W, b1=self.b1, b2=self.b2)
+        n1, n0 = self.W.shape[-2:]
+        return NetParams.over(self.theta.copy(), n1, n0)
 
 
 class GradWorkspace:
-    """The buffers ``minibatch_grad`` fills for one ``NetParams``.
+    """The buffers ``minibatch_grad`` fills for one ``NetParams``, single or
+    stacked.
 
-    Holds the packed gradient ``grad``, one (N1, N0) product buffer, the
-    batch-sized intermediates (one set per batch width, so a partial last
-    batch gets its own) and the views ``b1[:, None]``, ``b2[:, None]`` and
-    ``W.T`` of ``p``, built once; they stay valid as long as ``p.theta`` is
+    Holds the gradient ``grad``, packed like ``p``, one (S, N1, N0) product
+    buffer, the batch-sized intermediates (one set per batch width, so a
+    partial last batch gets its own) and stacked views of ``p`` (S = 1 for a
+    single network), built once; they stay valid as long as ``p.theta`` is
     only updated in place.
     """
 
     def __init__(self, p: NetParams):
-        n1, n0 = p.W.shape
+        n1, n0 = p.W.shape[-2:]
         self.p = p
-        self.grad = NetParams(W=np.zeros((n1, n0)), b1=np.zeros(n1), b2=np.zeros(n0))
-        self.grad_b = self.grad.theta[n1 * n0:]     # (b1, b2): one reduce fills both
-        self.prod = np.empty((n1, n0))
-        self.b1_col, self.b2_col, self.W_T = p.b1[:, None], p.b2[:, None], p.W.T
+        self.grad = NetParams.over(np.zeros(p.theta.shape), n1, n0)
+        ps = NetParams.over(p.theta.reshape(-1, p.theta.shape[-1]), n1, n0)
+        self.g = NetParams.over(self.grad.theta.reshape(ps.theta.shape), n1, n0)
+        self.grad_b = self.g.theta[:, n1 * n0:]    # (b1, b2): one reduce fills both
+        self.prod = np.empty(ps.W.shape)
+        self.W, self.W_T = ps.W, ps.W.transpose(0, 2, 1)
+        self.b1_col, self.b2_col = ps.b1[..., None], ps.b2[..., None]
         self._widths = {}
 
     def batch(self, bs: int) -> tuple:
-        """(Xb, pre1, H, pre2, mask1, mask2, d, d1, d2) for a batch of ``bs``;
-        ``d`` stacks ``d1`` (N1 rows) over ``d2`` (N0 rows)."""
+        """(Xb, Xb rows, pre1, H, pre2, mask1, mask2, d, d1, d2) for a batch of
+        ``bs``, each (S, ., bs); ``d`` stacks ``d1`` (N1 rows) over ``d2`` (N0
+        rows)."""
         bufs = self._widths.get(bs)
         if bufs is None:
-            n1, n0 = self.p.W.shape
-            d = np.empty((n1 + n0, bs))
+            s, n1, n0 = self.W.shape
+            Xb, d = np.empty((s, n0, bs)), np.empty((s, n1 + n0, bs))
             bufs = self._widths[bs] = (
-                np.empty((n0, bs)), np.empty((n1, bs)), np.empty((n1, bs)),
-                np.empty((n0, bs)), np.empty((n1, bs), dtype=bool),
-                np.empty((n0, bs), dtype=bool), d, d[:n1], d[n1:])
+                Xb, tuple(Xb), np.empty((s, n1, bs)), np.empty((s, n1, bs)),
+                np.empty((s, n0, bs)), np.empty((s, n1, bs), dtype=bool),
+                np.empty((s, n0, bs), dtype=bool), d, d[:, :n1], d[:, n1:])
         return bufs
 
 
-def minibatch_grad(p: NetParams, data: ProblemData, idx: np.ndarray,
-                   lambda2: float, out: GradWorkspace | None = None) -> NetParams:
+def minibatch_grad(p: NetParams, data, idx, lambda2: float,
+                   out: GradWorkspace | None = None) -> NetParams:
     """Backprop gradient packed like ``p``, batch-averaged, decay term included.
 
-    The result is ``out.grad``, which the next call with the same ``out``
-    overwrites; without ``out`` a fresh workspace is built.  ``out`` must have
-    been built on ``p``.
+    ``p`` is one network with one ``ProblemData`` and index array, or a stack
+    of S with a sequence of S of each (all batches of one width); network i
+    trains on batch ``data[i].X[:, idx[i]]``.  The result is ``out.grad``,
+    which the next call with the same ``out`` overwrites; without ``out`` a
+    fresh workspace is built.  ``out`` must have been built on ``p``.
     """
     ws = GradWorkspace(p) if out is None else out
     if ws.p is not p:
         raise ValueError("the workspace was built for other parameters")
-    bs = len(idx)
-    Xb, pre1, H, pre2, mask1, mask2, d, d1, d2 = ws.batch(bs)
-    g = ws.grad
-    np.take(data.X, idx, axis=1, out=Xb, mode="clip")   # idx is in range: no check
-    np.matmul(p.W, Xb, out=pre1)
+    if p.theta.ndim == 1:
+        data, idx = (data,), (idx,)
+    bs = len(idx[0])
+    Xb, Xb_rows, pre1, H, pre2, mask1, mask2, d, d1, d2 = ws.batch(bs)
+    g = ws.g
+    for Xi, di, ix in zip(Xb_rows, data, idx, strict=True):
+        np.take(di.X, ix, axis=1, out=Xi, mode="clip")  # ix is in range: no check
+    np.matmul(ws.W, Xb, out=pre1)
     pre1 += ws.b1_col
     np.maximum(pre1, 0.0, out=H)
     np.matmul(ws.W_T, H, out=pre2)
@@ -131,21 +174,22 @@ def minibatch_grad(p: NetParams, data: ProblemData, idx: np.ndarray,
     np.maximum(pre2, 0.0, out=d2)                       # recon
     d2 -= Xb
     d2 *= 2.0
-    d2 *= np.greater(pre2, 0.0, out=mask2)              # (N0, B)
-    np.matmul(p.W, d2, out=d1)
-    d1 *= np.greater(pre1, 0.0, out=mask1)              # (N1, B)
-    np.matmul(H, d2.T, out=g.W)
-    g.W += np.matmul(d1, Xb.T, out=ws.prod)
-    np.add.reduce(d, axis=1, out=ws.grad_b)
+    d2 *= np.greater(pre2, 0.0, out=mask2)              # (S, N0, B)
+    np.matmul(ws.W, d2, out=d1)
+    d1 *= np.greater(pre1, 0.0, out=mask1)              # (S, N1, B)
+    np.matmul(H, d2.transpose(0, 2, 1), out=g.W)
+    g.W += np.matmul(d1, Xb.transpose(0, 2, 1), out=ws.prod)
+    np.add.reduce(d, axis=2, out=ws.grad_b)
     g.theta /= bs
-    g.W += np.multiply(p.W, 2.0 * lambda2, out=ws.prod)
-    return g
+    g.W += np.multiply(ws.W, 2.0 * lambda2, out=ws.prod)
+    return ws.grad
 
 
 class _Optimizer:
-    """Flat state m, v over the packed parameters; update() applies one step in place."""
+    """Flat state m, v of the packed parameters' shape (``size``, an int or a
+    stack's (S, P)); update() applies one step in place."""
 
-    def __init__(self, method: str, lr: float | None, size: int):
+    def __init__(self, method: str, lr: float | None, size):
         self.method = method
         self.lr = DEFAULT_LR[method] if lr is None else lr
         self.t = 0
@@ -197,33 +241,77 @@ class _Optimizer:
             raise AssertionError(method)
 
 
+@dataclass
+class SgdMember:
+    """One network of a lockstep group: its problem, config, optional start
+    point (else ``NetParams.default_init`` under the config's seed), test
+    matrix and trace sink."""
+    data: ProblemData
+    params: ModelParams
+    config: SgdConfig
+    p0: NetParams | None = None
+    test_X: np.ndarray | None = None
+    sink: object = None
+
+
+def sgd_lockstep(members) -> list[tuple[NetParams, RunTrace]]:
+    """Minibatch training of a group of networks, one stacked step per batch.
+
+    The members must share the problem shape (N, N1, N0) and ``lambda2``, and
+    their configs may differ only in ``seed``.  Each member starts from its own
+    point, draws its batch permutations from its own seed's ``batch`` stream,
+    gathers its batches from its own data and sends its trace rows (one per
+    epoch; row 0 is the initial point) to its own sink, so its parameters and
+    rows are the same bits as in a group of one.  Only ``wall_ms`` is shared:
+    it is the wall time of the group's epoch.  Returns (parameters, trace) per
+    member, in order.
+    """
+    first = members[0]
+    config, n = first.config, first.data.n_samples
+    for m in members:
+        if (m.data.dims != first.data.dims or m.params.lambda2 != first.params.lambda2
+                or replace(m.config, seed=config.seed) != config):
+            raise ValueError("lockstep members must share the problem shape, "
+                             "lambda2 and the config apart from the seed")
+    p = NetParams.stack([m.p0 if m.p0 is not None
+                         else NetParams.default_init(m.data, m.config.seed)
+                         for m in members])
+    nets = p.rows()
+    bs = config.batch_size or default_batch_size(n)
+    opt = _Optimizer(config.method, config.lr, p.theta.shape)
+    ws = GradWorkspace(p)
+    batch_rngs = [stream(m.config.seed, "batch") for m in members]
+    datas = [m.data for m in members]
+    test_Xs = [np.asarray(m.test_X, dtype=np.float64)
+               if m.test_X is not None and np.size(m.test_X) else None for m in members]
+    traces = [RunTrace(termination_reason="epochs") for _ in members]
+
+    def epoch_rows(k, wall_ms):
+        for net, m, test_X, trace in zip(nets, members, test_Xs, traces):
+            te = autoencoder_error(net, test_X) if test_X is not None else None
+            trace.append(TraceRow(k=k, trainerr=autoencoder_error(net, m.data.X),
+                                  testerr=te, wall_ms=wall_ms), m.sink)
+
+    epoch_rows(0, 0.0)
+    for epoch in range(1, config.epochs + 1):
+        t0 = time.perf_counter()
+        perms = [rng.permutation(n) for rng in batch_rngs]
+        for lo in range(0, n, bs):
+            g = minibatch_grad(p, datas, [perm[lo:lo + bs] for perm in perms],
+                               first.params.lambda2, out=ws)
+            opt.update(p.theta, g.theta)
+        epoch_rows(epoch, 1e3 * (time.perf_counter() - t0))
+    return list(zip(nets, traces))
+
+
 def sgd_run(data: ProblemData, params: ModelParams, config: SgdConfig,
             p0: NetParams | None = None, test_X=None,
             sink=None) -> tuple[NetParams, RunTrace]:
-    """Minibatch training; one trace row per epoch (row 0 is the initial point)."""
-    p = p0.copy() if p0 is not None else NetParams.default_init(data, config.seed)
-    bs = config.batch_size or default_batch_size(data.n_samples)
-    opt = _Optimizer(config.method, config.lr, p.theta.size)
-    ws = GradWorkspace(p)
-    batch_rng = stream(config.seed, "batch")
-    trace = RunTrace()
+    """Minibatch training; one trace row per epoch (row 0 is the initial point).
 
-    def epoch_row(k, wall_ms):
-        te = autoencoder_error(p, np.asarray(test_X, dtype=np.float64)) \
-            if test_X is not None and np.size(test_X) else None
-        trace.append(TraceRow(k=k, trainerr=autoencoder_error(p, data.X),
-                              testerr=te, wall_ms=wall_ms), sink)
-
-    epoch_row(0, 0.0)
-    for epoch in range(1, config.epochs + 1):
-        t0 = time.perf_counter()
-        perm = batch_rng.permutation(data.n_samples)
-        for lo in range(0, data.n_samples, bs):
-            g = minibatch_grad(p, data, perm[lo:lo + bs], params.lambda2, out=ws)
-            opt.update(p.theta, g.theta)
-        epoch_row(epoch, 1e3 * (time.perf_counter() - t0))
-    trace.termination_reason = "epochs"
-    return p, trace
+    The group of one of ``sgd_lockstep``.
+    """
+    return sgd_lockstep([SgdMember(data, params, config, p0, test_X, sink)])[0]
 
 
 def net_to_feasible(p: NetParams, data: ProblemData, params: ModelParams) -> Variables:
@@ -263,6 +351,15 @@ def spg_ada(data: ProblemData, params: ModelParams, spg_config: SpgConfig | None
     """
     ada_cfg = SgdConfig(method="adadelta", epochs=ada_epochs, seed=seed)
     p, ada_trace = sgd_run(data, params, ada_cfg, test_X=test_X, sink=sink)
+    return spg_ada_tail(p, ada_trace, data, params, spg_config, seed=seed,
+                        test_X=test_X, sink=sink)
+
+
+def spg_ada_tail(p: NetParams, ada_trace: RunTrace, data: ProblemData,
+                 params: ModelParams, spg_config: SpgConfig | None = None,
+                 seed: int = 0, test_X=None, sink=None) -> tuple[SpgResult, RunTrace]:
+    """``spg_ada`` after its warm start: the handoff from the Adadelta point
+    ``p`` (whose rows are ``ada_trace``) and the solver run."""
     z0 = net_to_feasible(p, data, params)
     config = spg_config if spg_config is not None else SpgConfig()
     if config.L0 is None:

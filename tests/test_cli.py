@@ -156,15 +156,59 @@ class TestTrain:
         assert s1["trainerr"] != s2["trainerr"]
 
     def test_parallel_workers_match_sequential(self, tmp_path):
+        # two workers split three seeds into uneven lockstep groups, {1, 2} and {3}
         args = ["train", "--method", "adadelta", "--n", 10, "--n1", 2,
-                "--n0", 2, "--epochs", 2, "--seeds", "1 2"]
+                "--n0", 2, "--epochs", 2, "--seeds", "1 2 3"]
         seq, par = tmp_path / "seq", tmp_path / "par"
         assert run_cli(args + ["--workers", 1, "--out", seq]) == 0
         assert run_cli(args + ["--workers", 2, "--out", par]) == 0
-        for seed in (1, 2):
+        for seed in (1, 2, 3):
             a = read_trace_lines_without_wall(seq / f"seed_{seed}" / "trace.csv")
             b = read_trace_lines_without_wall(par / f"seed_{seed}" / "trace.csv")
             assert a == b
+            assert ((seq / f"seed_{seed}" / "model.bin").read_bytes()
+                    == (par / f"seed_{seed}" / "model.bin").read_bytes())
+
+    @pytest.mark.parametrize("method", ["adadelta", "adam", "spg-ada"])
+    def test_each_seed_matches_its_own_command(self, tmp_path, method):
+        args = ["train", "--method", method, "--n", 30, "--n1", 3, "--n0", 2,
+                "--ntest", 5, "--epochs", 3, "--ada-epochs", 3, "--max-iters", 5,
+                "--batch-size", 7]
+        assert run_cli(args + ["--seeds", "0,1,2", "--out", tmp_path / "group"]) == 0
+        for seed in (0, 1, 2):
+            solo = tmp_path / f"solo_{seed}"
+            assert run_cli(args + ["--seed", seed, "--out", solo]) == 0
+            member = tmp_path / "group" / f"seed_{seed}"
+            assert (read_trace_lines_without_wall(member / "trace.csv")
+                    == read_trace_lines_without_wall(solo / "trace.csv"))
+            assert (member / "model.bin").read_bytes() == (solo / "model.bin").read_bytes()
+
+    def test_duplicate_seeds_are_an_error(self, tmp_path, capsys):
+        rc = run_cli(["train", "--method", "adadelta", "--n", 10, "--n1", 2,
+                      "--n0", 2, "--epochs", 1, "--seeds", "1 1",
+                      "--out", tmp_path / "dup"])
+        assert rc == 1
+        assert "error: duplicate seeds" in capsys.readouterr().err
+        assert not (tmp_path / "dup").exists()
+
+    def test_hybrid_takes_the_batch_size(self, tmp_path):
+        args = ["train", "--method", "spg-ada", "--n", 30, "--n1", 3, "--n0", 2,
+                "--ada-epochs", 2, "--max-iters", 3, "--seed", 1]
+        runs = {}
+        for name, extra in (("default", []), ("10", ["--batch-size", 10]),
+                            ("5", ["--batch-size", 5])):
+            assert run_cli(args + extra + ["--out", tmp_path / name]) == 0
+            runs[name] = (tmp_path / name / "model.bin").read_bytes()
+        assert runs["default"] == runs["10"]      # default_batch_size(30) is 10
+        assert runs["5"] != runs["default"]
+
+    @pytest.mark.parametrize("method", ["adadelta", "spg-ada"])
+    def test_adadelta_refuses_lr(self, tmp_path, capsys, method):
+        rc = run_cli(["train", "--method", method, "--n", 10, "--n1", 2, "--n0", 2,
+                      "--epochs", 1, "--ada-epochs", 1, "--lr", 5, "--seed", 1,
+                      "--out", tmp_path / "lr"])
+        assert rc == 1
+        assert "error: adadelta has no learning rate" in capsys.readouterr().err
 
     def test_preset6_solver_run_terminates_at_target(self, tmp_path):
         out = tmp_path / "p6"
@@ -370,7 +414,8 @@ class TestFreshProcess:
         err, scipy_modules = run_in_fresh_process(
             ["train", "--method", method, *self.SHAPE, "--n1", 4, "--ada-epochs", 2,
              "--max-iters", 2, "--seeds", "0,1,2", "--out", tmp_path])
-        # the solver imports scipy between the first seed and the second
+        # the config warns once, before any seed runs; the first solver run
+        # imports scipy (for spg-ada, after the lockstep warm start of all seeds)
         assert "scipy.linalg" in scipy_modules
         assert err.count("tau1*tau3 < 1") == 1
 

@@ -8,9 +8,10 @@ import pytest
 
 from spgae.model import (ModelParams, ProblemData, fidelity, penalty,
                          feasibility, relu)
-from spgae.sgd import (METHODS, GradWorkspace, NetParams, SgdConfig, _Optimizer,
-                       autoencoder_error, default_batch_size, minibatch_grad,
-                       net_to_feasible, sgd_run, spg_ada)
+from spgae.sgd import (METHODS, GradWorkspace, NetParams, SgdConfig, SgdMember,
+                       _Optimizer, autoencoder_error, default_batch_size,
+                       minibatch_grad, net_to_feasible, sgd_lockstep, sgd_run,
+                       spg_ada)
 from spgae.rng import stream
 from spgae.spg import DivergenceError, SpgConfig
 
@@ -334,11 +335,102 @@ class TestSgdRun:
         with pytest.raises(ValueError):
             SgdConfig(method="sgdm")
 
+    def test_adadelta_refuses_a_learning_rate(self):
+        with pytest.raises(ValueError, match="adadelta has no learning rate"):
+            SgdConfig(method="adadelta", lr=5.0)
+        assert SgdConfig(method="adam", lr=5.0).lr == 5.0
+
     def test_default_batch_size_formula(self):
         assert default_batch_size(1000) == 10
         assert default_batch_size(5000) == 50
         assert default_batch_size(5) == 5
         assert default_batch_size(50) == 10
+
+
+class Recorder:
+    """A trace sink that keeps the rows it is sent."""
+
+    def __init__(self):
+        self.rows = []
+
+    def write_row(self, row):
+        self.rows.append(row)
+
+
+def row_values(trace):
+    return [(r.k, r.trainerr, r.testerr) for r in trace.rows]
+
+
+class TestLockstep:
+    """A group trains every member as a run of its own would, bit for bit."""
+
+    @staticmethod
+    def members(method, sinks=(None, None, None), **cfg):
+        out = []
+        for seed, sink in zip((0, 1, 2), sinks):
+            data, params = random_problem(105, 4, 6, seed=50 + seed)   # last batch 5
+            test_X = np.abs(stream(seed, "test").standard_normal((4, 7)))
+            out.append(SgdMember(data, params, SgdConfig(
+                method=method, epochs=3, batch_size=10, seed=seed, **cfg),
+                test_X=test_X, sink=sink))
+        return out
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_group_matches_one_member_runs(self, method):
+        group = sgd_lockstep(self.members(method))
+        for m, (p, trace) in zip(self.members(method), group):
+            p_solo, t_solo = sgd_run(m.data, m.params, m.config, test_X=m.test_X)
+            assert np.array_equal(bits(p.theta), bits(p_solo.theta))
+            assert row_values(trace) == row_values(t_solo)
+            assert trace.termination_reason == t_solo.termination_reason == "epochs"
+        assert not np.array_equal(group[0][0].theta, group[1][0].theta)
+
+    def test_members_start_from_their_p0(self):
+        members = self.members("adam")
+        start = NetParams.default_init(members[0].data, seed=9)
+        members[1].p0 = start
+        (_, _), (p, _), (_, _) = sgd_lockstep(members)
+        m = members[1]
+        p_solo, _ = sgd_run(m.data, m.params, m.config, p0=start)
+        assert np.array_equal(bits(p.theta), bits(p_solo.theta))
+        assert np.array_equal(start.theta, NetParams.default_init(m.data, seed=9).theta)
+
+    def test_each_member_streams_to_its_own_sink(self):
+        sinks = (Recorder(), Recorder(), Recorder())
+        group = sgd_lockstep(self.members("adadelta", sinks))
+        for sink, (_, trace) in zip(sinks, group):
+            assert sink.rows == trace.rows
+            assert [r.k for r in sink.rows] == [0, 1, 2, 3]
+        # a row's wall_ms is the group's epoch
+        assert len({tuple(r.wall_ms for r in s.rows) for s in sinks}) == 1
+
+    @pytest.mark.parametrize("change", ["shape", "method", "lambda2", "batch_size"])
+    def test_members_must_match(self, change):
+        members = self.members("adam")
+        m = members[2]
+        if change == "shape":
+            m.data, m.params = random_problem(104, 4, 6, seed=3)
+        elif change == "method":
+            m.config = SgdConfig(method="adamax", epochs=3, batch_size=10, seed=2)
+        elif change == "lambda2":
+            m.params = ModelParams.from_data(m.data, lambda2=0.5)
+        else:
+            m.config = SgdConfig(method="adam", epochs=3, batch_size=9, seed=2)
+        with pytest.raises(ValueError, match="lockstep members"):
+            sgd_lockstep(members)
+
+    def test_stacked_gradient_matches_single_calls(self):
+        members = self.members("adam")
+        nets = [NetParams.default_init(m.data, m.config.seed) for m in members]
+        stack = NetParams.stack(nets)
+        assert stack.theta.shape == (3, nets[0].theta.size)
+        assert all(np.shares_memory(stack.theta, row.theta) for row in stack.rows())
+        idx = [stream(s, "test").permutation(105)[:10] for s in range(3)]
+        lam2 = members[0].params.lambda2
+        g = minibatch_grad(stack, [m.data for m in members], idx, lam2)
+        for i, (net, m) in enumerate(zip(nets, members)):
+            solo = minibatch_grad(net, m.data, idx[i], lam2)
+            assert np.array_equal(bits(g.theta[i]), bits(solo.theta))
 
 
 class TestHandoff:
