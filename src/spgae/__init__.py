@@ -16,7 +16,7 @@ from .smoothing import (GradientBlocks, smooth_relu, smooth_relu_deriv,
                         smoothing_gap_bound)
 from .subproblem import (AdmmState, FactorizationCache, NumericError,
                          SubproblemResult, SubproblemSpec, solve_subproblem,
-                         subproblem_objective, vu_closed_form)
+                         WbFactor, subproblem_objective, vu_closed_form)
 from .spg import (DivergenceError, SpgConfig, SpgResult, default_l0,
                   estimate_validated_l0, init_variables, run, spg_step,
                   stationarity_diagnostic)
@@ -34,7 +34,7 @@ __all__ = [
     "GradientBlocks", "MnistSpec", "ModelParams", "NetParams", "NumericError",
     "ProblemData", "RunTrace", "SgdConfig", "SgdMember", "SpgConfig", "SpgResult",
     "SubproblemResult", "SubproblemSpec", "SynthSpec", "TRACE_HEADER",
-    "TraceRow", "TraceWriter", "Variables", "compute_alpha",
+    "TraceRow", "TraceWriter", "Variables", "WbFactor", "compute_alpha",
     "constraint_count", "constraint_residuals", "default_l0",
     "estimate_validated_l0", "feasibility", "fidelity", "generate",
     "init_variables", "load_idx_images", "load_idx_labels", "load_mnist",

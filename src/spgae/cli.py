@@ -305,13 +305,15 @@ def cmd_train(args) -> int:
         raise ValueError("no seeds given")
     if len(set(seeds)) < len(seeds):
         raise ValueError(f"duplicate seeds in {cfg['seeds']!r}")
+    if cfg["workers"] < 1:
+        raise ValueError("--workers must be >= 1")
     outs = ([args.out] if len(seeds) == 1
             else [os.path.join(args.out, f"seed_{s}") for s in seeds])
     out_of = dict(zip(seeds, outs))
     spg_config = _spg_config(cfg) if cfg["method"] in ("spg", "spg-ada") else None
     # spg seeds run one per task; the other methods' seeds form one lockstep
     # group per worker
-    workers = max(1, min(cfg["workers"], len(seeds)))
+    workers = min(cfg["workers"], len(seeds))
     groups = ([[s] for s in seeds] if cfg["method"] == "spg"
               else [g.tolist() for g in np.array_split(seeds, workers)])
     tasks = [(cfg, g, [out_of[s] for s in g], spg_config) for g in groups]

@@ -26,7 +26,7 @@ from .data import metrics
 from .model import Forward, ModelParams, ProblemData, Variables, preactivations, relu
 from .rng import stream
 from .smoothing import smoothed_loss, smoothed_loss_grad, smoothed_objective
-from .subproblem import SubproblemResult, SubproblemSpec, solve_subproblem
+from .subproblem import SubproblemResult, SubproblemSpec, WbFactor, solve_subproblem
 from .trace import RunTrace, TraceRow
 
 _SOLVE_DEFAULTS = inspect.signature(solve_subproblem).parameters
@@ -129,11 +129,13 @@ class StepResult:
 
 def spg_step(z: Variables, mu: float, L: float, data: ProblemData,
              params: ModelParams, config: SpgConfig, *, fw: Forward | None = None,
-             before: float | None = None) -> StepResult:
+             before: float | None = None,
+             factor: WbFactor | None = None) -> StepResult:
     """One proximal step plus the (mu, L) update rule.
 
     ``fw`` and ``before`` are z's pre-activations and O~(z, mu) when the
-    caller already has them; the step then forms only z_next's.
+    caller already has them; the step then forms only z_next's.  ``factor``
+    is the caller's WbFactor for this L; without it the solve builds one.
     """
     fw = fw or preactivations(z, data)
     if before is None:
@@ -141,7 +143,7 @@ def spg_step(z: Variables, mu: float, L: float, data: ProblemData,
     grads = smoothed_loss_grad(z, mu, data, params, fw=fw)
     spec = SubproblemSpec(anchor=z, grads=grads, L=L, params=params, data=data)
     sub = solve_subproblem(spec, tol=config.sub_tol, max_iter=config.sub_max_iter,
-                           anchor_S=fw.S)
+                           anchor_S=fw.S, factor=factor)
     fw_next = preactivations(sub.z, data)
     after = smoothed_objective(sub.z, mu, data, params, fw=fw_next)
     decrease = after - before
@@ -174,6 +176,9 @@ def run(data: ProblemData, params: ModelParams, config: SpgConfig | None = None,
 
     Each iterate's pre-activations are formed once; its trace row, its
     O~(z, mu) and the next step's gradient and "before" value all read them.
+    An accepted step keeps mu, so its "after" value is the next O~(z, mu).
+    The (W, b) factor is built once per distinct L and reused by every step
+    at that L.
     """
     config = config or SpgConfig()
     z = z0.copy() if z0 is not None else init_variables(data, seed)
@@ -189,11 +194,16 @@ def run(data: ProblemData, params: ModelParams, config: SpgConfig | None = None,
                           testerr=m["testerr"], sub_iters=0, wall_ms=0.0), sink)
     guard = config.divergence_factor * abs(smoothed) + 1e-9
     clamp_hits = capped = shrinks = 0
+    factor = None
     k = 0
     while k < config.max_outer_iters:
         k += 1
         t0 = time.perf_counter()
-        step = spg_step(z, mu, L, data, params, config, fw=fw, before=smoothed)
+        if factor is None or factor.L != L:
+            factor = None  # free the old factor before the new one is built
+            factor = WbFactor.build(data, L, params.lambda2)
+        step = spg_step(z, mu, L, data, params, config, fw=fw, before=smoothed,
+                        factor=factor)
         wall_ms = 1e3 * (time.perf_counter() - t0)
         clamp_hits += step.sub.b1_clamp_hits
         capped += not step.sub.converged
@@ -202,7 +212,8 @@ def run(data: ProblemData, params: ModelParams, config: SpgConfig | None = None,
             stationarity_diagnostic(z, step.z_next, L, params))
         z, mu, L, fw = step.z_next, step.mu_next, step.L_next, step.fw_next
         m = metrics(z, data, params, test_X=test_X, fw=fw)
-        smoothed = smoothed_objective(z, mu, data, params, fw=fw)
+        smoothed = (step.smoothed_after if step.accepted
+                    else smoothed_objective(z, mu, data, params, fw=fw))
         trace.append(TraceRow(k=k, mu=mu, L=L, fval=m["fval"], smoothed=smoothed,
                               feasvi=m["feasvi"], trainerr=m["trainerr"],
                               testerr=m["testerr"], sub_iters=step.sub.iters,

@@ -10,17 +10,19 @@ handled by an augmented Lagrangian of unit weight.  The two primal blocks have
 exact closed-form updates:
 
 * (W, b): the minimizer solves against M = D + X^ X^^T, where X^ stacks a row
-  of ones under X and D = L I + 2 lambda2 I~^T I~ is diagonal.  M is fixed for
-  the whole subproblem, so P = (M^{-1} X^)^T and the constant
-  C = [-g_W + L W_bar, -g_b1 + L b1_bar] M^{-1} are formed up front and each
+  of ones under X and D = L I + 2 lambda2 I~^T I~ is diagonal.  M depends
+  only on (L, lambda2, X), so P = X^^T M^{-1} is formed once per L (a
+  WbFactor, which an outer run keeps until L changes), the constant
+  C = [-g_W + L W_bar, -g_b1 + L b1_bar] M^{-1} once per subproblem, and each
   sweep's minimizer is W^ = C + (rho + U) P.  With more samples than input
-  dimensions (N > N0) M is Cholesky-factored and each sweep forms W^ and
-  S = W X + b1 1^T.  With N <= N0 the matrix inversion lemma factors the
-  N x N matrix I + X^^T D^{-1} X^ instead, and each sweep stays in sample
+  dimensions (N > N0) M is inverted and each sweep forms W^ and
+  S = W X + b1 1^T.  With N <= N0 the matrix inversion lemma solves against
+  the N x N matrix I + X^^T D^{-1} X^ instead, and each sweep stays in sample
   space: S = C_W X + (rho + U) P_W X + b1 1^T from two products formed up
   front, and W is formed once, after the last sweep.  b is clamped into the
   box [-alpha, alpha] (the clamp is exact for b2, and diagnostics count any
-  b1 activations).
+  b1 activations).  numpy's LAPACK does the linear algebra; scipy is not
+  imported.
 * (V, U): an entrywise four-case formula driven by xi1 = g_V/L - V_bar +
   lambda1/L and xi2 = rho - (W X + b1 1^T).
 
@@ -31,9 +33,9 @@ names.  The returned V is snapped upward onto max(V, W X + b1 1^T, 0) so the
 iterate lies in Z exactly.
 
 The blocks write their (N1 x N) results and temporaries into buffers that
-are allocated once per solve, on the first sweep, after the factorization
-(so they are never live during its peak); a sweep allocates nothing of
-that size.
+are allocated once per solve, on the first sweep, after the factor is built
+(so they are never live during its peak); a sweep allocates nothing of that
+size.
 """
 
 from __future__ import annotations
@@ -78,26 +80,71 @@ def subproblem_objective(spec: SubproblemSpec, z: Variables) -> float:
 
 
 @dataclass(frozen=True)
-class FactorizationCache:
-    """M = L I + 2 lambda2 I~^T I~ + X^ X^^T, solved against once per subproblem.
+class WbFactor:
+    """The part of the (W, b) solve that depends only on (L, lambda2, X).
 
-    ``build`` applies M^{-1} twice: to X^, giving P = (M^{-1} X^)^T of shape
-    (N, N0+1), and to the anchor/gradient term, giving
-    C = [-g_W + L W_bar, -g_b1 + L b1_bar] M^{-1}.  It also clamps b2, which no
-    sweep changes.  Each sweep's (W, b) minimizer is then W^ = C + (rho + U) P,
-    with no triangular solve.
-
-    The form follows from the shape.  With N > N0 it Cholesky-factors M, of
-    order N0+1.  With N <= N0 it uses the matrix inversion lemma on the
-    diagonal D = L I + 2 lambda2 I~^T I~: with K = X^^T D^{-1} X^ it factors
-    I + K, of order N, so P = (I + K)^{-1} (D^{-1} X^)^T and
-    C = R D^{-1} - (R D^{-1} X^) P for R = [-g_W + L W_bar, -g_b1 + L b1_bar],
-    and M is never formed.  It then also keeps G = P_W X (N x N) and
-    CX = C_W X (N1 x N), where P_W and C_W are the first N0 columns, so a
-    sweep costs N1 N^2 multiply-adds instead of 2 N1 N (N0+1).
+    M = L I + 2 lambda2 I~^T I~ + X^ X^^T changes only when L does, so an
+    outer run builds one of these per distinct L and hands it to every solve
+    at that L.  The form follows from the shape.  With N > N0 it inverts M,
+    of order N0+1, and keeps Minv = M^{-1} and P = X^^T M^{-1}.  With N <= N0
+    it uses the matrix inversion lemma on the diagonal D = L I + 2 lambda2
+    I~^T I~: with K = X^^T D^{-1} X^ it solves against I + K, of order N,
+    for P = (I + K)^{-1} (D^{-1} X^)^T, and keeps G = P_W X (N x N), where
+    P_W is P's first N0 columns; M is never formed.  numpy's LAPACK does
+    both.
     """
 
-    P: np.ndarray = field(repr=False)    # (N, N0+1), C-contiguous
+    L: float
+    lambda2: float
+    X: np.ndarray = field(repr=False)     # the data it was built for
+    P: np.ndarray = field(repr=False)     # (N, N0+1), C-contiguous
+    Minv: np.ndarray | None = field(default=None, repr=False)  # (N0+1, N0+1), N > N0 only
+    d: np.ndarray | None = field(default=None, repr=False)     # (N0+1,) diagonal of D, N <= N0 only
+    Xhat: np.ndarray | None = field(default=None, repr=False)  # (N0+1, N), N <= N0 only
+    G: np.ndarray | None = field(default=None, repr=False)     # (N, N), N <= N0 only
+
+    @classmethod
+    def build(cls, data: ProblemData, L: float, lambda2: float) -> "WbFactor":
+        n, n0 = data.n_samples, data.n_visible
+        Xhat = np.vstack([data.X, np.ones((1, n))])
+        if n > n0:
+            M = Xhat @ Xhat.T
+            idx = np.arange(n0)
+            M[idx, idx] += L + 2.0 * lambda2
+            M[n0, n0] += L
+            Minv = np.linalg.inv(M)
+            del M  # as large as its inverse: free it before P is formed
+            return cls(L=L, lambda2=lambda2, X=data.X, P=Xhat.T @ Minv, Minv=Minv)
+        d = np.full(n0 + 1, L + 2.0 * lambda2)
+        d[n0] = L
+        DiX = Xhat / d[:, None]
+        IK = Xhat.T @ DiX
+        IK[np.diag_indices(n)] += 1.0
+        P = np.ascontiguousarray(np.linalg.solve(IK, DiX.T))
+        return cls(L=L, lambda2=lambda2, X=data.X, P=P, d=d, Xhat=Xhat,
+                   G=P[:, :n0] @ data.X)
+
+    def fits(self, spec: SubproblemSpec) -> bool:
+        return (self.L == spec.L and self.lambda2 == spec.params.lambda2
+                and self.X is spec.data.X)
+
+
+@dataclass(frozen=True)
+class FactorizationCache:
+    """One subproblem's (W, b) constants: its L's factor plus the per-step terms.
+
+    ``build`` takes P (and, in sample space, G) from the WbFactor and forms
+    what the anchor and gradient set: C = R M^{-1} for
+    R = [-g_W + L W_bar, -g_b1 + L b1_bar], and the clamped b2, which no
+    sweep changes.  With N > N0 C is one matmul with the factor's M^{-1};
+    with N <= N0 it is C = R D^{-1} - (R D^{-1} X^) P, and CX = C_W X
+    (N1 x N) is kept too, C_W being C's first N0 columns.  Each sweep's
+    (W, b) minimizer is then W^ = C + (rho + U) P, with no solve; in sample
+    space a sweep forms S = CX + (rho + U) G + b1 1^T, N1 N^2 multiply-adds
+    instead of 2 N1 N (N0+1).
+    """
+
+    P: np.ndarray = field(repr=False)    # (N, N0+1), the factor's
     C: np.ndarray = field(repr=False)    # (N1, N0+1)
     b2: np.ndarray = field(repr=False)   # (N0,)
     G: np.ndarray | None = field(default=None, repr=False)   # (N, N), sample space only
@@ -108,35 +155,23 @@ class FactorizationCache:
         return self.G is not None
 
     @classmethod
-    def build(cls, spec: SubproblemSpec) -> "FactorizationCache":
-        # imported here, so that runs which never solve a subproblem (the SGD
-        # baselines, generate-data, report) do not load scipy
-        from scipy.linalg import cho_factor, cho_solve
-
-        data, a, g, L = spec.data, spec.anchor, spec.grads, spec.L
-        n, n0 = data.n_samples, data.n_visible
-        lambda2, alpha = spec.params.lambda2, spec.params.alpha
-        Xhat = np.vstack([data.X, np.ones((1, n))])
+    def build(cls, spec: SubproblemSpec,
+              factor: WbFactor | None = None) -> "FactorizationCache":
+        """``factor`` is the WbFactor of spec's (L, lambda2, X); None builds one."""
+        if factor is None:
+            factor = WbFactor.build(spec.data, spec.L, spec.params.lambda2)
+        elif not factor.fits(spec):
+            raise ValueError("factor was built for another L, lambda2 or X")
+        a, g, L = spec.anchor, spec.grads, spec.L
+        alpha = spec.params.alpha
         rhs = np.hstack([-g.g_W + L * a.W, (-g.g_b1 + L * a.b1)[:, None]])
         b2 = np.clip(a.b2 - g.g_b2 / L, -alpha, alpha)
-        if n > n0:
-            M = Xhat @ Xhat.T
-            idx = np.arange(n0)
-            M[idx, idx] += L + 2.0 * lambda2
-            M[n0, n0] += L
-            cho = cho_factor(M, lower=True)
-            del M  # as large as the factor: free it before the two solves below
-            return cls(P=np.ascontiguousarray(cho_solve(cho, Xhat).T),
-                       C=np.ascontiguousarray(cho_solve(cho, rhs.T).T), b2=b2)
-        d = np.full(n0 + 1, L + 2.0 * lambda2)
-        d[n0] = L
-        DiX = Xhat / d[:, None]
-        IK = Xhat.T @ DiX
-        IK[np.diag_indices(n)] += 1.0
-        P = np.ascontiguousarray(cho_solve(cho_factor(IK, lower=True), DiX.T))
-        RD = rhs / d
-        C = RD - (RD @ Xhat) @ P
-        return cls(P=P, C=C, b2=b2, G=P[:, :n0] @ data.X, CX=C[:, :n0] @ data.X)
+        if factor.Minv is not None:
+            return cls(P=factor.P, C=rhs @ factor.Minv, b2=b2)
+        RD = rhs / factor.d
+        C = RD - (RD @ factor.Xhat) @ factor.P
+        return cls(P=factor.P, C=C, b2=b2, G=factor.G,
+                   CX=C[:, :b2.size] @ spec.data.X)
 
 
 @dataclass
@@ -311,17 +346,19 @@ class SubproblemResult:
 
 def solve_subproblem(spec: SubproblemSpec, tol: float = 1e-6,
                      max_iter: int = 10000, *,
-                     anchor_S: np.ndarray | None = None) -> SubproblemResult:
+                     anchor_S: np.ndarray | None = None,
+                     factor: WbFactor | None = None) -> SubproblemResult:
     """Run the splitting iteration to tolerance and return a point in Z.
 
     ``anchor_S`` is the anchor's W X + b1 1^T if the caller has it; it is
-    never written to.
+    never written to.  ``factor`` is the WbFactor of spec's L if the caller
+    keeps one; without it the solve builds its own.
     """
     g = spec.grads
     for block in (g.g_W, g.g_b1, g.g_b2, g.g_V):
         if not np.all(np.isfinite(block)):
             raise NumericError("non-finite gradient block passed to solver")
-    cache = FactorizationCache.build(spec)
+    cache = FactorizationCache.build(spec, factor)
     state = AdmmState.from_anchor(spec, anchor_S)
     converged = False
     for it in range(1, max_iter + 1):

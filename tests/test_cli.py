@@ -191,6 +191,20 @@ class TestTrain:
         assert "error: duplicate seeds" in capsys.readouterr().err
         assert not (tmp_path / "dup").exists()
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_is_an_error(self, tmp_path, capsys, where, workers):
+        args = ["train", "--method", "adadelta", "--n", 10, "--n1", 2, "--n0", 2,
+                "--epochs", 1, "--seeds", "1,2", "--out", tmp_path / "run"]
+        if where == "flag":
+            args += ["--workers", workers]
+        else:
+            (tmp_path / "cfg.txt").write_text(f"workers = {workers}\n")
+            args += ["--config", tmp_path / "cfg.txt"]
+        assert run_cli(args) == 1
+        assert "error: --workers must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_hybrid_takes_the_batch_size(self, tmp_path):
         args = ["train", "--method", "spg-ada", "--n", 30, "--n1", 3, "--n0", 2,
                 "--ada-epochs", 2, "--max-iters", 3, "--seed", 1]
@@ -414,15 +428,18 @@ class TestFreshProcess:
         err, scipy_modules = run_in_fresh_process(
             ["train", "--method", method, *self.SHAPE, "--n1", 4, "--ada-epochs", 2,
              "--max-iters", 2, "--seeds", "0,1,2", "--out", tmp_path])
-        # the config warns once, before any seed runs; the first solver run
-        # imports scipy (for spg-ada, after the lockstep warm start of all seeds)
-        assert "scipy.linalg" in scipy_modules
+        # the config warns once, before any seed runs; the solver factors
+        # with numpy alone
+        assert scipy_modules == []
         assert err.count("tau1*tau3 < 1") == 1
 
-    def test_sgd_baselines_generate_data_and_report_do_not_import_scipy(self, tmp_path):
+    def test_train_generate_data_and_report_do_not_import_scipy(self, tmp_path):
         ada = tmp_path / "ada"
         for argv in (["train", "--method", "adadelta", *self.SHAPE, "--n1", 4,
                       "--epochs", 2, "--seeds", "0,1", "--out", ada],
+                     *(["train", "--method", method, *self.SHAPE, "--n1", 4,
+                        "--ada-epochs", 2, "--max-iters", 3, "--seed", 0,
+                        "--out", tmp_path / method] for method in ("spg", "spg-ada")),
                      ["generate-data", *self.SHAPE, "--out", tmp_path / "data"],
                      ["report", "--traces", ada / "seed_0" / "trace.csv",
                       ada / "seed_1" / "trace.csv", "--out", tmp_path / "agg.csv"]):

@@ -12,6 +12,7 @@ import spgae.spg
 from spgae.model import (ModelParams, ProblemData, Variables, feasibility,
                          objective, penalty)
 from spgae.smoothing import smoothed_objective, smoothing_gap_bound
+from spgae.subproblem import WbFactor
 from spgae.spg import (DivergenceError, SpgConfig, default_l0,
                        estimate_local_l0, estimate_validated_l0,
                        init_variables, run, spg_step, stationarity_diagnostic)
@@ -245,6 +246,46 @@ class TestRun:
         res = run(data, params, config=self.config(max_outer_iters=steps), seed=2)
         assert res.iterations == steps
         assert len(calls) == steps + 1
+
+    def test_accepted_steps_reuse_the_acceptance_value(self, tiny_problem, monkeypatch):
+        data, params = tiny_problem
+        original = spgae.spg.smoothed_objective
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(spgae.spg, "smoothed_objective", counted)
+        res = run(data, params, config=self.config(L0=1.0, max_outer_iters=30), seed=1)
+        assert 0 < res.mu_shrinks < res.iterations
+        # the start point, each step's "after", and O~(z, mu_next) after a shrink
+        assert len(calls) == 1 + res.iterations + res.mu_shrinks
+
+    def test_one_factor_per_distinct_L(self, tiny_problem, monkeypatch):
+        data, params = tiny_problem
+        cfg = self.config(L0=1.0, max_outer_iters=30)
+        original = WbFactor.build.__func__
+        built = []
+
+        def counted(cls, d, L, lambda2):
+            built.append(L)
+            return original(cls, d, L, lambda2)
+
+        monkeypatch.setattr(WbFactor, "build", classmethod(counted))
+        res = run(data, params, config=cfg, seed=1)
+        assert res.mu_shrinks > 0
+        used = [row.L for row in res.trace.rows[:-1]]   # the L each step solved at
+        assert built == list(dict.fromkeys(used))
+        monkeypatch.undo()
+        # the same steps, each solve building its own factor
+        z, mu, L = init_variables(data, seed=1), cfg.mu0, cfg.L0
+        for row in res.trace.rows[1:]:
+            step = spg_step(z, mu, L, data, params, cfg)
+            z, mu, L = step.z_next, step.mu_next, step.L_next
+            assert (mu, L, step.sub.iters) == (row.mu, row.L, row.sub_iters)
+            assert smoothed_objective(z, mu, data, params) == row.smoothed
+        assert z.pack().tobytes() == res.z.pack().tobytes()
 
     def test_stationarity_series_recorded(self, tiny_problem):
         data, params = tiny_problem

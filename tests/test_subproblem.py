@@ -1,5 +1,7 @@
 """Inner splitting solver: closed forms, fixed points, oracle agreement."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from spgae.model import ModelParams, ProblemData, Variables, feasibility
 from spgae.smoothing import GradientBlocks
 from spgae.subproblem import (AdmmState, FactorizationCache, NumericError,
-                              SubproblemSpec, solve_subproblem,
+                              SubproblemSpec, WbFactor, solve_subproblem,
                               subproblem_objective, update_multipliers,
                               update_vu, update_wb, vu_closed_form)
 
@@ -56,14 +58,20 @@ def make_spec(n, n0, n1, seed, L=1.0, grads=None, anchor=None):
                           params=params, data=data)
 
 
-def dense_wb_oracle(spec):
-    """(M^{-1}, anchor term, X^) of the (W, b) normal equations, formed densely."""
+def dense_wb_system(spec):
+    """(M, anchor term, X^) of the (W, b) normal equations, formed densely."""
     n0 = spec.data.n_visible
     Xhat = np.vstack([spec.data.X, np.ones(spec.data.n_samples)])
     M = spec.L * np.eye(n0 + 1) + Xhat @ Xhat.T
     M[:n0, :n0] += 2.0 * spec.params.lambda2 * np.eye(n0)
     const = np.hstack([-spec.grads.g_W + spec.L * spec.anchor.W,
                        (-spec.grads.g_b1 + spec.L * spec.anchor.b1)[:, None]])
+    return M, const, Xhat
+
+
+def dense_wb_oracle(spec):
+    """(M^{-1}, anchor term, X^) of the (W, b) normal equations, formed densely."""
+    M, const, Xhat = dense_wb_system(spec)
     return np.linalg.inv(M), const, Xhat
 
 
@@ -180,11 +188,31 @@ class TestWbUpdate:
             assert np.allclose(state.W, Whb[:, :n0], atol=1e-10)
         return cache
 
+    @staticmethod
+    def ill_conditioned(spec):
+        """spec with X scaled by 100 and L = 1: cond(M) grows by about 1e4."""
+        data = ProblemData.from_matrix(100.0 * spec.data.X, spec.data.n_hidden)
+        return SubproblemSpec(anchor=spec.anchor, grads=spec.grads, L=1.0,
+                              params=spec.params, data=data)
+
+    @staticmethod
+    def check_factor_matches_linalg_solve(spec):
+        """P = X^^T M^{-1} and C = R M^{-1}, to 1e-10 relative to a dense solve."""
+        cache = FactorizationCache.build(spec)
+        M, rhs, Xhat = dense_wb_system(spec)
+        for got, want in ((cache.P, np.linalg.solve(M, Xhat).T),
+                          (cache.C, np.linalg.solve(M, rhs.T).T)):
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+        return cache
+
     def test_matches_dense_solve(self, tiny_problem):
         data, params = tiny_problem
         spec = make_spec(data.n_samples, data.n_visible, data.n_hidden,
                          seed=21, L=1.7)
         assert not self.check_matches_dense_solve(spec).sample_space
+        ill = self.ill_conditioned(spec)
+        assert not self.check_matches_dense_solve(ill).sample_space
+        assert not self.check_factor_matches_linalg_solve(ill).sample_space
 
     def test_cached_constant_matches_dense_across_sweeps(self, tiny_problem):
         data, params = tiny_problem
@@ -197,6 +225,9 @@ class TestWbUpdate:
     def test_matches_dense_solve_sample_space(self):
         spec = make_spec(3, 8, 2, seed=23, L=1.7)
         assert self.check_matches_dense_solve(spec).sample_space
+        ill = self.ill_conditioned(spec)
+        assert self.check_matches_dense_solve(ill).sample_space
+        assert self.check_factor_matches_linalg_solve(ill).sample_space
 
     def test_cached_constant_matches_dense_across_sweeps_sample_space(self):
         for n, n0, n1, seed in ((3, 8, 2, 24), (5, 5, 3, 25), (1, 4, 2, 26)):
@@ -435,6 +466,27 @@ class TestSolveSubproblem:
             assert S.flags.writeable
             assert got.iters == ref.iters
             assert np.array_equal(got.z.pack(), ref.z.pack())
+
+    def test_kept_factor_matches_a_fresh_one_bit_for_bit(self):
+        for n, n0, n1, seed in ((6, 3, 2, 73), (3, 6, 2, 74)):
+            spec = make_spec(n, n0, n1, seed=seed, L=1.3)
+            factor = WbFactor.build(spec.data, spec.L, spec.params.lambda2)
+            assert (factor.G is not None) is (n <= n0)   # both forms
+            g = spec.grads
+            for scale in (1.0, -0.5):   # two subproblems at one L share the factor
+                step = replace(spec, grads=GradientBlocks(
+                    g_W=scale * g.g_W, g_b1=scale * g.g_b1,
+                    g_b2=scale * g.g_b2, g_V=scale * g.g_V))
+                got = solve_subproblem(step, tol=1e-10, factor=factor)
+                ref = solve_subproblem(step, tol=1e-10)
+                assert got.iters == ref.iters
+                assert got.z.pack().tobytes() == ref.z.pack().tobytes()
+
+    def test_factor_of_another_L_is_refused(self):
+        spec = make_spec(6, 3, 2, seed=75, L=1.3)
+        factor = WbFactor.build(spec.data, 2.6, spec.params.lambda2)
+        with pytest.raises(ValueError, match="another L"):
+            solve_subproblem(spec, factor=factor)
 
     def test_converged_flag_and_iter_cap(self):
         spec = make_spec(6, 2, 2, seed=70)
