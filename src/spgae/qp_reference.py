@@ -8,14 +8,16 @@ diagonal-Hessian QP
 with H = L I + 2 lambda2 on the W coordinates and q = g + lambda1 on the V
 coordinates - L z_bar.  The solver runs FISTA on the dual (projection onto
 gamma >= 0 is a clamp), then polishes by solving the active-set KKT system
-exactly.  Nothing here shares code with the production splitting solver, so
-agreement between the two is a real check.
+exactly through its Schur complement A_a H^-1 A_a^T, which is no larger than
+the active set.  The KKT certificate recovers multipliers with the
+Lawson-Hanson NNLS below.  Nothing here shares code with the production
+splitting solver, so agreement between the two is a real check; numpy does
+all the linear algebra.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .model import ModelParams, ProblemData, Variables
 from .subproblem import SubproblemSpec
@@ -58,6 +60,54 @@ def quadratic_terms(spec: SubproblemSpec) -> tuple[np.ndarray, np.ndarray]:
     return h, q
 
 
+def nnls(A: np.ndarray, b: np.ndarray, maxiter: int | None = None) -> tuple[np.ndarray, float]:
+    """argmin ||A x - b|| over x >= 0, by Lawson and Hanson's active-set method.
+
+    Returns ``(x, ||A x - b||)`` and raises ``RuntimeError`` after ``maxiter``
+    (default ``3 n``) iterations, like ``scipy.optimize.nnls``.  The passive
+    set starts at the positive entries of the unconstrained least-squares
+    solution; when those are all of them, that solution is the answer.
+    """
+    m, n = A.shape
+    maxiter = maxiter or 3 * n
+    # w = A^T (b - A x) is exact up to the rounding of the residual, which
+    # grows with ||b|| + ||A|| ||x||
+    a_norm = float(np.linalg.norm(A))
+    tol = 10.0 * max(m, n) * np.finfo(float).eps * a_norm
+
+    def solve_passive():
+        s = np.zeros(n)
+        if passive.any():
+            s[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
+        return s
+
+    x = np.zeros(n)
+    s = np.linalg.lstsq(A, b, rcond=None)[0]
+    passive = s > 0
+    if not passive.all():
+        s = solve_passive()
+    for _ in range(maxiter):
+        blocked = np.flatnonzero(passive & (s <= 0))
+        if blocked.size:
+            # move from x towards s until the first passive entry reaches 0
+            # an entry with x = s = 0 blocks at once: its 0/0 counts as 0
+            ratio = x[blocked] / np.maximum(x[blocked] - s[blocked], np.finfo(float).tiny)
+            x += ratio.min() * (s - x)
+            x[blocked[np.argmin(ratio)]] = 0.0
+            passive &= x > 0
+            x[~passive] = 0.0
+        else:
+            x = s
+            w = A.T @ (b - A @ x)
+            w[passive] = -np.inf
+            if passive.all() or w.max() <= tol * (np.linalg.norm(b)
+                                                  + a_norm * np.linalg.norm(x)):
+                return x, float(np.linalg.norm(A @ x - b))
+            passive[np.argmax(w)] = True
+        s = solve_passive()
+    raise RuntimeError("Maximum number of iterations reached.")
+
+
 def kkt_residual(spec: SubproblemSpec, z: Variables, active_tol: float = 1e-6) -> dict:
     """Stationarity / feasibility / complementarity residuals of z.
 
@@ -85,8 +135,12 @@ def kkt_residual(spec: SubproblemSpec, z: Variables, active_tol: float = 1e-6) -
 
 
 def _polish(h, q, A, c, gamma, zv, act_tol, slack_tol=1e-9):
-    """Solve the KKT system on a guessed active set; return z if it certifies."""
-    nz = h.size
+    """Solve the KKT system on a guessed active set; return z if it certifies.
+
+    H z + A_a^T gamma = -q and A_a z = c_a, with z eliminated: the Schur
+    complement (A_a H^-1 A_a^T) gamma = -(c_a + A_a H^-1 q), by minimum-norm
+    least squares so that a degenerate active set still yields its z.
+    """
     slack = A @ zv - c
     active = (gamma > act_tol) | (slack > -act_tol)
     na = int(np.count_nonzero(active))
@@ -94,13 +148,9 @@ def _polish(h, q, A, c, gamma, zv, act_tol, slack_tol=1e-9):
         zv = -q / h
         return zv if np.all(A @ zv - c <= slack_tol) else None
     Aa = A[active]
-    K = np.zeros((nz + na, nz + na))
-    K[:nz, :nz] = np.diag(h)
-    K[:nz, nz:] = Aa.T
-    K[nz:, :nz] = Aa
-    rhs = np.concatenate([-q, c[active]])
-    sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-    zp, ga = sol[:nz], sol[nz:]
+    AaHinv = Aa / h
+    ga = np.linalg.lstsq(AaHinv @ Aa.T, -(c[active] + AaHinv @ q), rcond=None)[0]
+    zp = -(q + Aa.T @ ga) / h
     if np.any(ga < -1e-9):
         return None
     if not np.all(A @ zp - c <= slack_tol):
@@ -119,7 +169,10 @@ def reference_solve(spec: SubproblemSpec, tol: float = 1e-9,
                          f"variables, got {data.n_packed}")
     A, c = dense_constraints(data, spec.params)
     h, q = quadratic_terms(spec)
-    lip = float(np.linalg.eigvalsh((A / h) @ A.T)[-1])
+    # the dual's Lipschitz constant, from the nz x nz Gram matrix, which
+    # shares its nonzero spectrum with the m x m (A/h) A^T
+    As = A / np.sqrt(h)
+    lip = float(np.linalg.eigvalsh(As.T @ As)[-1])
     step = 1.0 / max(lip, 1e-12)
     scale = max(1.0, float(np.linalg.norm(q)))
 

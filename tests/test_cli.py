@@ -433,9 +433,11 @@ class TestFreshProcess:
         assert scipy_modules == []
         assert err.count("tau1*tau3 < 1") == 1
 
-    def test_train_generate_data_and_report_do_not_import_scipy(self, tmp_path):
+    def test_no_command_imports_scipy(self, tmp_path):
+        # 20:3:2 is small enough for the reference and KKT columns
         ada = tmp_path / "ada"
-        for argv in (["train", "--method", "adadelta", *self.SHAPE, "--n1", 4,
+        for argv in (["qp-bench", "--sizes", "20:3:2", "--out", tmp_path / "qp.csv"],
+                     ["train", "--method", "adadelta", *self.SHAPE, "--n1", 4,
                       "--epochs", 2, "--seeds", "0,1", "--out", ada],
                      *(["train", "--method", method, *self.SHAPE, "--n1", 4,
                         "--ada-epochs", 2, "--max-iters", 3, "--seed", 0,
@@ -445,3 +447,5 @@ class TestFreshProcess:
                       ada / "seed_1" / "trace.csv", "--out", tmp_path / "agg.csv"]):
             _, scipy_modules = run_in_fresh_process(argv)
             assert scipy_modules == [], argv[0]
+        ref_gap, kkt = (tmp_path / "qp.csv").read_text().splitlines()[1].split(",")[-2:]
+        assert float(ref_gap) >= 0.0 and float(kkt) >= 0.0

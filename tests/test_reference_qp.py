@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spgae.cli import bench_instance
 from spgae.model import (ModelParams, ProblemData, Variables,
                          constraint_count, feasibility)
-from spgae.qp_reference import (MAX_REFERENCE_DIM, dense_constraints,
-                                kkt_residual, quadratic_terms, reference_solve)
+from spgae.qp_reference import (MAX_REFERENCE_DIM, _polish, dense_constraints,
+                                kkt_residual, nnls, quadratic_terms, reference_solve)
 from spgae.smoothing import GradientBlocks
 from spgae.subproblem import SubproblemSpec, solve_subproblem, subproblem_objective
 
@@ -175,3 +178,89 @@ class TestKktResidual:
         res = kkt_residual(spec, spec.anchor)
         # anchor with random gradients is nowhere near stationary
         assert res["max"] > 1e-3
+
+
+def nnls_instance(seed, m, n, scale):
+    """Random NNLS data; some draws repeat a column or make one a combination
+    of two others, so that B is rank deficient."""
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((m, n)) * scale
+    if n >= 2 and seed % 3 == 0:
+        B[:, 1] = B[:, 0]
+    if n >= 4 and seed % 5 == 0:
+        B[:, 3] = B[:, 1] - 0.5 * B[:, 2]
+    return B, rng.standard_normal(m) * scale
+
+
+class TestNnls:
+    A = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+    def test_hand_case_interior(self):
+        x, rnorm = nnls(self.A, np.array([2.0, 1.0, 1.0]))
+        assert np.allclose(x, [1.5, 1.0], atol=1e-14)
+        assert rnorm == pytest.approx(np.sqrt(0.5), rel=1e-14)
+
+    def test_hand_case_all_clamped(self):
+        x, rnorm = nnls(self.A, np.array([-1.0, -1.0, -1.0]))
+        assert np.all(x == 0.0)
+        assert rnorm == pytest.approx(np.sqrt(3.0), rel=1e-14)
+
+    def test_iteration_cap_raises(self):
+        # the unconstrained solution is no warm start here: three iterations
+        B = np.array([[1.0, -1.0, -2.0], [-1.0, -2.0, 1.0], [0.0, 0.0, -1.0]])
+        b = np.array([0.0, 2.0, -1.0])
+        with pytest.raises(RuntimeError):
+            nnls(B, b, maxiter=2)
+        x, rnorm = nnls(B, b)
+        assert np.allclose(x, [0.0, 0.0, 0.5], atol=1e-14)
+        assert rnorm == pytest.approx(np.sqrt(3.5), rel=1e-14)
+
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12), n=st.integers(1, 12),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    @settings(max_examples=300, deadline=None)
+    def test_kkt_conditions(self, seed, m, n, scale):
+        B, b = nnls_instance(seed, m, n, scale)
+        x, rnorm = nnls(B, b)
+        assert np.all(x >= 0.0)
+        w = B.T @ (b - B @ x)
+        tol = 1e-10 * np.linalg.norm(B) * (np.linalg.norm(b)
+                                           + np.linalg.norm(B) * np.linalg.norm(x))
+        assert np.all(w[x == 0.0] <= tol)
+        assert np.all(np.abs(w[x > 0.0]) <= tol)
+        assert rnorm == pytest.approx(np.linalg.norm(B @ x - b), rel=1e-12, abs=1e-300)
+
+    def test_rnorm_matches_scipy(self):
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(150)
+        for seed in range(300):
+            m, n = (int(v) for v in rng.integers(1, 12, size=2))
+            B, b = nnls_instance(seed, m, n, rng.choice([1e-3, 1.0, 1e3]))
+            _, rnorm = nnls(B, b)
+            _, expect = scipy_optimize.nnls(B, b)
+            # the optimal residual is unique even where x is not; at a zero
+            # residual both are rounding, so measure against ||b|| there
+            assert abs(rnorm - expect) <= 1e-9 * max(expect, 1e-3 * np.linalg.norm(b))
+
+
+class TestPolish:
+    def test_duplicated_active_rows_polish_to_the_same_z(self):
+        spec = make_spec(5, 3, 2, seed=160, L=1.2)
+        A, c = dense_constraints(spec.data, spec.params)
+        h, q = quadratic_terms(spec)
+        zv = reference_solve(spec).pack()
+        gamma = kkt_residual(spec, Variables.unpack(zv, spec.data))["gamma"]
+        z = _polish(h, q, A, c, gamma, zv, 1e-7)
+        assert z is not None
+        active = np.flatnonzero((gamma > 1e-7) | (A @ zv - c > -1e-7))
+        assert active.size > 1
+        dup = np.concatenate([np.arange(A.shape[0]), active, active[:3]])
+        z_dup = _polish(h, q, A[dup], c[dup], gamma[dup], zv, 1e-7)
+        assert z_dup is not None
+        assert np.allclose(z_dup, z, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n,n1,n0", [(20, 5, 5), (40, 6, 4), (60, 6, 6)])
+    def test_reference_rows_certify(self, n, n1, n0):
+        # the qp-bench rows checked against the reference
+        spec = bench_instance(n, n1, n0)
+        assert spec.data.n_packed <= MAX_REFERENCE_DIM
+        assert kkt_residual(spec, reference_solve(spec))["max"] <= 1e-10
