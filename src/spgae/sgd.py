@@ -165,7 +165,7 @@ def minibatch_grad(p: NetParams, data, idx, lambda2: float,
     Xb, Xb_rows, pre1, H, pre2, mask1, mask2, d, d1, d2 = ws.batch(bs)
     g = ws.g
     for Xi, di, ix in zip(Xb_rows, data, idx, strict=True):
-        np.take(di.X, ix, axis=1, out=Xi, mode="clip")  # ix is in range: no check
+        di.X.take(ix, axis=1, out=Xi, mode="clip")  # ix is in range: no check
     np.matmul(ws.W, Xb, out=pre1)
     pre1 += ws.b1_col
     np.maximum(pre1, 0.0, out=H)

@@ -179,9 +179,19 @@ def run(data: ProblemData, params: ModelParams, config: SpgConfig | None = None,
     An accepted step keeps mu, so its "after" value is the next O~(z, mu).
     The (W, b) factor is built once per distinct L and reused by every step
     at that L.
+
+    A caller's ``z0`` is copied with every entry below the smallest normal
+    float set to 0.0, and is itself left as it is: the dead ReLU units of a
+    weight-decayed warm start hold subnormal rows, and each BLAS product of
+    the inner sweeps with such a row runs several times slower.
     """
     config = config or SpgConfig()
-    z = z0.copy() if z0 is not None else init_variables(data, seed)
+    if z0 is None:
+        z = init_variables(data, seed)
+    else:
+        z = z0.copy()
+        for a in (z.W, z.b1, z.b2, z.V):
+            a[np.abs(a) < np.finfo(np.float64).tiny] = 0.0
     mu = config.mu0
     L = config.L0 if config.L0 is not None else default_l0(data, params)
     trace = RunTrace()

@@ -6,14 +6,19 @@ import warnings
 import numpy as np
 import pytest
 
+import spgae.spg
+from spgae.cli import (_build_problem, _model_params, build_parser, main,
+                       resolve_train_config)
 from spgae.model import (ModelParams, ProblemData, fidelity, penalty,
                          feasibility, relu)
 from spgae.sgd import (METHODS, GradWorkspace, NetParams, SgdConfig, SgdMember,
                        _Optimizer, autoencoder_error, default_batch_size,
                        minibatch_grad, net_to_feasible, sgd_lockstep, sgd_run,
-                       spg_ada)
+                       spg_ada, spg_ada_tail)
 from spgae.rng import stream
+from spgae.serialize import load_variables
 from spgae.spg import DivergenceError, SpgConfig
+from spgae.trace import RunTrace
 
 from conftest import random_problem
 
@@ -485,6 +490,40 @@ class TestSpgAda:
         r2, t2 = spg_ada(data, params, spg_config=cfg, ada_epochs=2, seed=8)
         assert np.array_equal(r1.z.pack(), r2.z.pack())
         assert [r.fval for r in t1.rows] == [r.fval for r in t2.rows]
+
+    def test_subnormals_stop_at_the_solver(self, tiny_problem, monkeypatch, tmp_path):
+        def subnormal(a):
+            return np.any((a != 0.0) & (np.abs(a) < np.finfo(np.float64).tiny))
+
+        data, params = tiny_problem
+        p = NetParams.default_init(data, seed=2)
+        p.W[0] = p.b1[0] = 5e-324        # a dead unit under weight decay
+        solve, seen = spgae.spg.solve_subproblem, []
+
+        def spy(spec, **kwargs):
+            a = spec.anchor
+            seen.append([subnormal(x) for x in (a.W, a.b1, a.b2, a.V, kwargs["anchor_S"])])
+            return solve(spec, **kwargs)
+
+        monkeypatch.setattr(spgae.spg, "solve_subproblem", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cfg = SpgConfig(max_outer_iters=4)
+        spg_ada_tail(p, RunTrace(), data, params, cfg, seed=2)
+        assert len(seen) == 4 and not np.any(seen)
+        # the SGD baselines still write their weights as trained, subnormals too
+        argv = ["train", "--method", "adadelta", "--n", "100", "--n1", "20", "--n0", "5",
+                "--datatype", "2", "--ntest", "0", "--epochs", "50", "--batch-size", "1",
+                "--seed", "0", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        cfg = resolve_train_config(build_parser().parse_args(argv))
+        data, _ = _build_problem(cfg, seed=0)
+        p, _ = sgd_run(data, _model_params(cfg, data),
+                       SgdConfig(epochs=50, batch_size=1, seed=0))
+        z, _ = load_variables(tmp_path / "model.bin")
+        assert subnormal(p.W) and subnormal(p.b1)
+        for saved, trained in ((z.W, p.W), (z.b1, p.b1), (z.b2, p.b2)):
+            assert saved.tobytes() == trained.tobytes()
 
     def test_rows_stream_before_divergence(self, tiny_problem):
         data, params = tiny_problem

@@ -1,5 +1,6 @@
 """Outer solver: step contracts, schedules, guards, and full tiny runs."""
 
+import dataclasses
 import math
 import sys
 import warnings
@@ -286,6 +287,25 @@ class TestRun:
             assert (mu, L, step.sub.iters) == (row.mu, row.L, row.sub_iters)
             assert smoothed_objective(z, mu, data, params) == row.smoothed
         assert z.pack().tobytes() == res.z.pack().tobytes()
+
+    def test_subnormal_start_entries_are_flushed_on_a_copy(self, tiny_problem):
+        data, params = tiny_problem
+        cfg = self.config(max_outer_iters=6)
+        z0, flushed = init_variables(data, seed=5), init_variables(data, seed=5)
+        for z, value in ((z0, 5e-324), (flushed, 0.0)):
+            z.W[0] = z.b1[0] = z.V[0] = value   # a dead unit of a weight-decayed warm start
+        before = z0.pack().tobytes()
+        res = run(data, params, config=cfg, z0=z0)
+        ref = run(data, params, config=cfg, z0=flushed)
+
+        def without_wall(trace):
+            return [dataclasses.replace(row, wall_ms=None) for row in trace.rows]
+
+        assert z0.pack().tobytes() == before
+        assert without_wall(res.trace) == without_wall(ref.trace)
+        assert res.z.pack().tobytes() == ref.z.pack().tobytes()
+        z = res.z.pack()
+        assert not np.any((z != 0.0) & (np.abs(z) < np.finfo(np.float64).tiny))
 
     def test_stationarity_series_recorded(self, tiny_problem):
         data, params = tiny_problem
