@@ -8,15 +8,13 @@ and an MNIST loader round out the experiment tooling.
 """
 
 from .model import (FeasibilityReport, ModelParams, ProblemData, Variables,
-                    compute_alpha, constraint_count, constraint_residuals,
-                    feasibility, fidelity, objective, penalty,
-                    preactivations, project_bias_box, regularizer, relu)
+                    compute_alpha, feasibility, fidelity, objective, penalty,
+                    preactivations, regularizer, relu)
 from .smoothing import (GradientBlocks, smooth_relu, smooth_relu_deriv,
-                        smoothed_loss, smoothed_loss_grad, smoothed_objective,
-                        smoothing_gap_bound)
+                        smoothed_loss, smoothed_loss_grad, smoothed_objective)
 from .subproblem import (AdmmState, FactorizationCache, NumericError,
                          SubproblemResult, SubproblemSpec, solve_subproblem,
-                         WbFactor, subproblem_objective, vu_closed_form)
+                         WbFactor, subproblem_objective)
 from .spg import (DivergenceError, SpgConfig, SpgResult, default_l0,
                   estimate_validated_l0, init_variables, run, spg_step,
                   stationarity_diagnostic)
@@ -35,13 +33,11 @@ __all__ = [
     "ProblemData", "RunTrace", "SgdConfig", "SgdMember", "SpgConfig", "SpgResult",
     "SubproblemResult", "SubproblemSpec", "SynthSpec", "TRACE_HEADER",
     "TraceRow", "TraceWriter", "Variables", "WbFactor", "compute_alpha",
-    "constraint_count", "constraint_residuals", "default_l0",
-    "estimate_validated_l0", "feasibility", "fidelity", "generate",
+    "default_l0", "estimate_validated_l0", "feasibility", "fidelity", "generate",
     "init_variables", "load_idx_images", "load_idx_labels", "load_mnist",
     "metrics", "net_to_feasible", "objective", "penalty", "preactivations",
-    "preset", "project_bias_box", "regularizer", "relu", "run", "sgd_lockstep",
-    "sgd_run", "smooth_relu", "smooth_relu_deriv", "smoothed_loss", "smoothed_loss_grad",
-    "smoothed_objective", "smoothing_gap_bound", "solve_subproblem",
-    "spg_ada", "spg_ada_tail", "spg_step", "stationarity_diagnostic", "stream",
-    "subproblem_objective", "vu_closed_form",
+    "preset", "regularizer", "relu", "run", "sgd_lockstep", "sgd_run",
+    "smooth_relu", "smooth_relu_deriv", "smoothed_loss", "smoothed_loss_grad",
+    "smoothed_objective", "solve_subproblem", "spg_ada", "spg_ada_tail",
+    "spg_step", "stationarity_diagnostic", "stream", "subproblem_objective",
 ]

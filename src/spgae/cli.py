@@ -257,9 +257,8 @@ def train_seeds(cfg: dict, seeds, outs, spg_config: SpgConfig | None) -> list[di
                 result = spg_run(run.data, run.params, run.config, seed=seed,
                                  test_X=run.test_X, sink=run.sink)
             run.elapsed_s += time.perf_counter() - t_start
-            fields = _spg_summary(result)
-            if result.trace.stationarity:
-                fields["final_stationarity"] = result.trace.stationarity[-1]
+            fields = {**_spg_summary(result),
+                      "final_stationarity": result.final_stationarity}
             resolved = run.config.L0 if run.config.L0 is not None else "auto"
             summaries.append(run.finish(result.z, result.trace, fields,
                                         {"resolved_L0": resolved}))

@@ -80,12 +80,6 @@ def packed_size(dims) -> int:
     return n0 * n1 + n1 + n0 + n1 * n
 
 
-def constraint_count(data: ProblemData) -> int:
-    """Number nu of rows of the implicit constraint system A z <= c."""
-    n, n0, n1 = data.dims
-    return 2 * (n * n1 + n0 + n1)
-
-
 def compute_alpha(data: ProblemData, lambda1: float, lambda2: float, theta: float) -> float:
     """Box radius for the bias, sized so the box never cuts off minimizers.
 
@@ -117,13 +111,14 @@ class ModelParams:
     alpha: float
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
+        # written so that NaN, which fails every comparison, fails each check
+        if not (self.lambda1 >= 0 and self.lambda2 >= 0):
             raise ValueError("lambda1 and lambda2 must be nonnegative")
-        if self.beta <= 0:
+        if not (self.beta > 0):
             raise ValueError("beta must be positive")
-        if self.theta <= 0:
+        if not (self.theta > 0):
             raise ValueError("theta must be positive")
-        if self.alpha <= 0:
+        if not (self.alpha > 0):
             raise ValueError("alpha must be positive")
 
     @classmethod
@@ -249,19 +244,6 @@ def objective(z: Variables, data: ProblemData, params: ModelParams, *,
     return fidelity(z, data, fw=fw) + regularizer(z, params) + penalty(z, data, params, fw=fw)
 
 
-def project_bias_box(z: Variables, alpha: float) -> Variables:
-    """Clamp both bias blocks into [-alpha, alpha]; W and V untouched.
-
-    On the level set {O <= theta} ∩ Omega2 the clamp can only move bias
-    entries whose pre-activations are already dead, so the objective value is
-    preserved exactly.
-    """
-    out = z.copy()
-    np.clip(out.b1, -alpha, alpha, out=out.b1)
-    np.clip(out.b2, -alpha, alpha, out=out.b2)
-    return out
-
-
 @dataclass(frozen=True)
 class FeasibilityReport:
     """Max violations of the three constraint families plus a Z membership flag."""
@@ -282,19 +264,3 @@ def feasibility(z: Variables, data: ProblemData, params: ModelParams,
     return FeasibilityReport(omega1_violation=om1, omega2_violation=om2,
                              omega3_violation=om3,
                              in_Z=bool(om2 <= tol and om3 <= tol))
-
-
-def constraint_residuals(z: Variables, data: ProblemData, params: ModelParams) -> np.ndarray:
-    """Residual vector A z - c of the implicit system, length nu.
-
-    Block order: coupling rows (W x_n + b1 - v_n, column-major over samples),
-    code nonnegativity rows (-v_n), upper box rows (b - alpha), lower box rows
-    (-b - alpha).  z in Z iff every entry is <= 0.
-    """
-    b = np.concatenate([z.b1, z.b2])
-    return np.concatenate([
-        (preactivations(z, data).S - z.V).ravel(order="F"),
-        (-z.V).ravel(order="F"),
-        b - params.alpha,
-        -b - params.alpha,
-    ])

@@ -106,10 +106,6 @@ def save_matrix_csv(path, M) -> None:
     np.savetxt(path, M, fmt="%.17g", delimiter=",")
 
 
-def load_matrix_csv(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
-
-
 def save_kv(path, mapping: dict) -> None:
     """Write ``key = value`` lines; values are stringified, floats at full precision."""
     with open(path, "w", encoding="utf-8") as fh:

@@ -55,7 +55,7 @@ class SgdConfig:
             raise ValueError("batch_size must be >= 1")
         if self.lr is not None and DEFAULT_LR[self.method] is None:
             raise ValueError(f"{self.method} has no learning rate; do not set lr")
-        if self.lr is not None and self.lr <= 0:
+        if self.lr is not None and not (self.lr > 0):   # NaN fails too
             raise ValueError("lr must be positive")
 
 
@@ -323,31 +323,15 @@ def net_to_feasible(p: NetParams, data: ProblemData, params: ModelParams) -> Var
     return Variables(W=p.W.copy(), b1=b1, b2=b2, V=V)
 
 
-class _RenumberingSink:
-    """Continues the row numbering of a trace that already holds ``offset`` rows.
-
-    Rows are renumbered in place, so the solver's own trace and the sink agree.
-    """
-
-    def __init__(self, offset: int, sink):
-        self.offset = offset
-        self.sink = sink
-
-    def write_row(self, row: TraceRow):
-        row.k += self.offset
-        if self.sink is not None:
-            self.sink.write_row(row)
-
-
 def spg_ada(data: ProblemData, params: ModelParams, spg_config: SpgConfig | None = None,
             ada_epochs: int = 1000, seed: int = 0, test_X=None,
             sink=None) -> tuple[SpgResult, RunTrace]:
     """Adadelta warm start, feasibility handoff, then the deterministic solver.
 
-    Returns the solver result plus a combined trace whose row numbering
-    continues across the handoff; the handoff row is the first row with a
-    non-blank mu and its index is recorded on the trace.  Rows reach the
-    sink as each phase produces them.
+    Returns the solver result plus the one trace of the run: the warm start's
+    rows, then the solver's, numbered on across the handoff.  The handoff row
+    is the first row with a non-blank mu and its index is recorded on the
+    trace.  Rows reach the sink as each phase produces them.
     """
     ada_cfg = SgdConfig(method="adadelta", epochs=ada_epochs, seed=seed)
     p, ada_trace = sgd_run(data, params, ada_cfg, test_X=test_X, sink=sink)
@@ -359,7 +343,7 @@ def spg_ada_tail(p: NetParams, ada_trace: RunTrace, data: ProblemData,
                  params: ModelParams, spg_config: SpgConfig | None = None,
                  seed: int = 0, test_X=None, sink=None) -> tuple[SpgResult, RunTrace]:
     """``spg_ada`` after its warm start: the handoff from the Adadelta point
-    ``p`` (whose rows are ``ada_trace``) and the solver run."""
+    ``p`` and the solver run, which continues ``p``'s trace ``ada_trace``."""
     z0 = net_to_feasible(p, data, params)
     config = spg_config if spg_config is not None else SpgConfig()
     if config.L0 is None:
@@ -369,11 +353,7 @@ def spg_ada_tail(p: NetParams, ada_trace: RunTrace, data: ProblemData,
         config = config.with_L0(
             estimate_local_l0(z0, config.mu0, data, params, seed=seed),
             config.infnorm_bound)
-    offset = len(ada_trace.rows)
+    ada_trace.handoff_index = len(ada_trace.rows)
     result = spg_run_driver(data, params, config=config, z0=z0, seed=seed,
-                            test_X=test_X, sink=_RenumberingSink(offset, sink))
-    combined = RunTrace(rows=ada_trace.rows + result.trace.rows,
-                        termination_reason=result.trace.termination_reason,
-                        stationarity=result.trace.stationarity,
-                        handoff_index=offset)
-    return result, combined
+                            test_X=test_X, sink=sink, trace=ada_trace)
+    return result, result.trace

@@ -102,8 +102,3 @@ def smoothed_loss_grad(z: Variables, mu: float, data: ProblemData,
     g_V = z.W @ Q + params.beta
     return GradientBlocks(g_W=g_W, g_b1=g_b1, g_b2=g_b2,
                           g_V=np.ascontiguousarray(g_V))
-
-
-def smoothing_gap_bound(data: ProblemData, params: ModelParams) -> float:
-    """Coefficient of mu in the sandwich bound: ||X||_1 + N1*N*beta."""
-    return data.one_norm + data.n_hidden * data.n_samples * params.beta

@@ -55,20 +55,25 @@ class SpgConfig:
     infnorm_bound: float | None = None  # validated-L mode: assert ||z||_inf stays below
 
     def __post_init__(self):
+        # each check is written so that NaN, which fails every comparison, fails it
         if not (0.0 < self.mu0 < 1.0):
             raise ValueError("mu0 must lie in (0, 1)")
         if not (0.0 < self.tau1 < 1.0):
             raise ValueError("tau1 must lie in (0, 1)")
-        if self.tau2 <= 0.0:
+        if not (self.tau2 > 0.0):
             raise ValueError("tau2 must be positive")
-        if self.tau3 < 1.0:
+        if not (self.tau3 >= 1.0):
             raise ValueError("tau3 must be >= 1")
-        if self.L0 is not None and self.L0 < 1.0:
+        if self.L0 is not None and not (self.L0 >= 1.0):
             raise ValueError("L0 must be >= 1")
-        if self.epsilon <= 0.0 or self.epsilon >= self.mu0:
+        if not (0.0 < self.epsilon < self.mu0):
             raise ValueError("epsilon must lie in (0, mu0)")
-        if self.max_outer_iters < 1:
+        if not (self.max_outer_iters >= 1):
             raise ValueError("max_outer_iters must be >= 1")
+        if not (self.sub_tol >= 0.0):
+            raise ValueError("sub_tol must be >= 0")
+        if not (self.sub_max_iter >= 1):
+            raise ValueError("sub_max_iter must be >= 1")
         if self.tau1 * self.tau3 < 1.0:
             # stacklevel 3 skips the generated __init__: report the caller's line
             warnings.warn("tau1*tau3 < 1: mu*L may shrink, descent guarantees do not "
@@ -81,7 +86,7 @@ class SpgConfig:
         per seed: importing scipy, say, changes the warning filters, and that
         clears the once-per-location registry.
         """
-        if L0 < 1.0:
+        if not (L0 >= 1.0):
             raise ValueError("L0 must be >= 1")
         new = copy.copy(self)
         object.__setattr__(new, "L0", L0)
@@ -121,8 +126,8 @@ class StepResult:
     L_next: float
     accepted: bool            # True: sufficient decrease, (mu, L) kept
     decrease: float           # O~(z_next, mu) - O~(z, mu)
-    smoothed_before: float
-    smoothed_after: float
+    smoothed_after: float     # O~(z_next, mu)
+    smoothed_next: float      # O~(z_next, mu_next): the next step's "before"
     sub: SubproblemResult
     fw_next: Forward          # pre-activations of z_next
 
@@ -149,12 +154,13 @@ def spg_step(z: Variables, mu: float, L: float, data: ProblemData,
     decrease = after - before
     accepted = decrease < -config.tau2 * mu / L
     if accepted:
-        mu_next, L_next = mu, L
+        mu_next, L_next, smoothed_next = mu, L, after
     else:
         mu_next, L_next = config.tau1 * mu, config.tau3 * L
+        smoothed_next = smoothed_objective(sub.z, mu_next, data, params, fw=fw_next)
     return StepResult(z_next=sub.z, mu_next=mu_next, L_next=L_next, accepted=accepted,
-                      decrease=decrease, smoothed_before=before, smoothed_after=after,
-                      sub=sub, fw_next=fw_next)
+                      decrease=decrease, smoothed_after=after,
+                      smoothed_next=smoothed_next, sub=sub, fw_next=fw_next)
 
 
 @dataclass
@@ -167,18 +173,18 @@ class SpgResult:
     b1_clamp_hits: int
     capped_solves: int   # inner solves that stopped at sub_max_iter (converged=False)
     mu_shrinks: int      # rejected steps: mu shrank by tau1, L grew by tau3
+    final_stationarity: float  # stationarity_diagnostic of the last step
 
 
 def run(data: ProblemData, params: ModelParams, config: SpgConfig | None = None,
         z0: Variables | None = None, seed: int = 0, test_X=None,
-        sink=None) -> SpgResult:
+        sink=None, trace: RunTrace | None = None) -> SpgResult:
     """Iterate spg_step until mu <= epsilon (or max iterations / divergence).
 
-    Each iterate's pre-activations are formed once; its trace row, its
-    O~(z, mu) and the next step's gradient and "before" value all read them.
-    An accepted step keeps mu, so its "after" value is the next O~(z, mu).
-    The (W, b) factor is built once per distinct L and reused by every step
-    at that L.
+    Each iterate's pre-activations are formed once; its trace row and the
+    next step's gradient read them.  The (W, b) factor is built once per
+    distinct L and reused by every step at that L.  Each row goes to ``trace``
+    (a new one by default) with its index there as ``k``.
 
     A caller's ``z0`` is copied with every entry below the smallest normal
     float set to 0.0, and is itself left as it is: the dead ReLU units of a
@@ -194,14 +200,13 @@ def run(data: ProblemData, params: ModelParams, config: SpgConfig | None = None,
             a[np.abs(a) < np.finfo(np.float64).tiny] = 0.0
     mu = config.mu0
     L = config.L0 if config.L0 is not None else default_l0(data, params)
-    trace = RunTrace()
+    trace = RunTrace() if trace is None else trace
 
     fw = preactivations(z, data)
-    m = metrics(z, data, params, test_X=test_X, fw=fw)
     smoothed = smoothed_objective(z, mu, data, params, fw=fw)
-    trace.append(TraceRow(k=0, mu=mu, L=L, fval=m["fval"], smoothed=smoothed,
-                          feasvi=m["feasvi"], trainerr=m["trainerr"],
-                          testerr=m["testerr"], sub_iters=0, wall_ms=0.0), sink)
+    trace.append(TraceRow(k=len(trace.rows), mu=mu, L=L, smoothed=smoothed,
+                          sub_iters=0, wall_ms=0.0,
+                          **metrics(z, data, params, test_X=test_X, fw=fw)), sink)
     guard = config.divergence_factor * abs(smoothed) + 1e-9
     clamp_hits = capped = shrinks = 0
     factor = None
@@ -218,16 +223,12 @@ def run(data: ProblemData, params: ModelParams, config: SpgConfig | None = None,
         clamp_hits += step.sub.b1_clamp_hits
         capped += not step.sub.converged
         shrinks += not step.accepted
-        trace.stationarity.append(
-            stationarity_diagnostic(z, step.z_next, L, params))
+        stationarity = stationarity_diagnostic(z, step.z_next, L, params)
         z, mu, L, fw = step.z_next, step.mu_next, step.L_next, step.fw_next
-        m = metrics(z, data, params, test_X=test_X, fw=fw)
-        smoothed = (step.smoothed_after if step.accepted
-                    else smoothed_objective(z, mu, data, params, fw=fw))
-        trace.append(TraceRow(k=k, mu=mu, L=L, fval=m["fval"], smoothed=smoothed,
-                              feasvi=m["feasvi"], trainerr=m["trainerr"],
-                              testerr=m["testerr"], sub_iters=step.sub.iters,
-                              wall_ms=wall_ms), sink)
+        smoothed = step.smoothed_next
+        trace.append(TraceRow(k=len(trace.rows), mu=mu, L=L, smoothed=smoothed,
+                              sub_iters=step.sub.iters, wall_ms=wall_ms,
+                              **metrics(z, data, params, test_X=test_X, fw=fw)), sink)
         if config.infnorm_bound is not None:
             zmax = float(np.max(np.abs(z.pack())))
             if zmax > config.infnorm_bound * (1.0 + 1e-9):
@@ -246,7 +247,7 @@ def run(data: ProblemData, params: ModelParams, config: SpgConfig | None = None,
         trace.termination_reason = "max_iters"
     return SpgResult(z=z, trace=trace, mu=mu, L=L, iterations=k,
                      b1_clamp_hits=clamp_hits, capped_solves=capped,
-                     mu_shrinks=shrinks)
+                     mu_shrinks=shrinks, final_stationarity=stationarity)
 
 
 def _box_radius(data: ProblemData, params: ModelParams) -> tuple[float, float]:

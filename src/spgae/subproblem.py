@@ -284,32 +284,19 @@ def update_wb(state: AdmmState, spec: SubproblemSpec, cache: FactorizationCache)
     return state
 
 
-def vu_closed_form(xi1, xi2, L):
-    """Entrywise minimizer of (L/2)(V + xi1)^2 + (1/2)(U + xi2)^2 over {V >= U, V >= 0}.
+def update_vu(state: AdmmState, spec: SubproblemSpec) -> AdmmState:
+    """Exact (V, U) block minimizer given the current (W, b1) and multipliers.
 
-    Four cases:
+    Entrywise, the minimizer of (L/2)(V + xi1)^2 + (1/2)(U + xi2)^2 over
+    {V >= U, V >= 0} has four cases:
       both constraints slack   (xi2 >= xi1, xi1 <= 0): V = -xi1, U = -xi2
       only V >= 0 active       (xi2 >= 0,  xi1 > 0):  V = 0,    U = -xi2
       both active              (xi2 < 0, L xi1 + xi2 > 0): V = U = 0
       only V >= U active       (otherwise): V = U = -(L xi1 + xi2) / (L + 1)
 
     With t = -(L xi1 + xi2) / (L + 1) all four are V = max(-xi1, t, 0) and
-    U = min(-xi2, V), which is how they are evaluated.
-    """
-    xi1 = np.asarray(xi1, dtype=np.float64)
-    xi2 = np.asarray(xi2, dtype=np.float64)
-    tied = -(L * xi1 + xi2) / (L + 1.0)
-    V = np.maximum(np.maximum(-xi1, tied), 0.0)
-    U = np.minimum(-xi2, V)
-    return V, U
-
-
-def update_vu(state: AdmmState, spec: SubproblemSpec) -> AdmmState:
-    """Exact (V, U) block minimizer given the current (W, b1) and multipliers.
-
-    ``vu_closed_form`` evaluated in place on -xi2 = S - rho, with
-    t = (L xi1 - (-xi2)) / -(L + 1); each rewrite is exact in IEEE arithmetic,
-    so V and U are bit for bit the formula's.
+    U = min(-xi2, V).  That is evaluated in place on -xi2 = S - rho, with
+    t = (L xi1 - (-xi2)) / -(L + 1); each rewrite is exact in IEEE arithmetic.
     """
     ws = state.workspace()
     neg_xi2, tied, U = ws.a, ws.b, ws.U

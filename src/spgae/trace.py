@@ -1,4 +1,4 @@
-"""Run traces: fixed-schema per-iteration rows and CSV round-tripping.
+"""Run traces: fixed-schema per-iteration rows, their CSV writer and reader.
 
 The CSV header is fixed:
 
@@ -58,19 +58,12 @@ class RunTrace:
 
     rows: list = field(default_factory=list)
     termination_reason: str | None = None
-    stationarity: list = field(default_factory=list)  # surrogate per step, not in the CSV
-    handoff_index: int | None = None                  # first solver row of a hybrid run
+    handoff_index: int | None = None    # first solver row of a hybrid run
 
     def append(self, row: TraceRow, sink=None):
         self.rows.append(row)
         if sink is not None:
             sink.write_row(row)
-
-    def to_csv(self, path):
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(",".join(TRACE_HEADER) + "\n")
-            for row in self.rows:
-                fh.write(row.to_csv_line() + "\n")
 
     @classmethod
     def read_csv(cls, path) -> "RunTrace":

@@ -1,0 +1,68 @@
+"""Formulas and a file reader that only the tests use.
+
+The library applies the constraint system, the bias box and the (V, U)
+closed form only implicitly or in place, and never reads back the CSV
+matrices it writes; these spell each one out for the tests.
+"""
+
+import numpy as np
+
+from spgae.model import ModelParams, ProblemData, Variables, preactivations
+
+
+def constraint_count(data: ProblemData) -> int:
+    """Number nu of rows of the implicit constraint system A z <= c."""
+    n, n0, n1 = data.dims
+    return 2 * (n * n1 + n0 + n1)
+
+
+def constraint_residuals(z: Variables, data: ProblemData, params: ModelParams) -> np.ndarray:
+    """Residual vector A z - c of the implicit system, length nu.
+
+    Block order: coupling rows (W x_n + b1 - v_n, column-major over samples),
+    code nonnegativity rows (-v_n), upper box rows (b - alpha), lower box rows
+    (-b - alpha).  z in Z iff every entry is <= 0.
+    """
+    b = np.concatenate([z.b1, z.b2])
+    return np.concatenate([
+        (preactivations(z, data).S - z.V).ravel(order="F"),
+        (-z.V).ravel(order="F"),
+        b - params.alpha,
+        -b - params.alpha,
+    ])
+
+
+def project_bias_box(z: Variables, alpha: float) -> Variables:
+    """Clamp both bias blocks into [-alpha, alpha]; W and V untouched.
+
+    On the level set {O <= theta} ∩ Omega2 the clamp can only move bias
+    entries whose pre-activations are already dead, so the objective value is
+    preserved exactly.
+    """
+    out = z.copy()
+    np.clip(out.b1, -alpha, alpha, out=out.b1)
+    np.clip(out.b2, -alpha, alpha, out=out.b2)
+    return out
+
+
+def smoothing_gap_bound(data: ProblemData, params: ModelParams) -> float:
+    """Coefficient of mu in the sandwich bound: ||X||_1 + N1*N*beta."""
+    return data.one_norm + data.n_hidden * data.n_samples * params.beta
+
+
+def load_matrix_csv(path) -> np.ndarray:
+    """A matrix written by ``serialize.save_matrix_csv``."""
+    return np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+
+
+def vu_closed_form(xi1, xi2, L):
+    """Entrywise minimizer of (L/2)(V + xi1)^2 + (1/2)(U + xi2)^2 over
+    {V >= U, V >= 0}, as V = max(-xi1, t, 0), U = min(-xi2, V) with
+    t = -(L xi1 + xi2) / (L + 1); ``subproblem.update_vu`` lists the four
+    cases this covers and evaluates it in place."""
+    xi1 = np.asarray(xi1, dtype=np.float64)
+    xi2 = np.asarray(xi2, dtype=np.float64)
+    tied = -(L * xi1 + xi2) / (L + 1.0)
+    V = np.maximum(np.maximum(-xi1, tied), 0.0)
+    U = np.minimum(-xi2, V)
+    return V, U

@@ -17,17 +17,16 @@ import pytest
 from spgae.cli import bench_instance
 from spgae.data import MnistSpec, SynthSpec, generate, load_mnist, metrics, preset
 from spgae.model import (ModelParams, ProblemData, Variables, feasibility,
-                         objective, project_bias_box, relu)
+                         objective, relu)
 from spgae.qp_reference import kkt_residual, reference_solve
 from spgae.sgd import SgdConfig, sgd_run, spg_ada
-from spgae.smoothing import (smoothed_loss, smoothed_loss_grad,
-                             smoothed_objective, smoothing_gap_bound)
+from spgae.smoothing import smoothed_loss, smoothed_loss_grad, smoothed_objective
 from spgae.spg import SpgConfig, estimate_validated_l0, run as spg_run
-from spgae.subproblem import (FactorizationCache, solve_subproblem, subproblem_objective,
-                              vu_closed_form)
+from spgae.subproblem import FactorizationCache, solve_subproblem, subproblem_objective
 
 from conftest import (random_feasible, random_problem, write_idx_images,
                       write_idx_labels)
+from helpers import project_bias_box, smoothing_gap_bound, vu_closed_form
 from test_subproblem import make_spec, two_var_kkt_oracle
 
 # the default step-control constants trade the descent guarantee for speed

@@ -13,8 +13,10 @@ import spgae
 from spgae.cli import (_build_problem, _coerce, aggregate_traces, build_parser,
                        main, resolve_train_config)
 from spgae.data import SynthSpec, generate
-from spgae.serialize import load_kv, load_matrix, load_matrix_csv, load_variables
-from spgae.trace import RunTrace, TraceRow
+from spgae.serialize import load_kv, load_matrix, load_variables
+from spgae.trace import RunTrace, TraceRow, TraceWriter
+
+from helpers import load_matrix_csv
 
 
 # the default step-control constants intentionally trade the descent
@@ -205,6 +207,17 @@ class TestTrain:
         assert "error: --workers must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--tau2", "nan", "tau2 must be positive"),
+        ("--sub-max-iter", 0, "sub_max_iter must be >= 1"),
+    ])
+    def test_bad_solver_setting_is_an_error(self, tmp_path, capsys, flag, value, message):
+        rc = run_cli(["train", "--method", "spg", "--preset", 6, "--seed", 0,
+                      flag, value, "--out", tmp_path / "run"])
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_hybrid_takes_the_batch_size(self, tmp_path):
         args = ["train", "--method", "spg-ada", "--n", 30, "--n1", 3, "--n0", 2,
                 "--ada-epochs", 2, "--max-iters", 3, "--seed", 1]
@@ -359,10 +372,9 @@ class TestQpBench:
 
 class TestReport:
     def write_trace(self, path, fvals):
-        trace = RunTrace()
-        for k, f in enumerate(fvals):
-            trace.rows.append(TraceRow(k=k, fval=f))
-        trace.to_csv(path)
+        with TraceWriter(path) as writer:
+            for k, f in enumerate(fvals):
+                writer.write_row(TraceRow(k=k, fval=f))
         return path
 
     def test_identical_traces_collapse_to_the_value(self, tmp_path):

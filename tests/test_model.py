@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spgae.model import (ModelParams, ProblemData, Variables, compute_alpha,
-                         constraint_count, constraint_residuals, feasibility,
-                         fidelity, objective, penalty, preactivations,
-                         project_bias_box, regularizer, relu)
+                         feasibility, fidelity, objective, penalty,
+                         preactivations, regularizer, relu)
 
 from conftest import (dense_constraint_rows, loop_objective, random_feasible,
                       random_problem)
+from helpers import constraint_count, constraint_residuals, project_bias_box
 
 
 class TestAlpha:
@@ -51,6 +51,13 @@ class TestAlpha:
             ModelParams.from_data(data, lambda1=0.0)
         p = ModelParams.from_data(data, lambda1=0.0, alpha=5.0)
         assert p.alpha == 5.0
+
+    @pytest.mark.parametrize("name", ["lambda1", "lambda2", "beta", "theta", "alpha"])
+    @pytest.mark.parametrize("value", [-1.0, math.nan])
+    def test_params_reject_negative_and_nan(self, name, value):
+        good = dict(lambda1=1e-4, lambda2=0.1, beta=0.1, theta=1.0, alpha=2.0)
+        with pytest.raises(ValueError):
+            ModelParams(**{**good, name: value})
 
 
 class TestProblemData:

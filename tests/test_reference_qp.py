@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spgae.cli import bench_instance
-from spgae.model import (ModelParams, ProblemData, Variables,
-                         constraint_count, feasibility)
+from spgae.model import ModelParams, ProblemData, Variables, feasibility
 from spgae.qp_reference import (MAX_REFERENCE_DIM, _polish, dense_constraints,
                                 kkt_residual, nnls, quadratic_terms, reference_solve)
 from spgae.smoothing import GradientBlocks
 from spgae.subproblem import SubproblemSpec, solve_subproblem, subproblem_objective
 
 from conftest import random_problem
+from helpers import constraint_count
 from test_subproblem import canceling_grads, make_spec
 
 

@@ -9,10 +9,11 @@ import pytest
 from spgae.data import load_idx_images, load_idx_labels
 from spgae.model import Variables, packed_size
 from spgae.serialize import (MAT_MAGIC, VAR_MAGIC, FormatError, load_kv, load_matrix,
-                             load_matrix_csv, load_variables, save_kv,
-                             save_matrix, save_matrix_csv, save_variables)
+                             load_variables, save_kv, save_matrix,
+                             save_matrix_csv, save_variables)
 
 from conftest import random_feasible, random_problem
+from helpers import load_matrix_csv
 
 
 class TestMatrix:

@@ -345,6 +345,11 @@ class TestSgdRun:
             SgdConfig(method="adadelta", lr=5.0)
         assert SgdConfig(method="adam", lr=5.0).lr == 5.0
 
+    @pytest.mark.parametrize("lr", [0.0, -1.0, math.nan])
+    def test_rejects_a_bad_learning_rate(self, lr):
+        with pytest.raises(ValueError, match="lr must be positive"):
+            SgdConfig(method="adam", lr=lr)
+
     def test_default_batch_size_formula(self):
         assert default_batch_size(1000) == 10
         assert default_batch_size(5000) == 50
@@ -481,6 +486,25 @@ class TestSpgAda:
         rep = feasibility(result.z, data, params, tol=1e-9)
         assert rep.in_Z
 
+    def test_solver_continues_the_warm_start_trace(self, tiny_problem):
+        data, params = tiny_problem
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cfg = SpgConfig(max_outer_iters=3, epsilon=1e-6)
+        streamed = []
+
+        class Recorder:
+            def write_row(self, row):
+                streamed.append(row)
+
+        p, ada_trace = sgd_run(data, params, SgdConfig(epochs=2, seed=6), sink=Recorder())
+        result, trace = spg_ada_tail(p, ada_trace, data, params, cfg, seed=6,
+                                     sink=Recorder())
+        assert trace is ada_trace and result.trace is ada_trace
+        assert trace.handoff_index == 3
+        assert streamed == trace.rows
+        assert [r.k for r in trace.rows] == list(range(3 + 1 + result.iterations))
+
     def test_deterministic(self, tiny_problem):
         data, params = tiny_problem
         with warnings.catch_warnings():
@@ -539,10 +563,15 @@ class TestSpgAda:
                 self.rows.append((row.k, row.mu))
 
         rec = Recorder()
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DivergenceError) as err:
             spg_ada(data, params, cfg, ada_epochs=2, seed=6, sink=rec)
         # three Adadelta rows (initial point plus two epochs), then the
         # solver's initial row and the row of the step that diverged
         assert [k for k, _ in rec.rows] == [0, 1, 2, 3, 4]
         assert all(mu is None for _, mu in rec.rows[:3])
         assert all(mu is not None for _, mu in rec.rows[3:])
+        # the error's trace is the run's one trace, warm-start rows included
+        trace = err.value.trace
+        assert [(r.k, r.mu) for r in trace.rows] == rec.rows
+        assert trace.handoff_index == 3
+        assert trace.termination_reason == "diverged"

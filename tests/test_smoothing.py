@@ -6,10 +6,10 @@ import pytest
 from spgae.model import Variables, objective
 from spgae.rng import stream
 from spgae.smoothing import (smooth_relu, smooth_relu_deriv, smoothed_loss,
-                             smoothed_loss_grad, smoothed_objective,
-                             smoothing_gap_bound)
+                             smoothed_loss_grad, smoothed_objective)
 
 from conftest import loop_smoothed, random_feasible, random_problem
+from helpers import smoothing_gap_bound
 
 
 class TestKernel:

@@ -12,13 +12,14 @@ import spgae.model
 import spgae.spg
 from spgae.model import (ModelParams, ProblemData, Variables, feasibility,
                          objective, penalty)
-from spgae.smoothing import smoothed_objective, smoothing_gap_bound
+from spgae.smoothing import smoothed_objective
 from spgae.subproblem import WbFactor
 from spgae.spg import (DivergenceError, SpgConfig, default_l0,
                        estimate_local_l0, estimate_validated_l0,
                        init_variables, run, spg_step, stationarity_diagnostic)
 
 from conftest import random_problem
+from helpers import smoothing_gap_bound
 
 
 class TestConfig:
@@ -53,6 +54,10 @@ class TestConfig:
         {"mu0": 0.0}, {"mu0": 1.0}, {"tau1": 0.0}, {"tau1": 1.0},
         {"tau2": 0.0}, {"tau3": 0.9}, {"L0": 0.5},
         {"epsilon": 0.0}, {"epsilon": 1e-3}, {"max_outer_iters": 0},
+        {"sub_max_iter": 0}, {"sub_max_iter": -5}, {"sub_tol": -1e-6},
+        # NaN fails every comparison, so each check must be written to fail it
+        *({name: math.nan} for name in ("mu0", "tau1", "tau2", "tau3", "L0",
+                                         "epsilon", "sub_tol")),
     ])
     def test_rejects_bad_values(self, kwargs):
         base = dict(tau3=2.0)
@@ -111,6 +116,9 @@ class TestStep:
                 assert step.decrease >= -cfg.tau2 * mu / L
                 assert step.mu_next == cfg.tau1 * mu
                 assert step.L_next == cfg.tau3 * L
+            # the next step's "before" value, on either branch
+            assert step.smoothed_next == smoothed_objective(
+                step.z_next, step.mu_next, data, params)
             seen.add(step.accepted)
             z, mu, L = step.z_next, step.mu_next, step.L_next
         assert seen == {True, False}
@@ -307,12 +315,14 @@ class TestRun:
         z = res.z.pack()
         assert not np.any((z != 0.0) & (np.abs(z) < np.finfo(np.float64).tiny))
 
-    def test_stationarity_series_recorded(self, tiny_problem):
+    def test_final_stationarity_is_the_last_steps(self, tiny_problem):
         data, params = tiny_problem
-        cfg = self.config(max_outer_iters=10)
-        res = run(data, params, config=cfg, seed=2)
-        assert len(res.trace.stationarity) == res.iterations
-        assert all(s >= 0.0 for s in res.trace.stationarity)
+        res = run(data, params, config=self.config(max_outer_iters=10), seed=2)
+        # one step fewer ends at the last step's start point and L
+        prev = run(data, params, config=self.config(max_outer_iters=9), seed=2)
+        assert res.iterations == 10
+        assert res.final_stationarity == stationarity_diagnostic(
+            prev.z, res.z, prev.L, params)
 
 
 class TestStationarityDiagnostic:

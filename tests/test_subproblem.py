@@ -12,9 +12,10 @@ from spgae.smoothing import GradientBlocks
 from spgae.subproblem import (AdmmState, FactorizationCache, NumericError,
                               SubproblemSpec, WbFactor, solve_subproblem,
                               subproblem_objective, update_multipliers,
-                              update_vu, update_wb, vu_closed_form)
+                              update_vu, update_wb)
 
 from conftest import random_problem
+from helpers import vu_closed_form
 
 
 def two_var_kkt_oracle(xi1, xi2, L):
