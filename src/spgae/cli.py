@@ -198,7 +198,6 @@ class _SeedRun:
     trace, then the files it writes into ``outdir``."""
 
     def __init__(self, cfg: dict, seed: int, outdir: str, spg_config: SpgConfig | None):
-        os.makedirs(outdir, exist_ok=True)
         t_start = time.perf_counter()
         self.cfg, self.seed, self.outdir = cfg, seed, outdir
         self.data, self.test_X = _build_problem(cfg, seed)
@@ -207,6 +206,7 @@ class _SeedRun:
         if cfg["theoretical_L"] and spg_config is not None:
             self.config = spg_config.with_L0(*estimate_validated_l0(
                 self.data, self.params, cfg["mu0"], seed=seed))
+        os.makedirs(outdir, exist_ok=True)   # only once the set-up has validated
         self.sink = TraceWriter(os.path.join(outdir, "trace.csv"))
         self.elapsed_s = time.perf_counter() - t_start
 

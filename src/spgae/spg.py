@@ -223,7 +223,7 @@ def run(data: ProblemData, params: ModelParams, config: SpgConfig | None = None,
         clamp_hits += step.sub.b1_clamp_hits
         capped += not step.sub.converged
         shrinks += not step.accepted
-        stationarity = stationarity_diagnostic(z, step.z_next, L, params)
+        z_prev, L_prev = z, L
         z, mu, L, fw = step.z_next, step.mu_next, step.L_next, step.fw_next
         smoothed = step.smoothed_next
         trace.append(TraceRow(k=len(trace.rows), mu=mu, L=L, smoothed=smoothed,
@@ -245,6 +245,7 @@ def run(data: ProblemData, params: ModelParams, config: SpgConfig | None = None,
             break
     else:
         trace.termination_reason = "max_iters"
+    stationarity = stationarity_diagnostic(z_prev, z, L_prev, params)
     return SpgResult(z=z, trace=trace, mu=mu, L=L, iterations=k,
                      b1_clamp_hits=clamp_hits, capped_solves=capped,
                      mu_shrinks=shrinks, final_stationarity=stationarity)

@@ -27,7 +27,8 @@ exact closed-form updates:
   lambda1/L and xi2 = rho - (W X + b1 1^T).
 
 The multiplier step is rho += U - (W X + b1 1^T); iteration stops when
-max(||d rho||_F^2, ||d U||_F^2) <= tol.  Block order is (W, b) -> (V, U) ->
+max(||d rho||_F^2, ||d U||_F^2) <= tol, each squared norm one BLAS dot of the
+sweep's difference buffer with itself.  Block order is (W, b) -> (V, U) ->
 multipliers so every update consumes exactly the quantities its closed form
 names.  The returned V is snapped upward onto max(V, W X + b1 1^T, 0) so the
 iterate lies in Z exactly.
@@ -41,6 +42,7 @@ size.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,7 +184,7 @@ class _Workspace:
     T: np.ndarray   # rho + U
     U: np.ndarray   # the U buffer not in use: U and this one swap every sweep
     a: np.ndarray   # -xi2, then the multiplier step's d
-    b: np.ndarray   # the tied value, then (U_new - U)^2
+    b: np.ndarray   # the tied value, then U_new - U
 
 
 @dataclass
@@ -192,8 +194,9 @@ class AdmmState:
     The blocks write into buffers allocated once per solve, on the first
     sweep (so after the factorization): from then on ``S``, ``V`` and ``rho``
     are the same arrays on every sweep, and ``U`` alternates between two.
-    After a sample-space (W, b) step, ``W`` = C_W + (rho + U) P_W is formed
-    the first time it is read.
+    After a (W, b) step, ``W`` is formed the first time it is read: in sample
+    space as C_W + (rho + U) P_W, in feature space as a copy of W^'s first
+    N0 columns.  ``b1`` may be a view into W^ until the solve returns.
     """
 
     b1: np.ndarray
@@ -209,15 +212,13 @@ class AdmmState:
     neg_xi1: np.ndarray | None = None  # -xi1, xi1 = g_V/L - V_bar + lambda1/L fixed per subproblem
     L_xi1: np.ndarray | None = None    # L * xi1
     _W: np.ndarray | None = field(default=None, init=False, repr=False)
-    _W_pending: tuple | None = field(default=None, init=False, repr=False)  # (cache, T)
+    _W_pending: Callable[[], np.ndarray] | None = field(default=None, init=False, repr=False)
     _ws: _Workspace | None = field(default=None, init=False, repr=False)
 
     @property
     def W(self) -> np.ndarray:
         if self._W is None:
-            cache, T = self._W_pending
-            n0 = cache.b2.size
-            self.W = cache.C[:, :n0] + T @ cache.P[:, :n0]
+            self.W = self._W_pending()
         return self._W
 
     @W.setter
@@ -255,8 +256,10 @@ def update_wb(state: AdmmState, spec: SubproblemSpec, cache: FactorizationCache)
     W^ = (-[g_W, g_b1] + L [W_bar, b1_bar] + (rho + U) X^^T) M^{-1}
        = C + (rho + U) P;
     b2 = clamp(b2_bar - g_b2 / L); b1 = clamp(last column of W^).
-    In sample space only the b1 column is formed; S comes from the cached
-    products and W is left for the first read of ``state.W``.
+    In sample space only the b1 column is formed and S comes from the cached
+    products; in feature space S is W^'s W block times X, read in place.
+    Either way W is left for the first read of ``state.W``, and b1 is
+    clamped only when some entry lies outside the box.
     """
     alpha = spec.params.alpha
     n0 = spec.data.n_visible
@@ -264,19 +267,21 @@ def update_wb(state: AdmmState, spec: SubproblemSpec, cache: FactorizationCache)
     T, S = ws.T, ws.S
     np.add(state.rho, state.U, out=T)
     if cache.sample_space:
-        b1_cand = cache.C[:, n0] + T @ cache.P[:, n0]
+        b1 = cache.C[:, n0] + T @ cache.P[:, n0]
         np.matmul(T, cache.G, out=S)
         S += cache.CX
-        state._W, state._W_pending = None, (cache, T)
+        state._W_pending = lambda: cache.C[:, :n0] + T @ cache.P[:, :n0]
     else:
         What = T @ cache.P
         What += cache.C
-        W = np.ascontiguousarray(What[:, :n0])
-        b1_cand = What[:, n0]
-        np.matmul(W, spec.data.X, out=S)
-        state.W = W
-    b1 = np.minimum(np.maximum(b1_cand, -alpha), alpha)
-    state.b1_clamp_hits += int(np.count_nonzero(b1 != b1_cand))
+        W, b1 = What[:, :n0], What[:, n0]
+        np.matmul(W, spec.data.X, out=S)   # BLAS reads the strided view as is
+        state._W_pending = W.copy
+    state._W = None
+    hits = int(np.count_nonzero(np.abs(b1) > alpha))
+    if hits:
+        b1 = np.minimum(np.maximum(b1, -alpha), alpha)
+        state.b1_clamp_hits += hits
     state.b1 = b1
     state.b2 = cache.b2
     S += b1[:, None]
@@ -306,9 +311,8 @@ def update_vu(state: AdmmState, spec: SubproblemSpec) -> AdmmState:
     np.maximum(state.neg_xi1, tied, out=state.V)   # argument order fixes max(-0.0, 0.0)
     np.maximum(state.V, 0.0, out=state.V)
     np.minimum(neg_xi2, state.V, out=U)
-    sq = np.subtract(U, state.U, out=tied)
-    sq *= sq
-    state.delta_u_sq = float(sq.sum())
+    d = np.subtract(U, state.U, out=tied).ravel()
+    state.delta_u_sq = float(np.dot(d, d))
     state.U, ws.U = U, state.U
     return state
 
@@ -317,8 +321,8 @@ def update_multipliers(state: AdmmState) -> AdmmState:
     """rho += U - (W X + b1 1^T) with the current blocks."""
     d = np.subtract(state.U, state.S, out=state.workspace().a)
     state.rho += d
-    d *= d
-    state.delta_rho_sq = float(d.sum())
+    d = d.ravel()
+    state.delta_rho_sq = float(np.dot(d, d))
     return state
 
 
@@ -339,8 +343,13 @@ def solve_subproblem(spec: SubproblemSpec, tol: float = 1e-6,
 
     ``anchor_S`` is the anchor's W X + b1 1^T if the caller has it; it is
     never written to.  ``factor`` is the WbFactor of spec's L if the caller
-    keeps one; without it the solve builds its own.
+    keeps one; without it the solve builds its own.  A NaN or negative
+    ``tol`` and a ``max_iter`` below 1 are errors.
     """
+    if not (tol >= 0.0):
+        raise ValueError("tol must be >= 0")
+    if not (max_iter >= 1):
+        raise ValueError("max_iter must be >= 1")
     g = spec.grads
     for block in (g.g_W, g.g_b1, g.g_b2, g.g_V):
         if not np.all(np.isfinite(block)):
@@ -364,7 +373,7 @@ def solve_subproblem(spec: SubproblemSpec, tol: float = 1e-6,
     # Snap the codes so the returned point satisfies Omega2 exactly even
     # though U only matches W X + b1 in the limit.
     V = np.maximum(np.maximum(state.V, state.S), 0.0)
-    z = Variables(W=state.W, b1=state.b1, b2=state.b2, V=V)
+    z = Variables(W=state.W, b1=state.b1.copy(), b2=state.b2, V=V)
     return SubproblemResult(z=z, iters=state.iters,
                             deltas=(state.delta_rho_sq, state.delta_u_sq),
                             b1_clamp_hits=state.b1_clamp_hits, converged=converged)

@@ -210,12 +210,20 @@ class TestTrain:
     @pytest.mark.parametrize("flag,value,message", [
         ("--tau2", "nan", "tau2 must be positive"),
         ("--sub-max-iter", 0, "sub_max_iter must be >= 1"),
+        ("--lambda1", "nan", "lambda1 and lambda2 must be nonnegative"),
     ])
     def test_bad_solver_setting_is_an_error(self, tmp_path, capsys, flag, value, message):
         rc = run_cli(["train", "--method", "spg", "--preset", 6, "--seed", 0,
                       flag, value, "--out", tmp_path / "run"])
         assert rc == 1
         assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_missing_mnist_images_writes_nothing(self, tmp_path, capsys):
+        rc = run_cli(["train", "--method", "spg", "--seed", 0,
+                      "--mnist-images", tmp_path / "missing.idx", "--out", tmp_path / "run"])
+        assert rc == 1
+        assert "error: [Errno 2] No such file or directory" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_hybrid_takes_the_batch_size(self, tmp_path):
@@ -363,6 +371,14 @@ class TestQpBench:
         row = out.read_text().splitlines()[1].split(",")
         assert float(row[7]) <= 1e-6
         assert float(row[8]) <= 1e-4
+
+    @pytest.mark.parametrize("tol", ["nan", -1])
+    def test_bad_tolerance_is_an_error(self, tmp_path, capsys, tol):
+        rc = run_cli(["qp-bench", "--sizes", "20:3:2", "--tol", tol,
+                      "--out", tmp_path / "bench.csv"])
+        assert rc == 1
+        assert "error: tol must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "bench.csv").exists()
 
     def test_oversize_instances_are_skipped(self, capsys):
         rc = run_cli(["qp-bench", "--sizes", "1000:100:10", "--max-n2", "1000"])

@@ -293,11 +293,11 @@ def reference_sweeps(spec, cache, sweeps):
             WX = np.ascontiguousarray(What[:, :n0]) @ spec.data.X
         S = WX + np.clip(b1_cand, -alpha, alpha)[:, None]
         V, U_new = vu_closed_form(xi1, rho - S, L)
-        du = float(np.sum((U_new - U) ** 2))
+        du = float(np.dot((U_new - U).ravel(), (U_new - U).ravel()))
         U = U_new
         d = U - S
         rho = rho + d
-        out.append((S, U, V, rho, float(np.sum(d * d)), du))
+        out.append((S, U, V, rho, float(np.dot(d.ravel(), d.ravel())), du))
     return out
 
 
@@ -342,7 +342,64 @@ class TestWorkspace:
                 assert state.delta_u_sq == du
 
 
+class TestB1Clamp:
+    def test_clamps_are_counted_per_sweep_and_land_on_the_box(self, monkeypatch):
+        """A large g_b1 pushes b1 past a small box: each (sweep, entry) with
+        |b1_cand| > alpha is one clamp hit, and the returned b1 is exactly
+        +-alpha there.  The returned blocks own their memory, apart from
+        each other and from the sweep buffers."""
+        import spgae.subproblem as sp
+
+        wb = sp.update_wb
+        for n, n0, n1, seed in TestWorkspace.SHAPES:
+            spec = make_spec(n, n0, n1, seed=seed)
+            spec = replace(spec, params=replace(spec.params, alpha=1.0),
+                           grads=replace(spec.grads, g_b1=50.0 * (np.arange(n1) % 3 - 1.0)))
+            alpha = spec.params.alpha
+            seen = {"hits": 0}
+
+            def counting_wb(state, spec, cache):
+                # the candidate b1 = last column of W^ = C + (rho + U) P
+                T = state.rho + state.U
+                if cache.sample_space:
+                    cand = cache.C[:, n0] + T @ cache.P[:, n0]
+                else:
+                    cand = (T @ cache.P + cache.C)[:, n0]
+                seen["hits"] += int(np.count_nonzero(np.abs(cand) > alpha))
+                seen["cand"], seen["state"] = cand, state
+                return wb(state, spec, cache)
+
+            monkeypatch.setattr(sp, "update_wb", counting_wb)
+            res = solve_subproblem(spec)
+            assert res.converged
+            assert res.b1_clamp_hits == seen["hits"] > res.iters
+            cand = seen["cand"]
+            out = np.abs(cand) > alpha
+            assert out.any() and not out.all()
+            assert np.array_equal(res.z.b1[out], np.copysign(alpha, cand[out]))
+            assert np.array_equal(res.z.b1[~out], cand[~out])
+
+            state = seen["state"]
+            ws = state.workspace()
+            buffers = (ws.S, ws.T, ws.U, ws.a, ws.b, state.S, state.U, state.V,
+                       state.rho)
+            blocks = (res.z.W, res.z.b1, res.z.b2, res.z.V)
+            for i, a in enumerate(blocks):
+                assert a.flags.c_contiguous and a.flags.owndata
+                for other in blocks[i + 1:] + buffers:
+                    assert not np.shares_memory(a, other)
+
+
 class TestSolveSubproblem:
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"tol": float("nan")}, "tol must be >= 0"),
+        ({"tol": -1.0}, "tol must be >= 0"),
+        ({"max_iter": 0}, "max_iter must be >= 1"),
+    ])
+    def test_rejects_bad_stop_settings(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            solve_subproblem(make_spec(6, 2, 3, seed=60), **kwargs)
+
     def test_kkt_tracks_stopping_tolerance_when_tight(self):
         """At tight stopping tolerances the returned point sits within
         ~sqrt(tol) of the minimizer and its KKT residual scales accordingly
