@@ -12,9 +12,9 @@ from .model import (FeasibilityReport, ModelParams, ProblemData, Variables,
                     preactivations, regularizer, relu)
 from .smoothing import (GradientBlocks, smooth_relu, smooth_relu_deriv,
                         smoothed_loss, smoothed_loss_grad, smoothed_objective)
-from .subproblem import (AdmmState, FactorizationCache, NumericError,
-                         SubproblemResult, SubproblemSpec, solve_subproblem,
-                         WbFactor, subproblem_objective)
+from .subproblem import (AdmmState, NumericError, SubproblemResult,
+                         SubproblemSpec, solve_subproblem, WbFactor,
+                         subproblem_objective)
 from .spg import (DivergenceError, SpgConfig, SpgResult, default_l0,
                   estimate_validated_l0, init_variables, run, spg_step,
                   stationarity_diagnostic)
@@ -28,7 +28,7 @@ from .rng import stream
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmmState", "DivergenceError", "FactorizationCache", "FeasibilityReport",
+    "AdmmState", "DivergenceError", "FeasibilityReport",
     "GradientBlocks", "MnistSpec", "ModelParams", "NetParams", "NumericError",
     "ProblemData", "RunTrace", "SgdConfig", "SgdMember", "SpgConfig", "SpgResult",
     "SubproblemResult", "SubproblemSpec", "SynthSpec", "TRACE_HEADER",

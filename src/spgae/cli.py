@@ -371,13 +371,18 @@ def cmd_qp_bench(args) -> int:
     from .qp_reference import MAX_REFERENCE_DIM, kkt_residual, reference_solve
     from .subproblem import subproblem_objective
 
-    sizes = []
-    if args.sizes:
+    sizes = list(BENCH_SIZES)
+    if args.sizes is not None:   # every entry is checked before the first solve
+        sizes = []
         for part in args.sizes.split(","):
-            n, n1, n0 = (int(x) for x in part.split(":"))
-            sizes.append((n, n1, n0))
-    else:
-        sizes = list(BENCH_SIZES)
+            try:
+                size = tuple(int(x) for x in part.split(":"))
+            except ValueError:
+                size = ()
+            if len(size) != 3 or min(size) < 1:
+                raise ValueError(f"--sizes entry {part!r} is not N:N1:N0 "
+                                 "with three positive integers")
+            sizes.append(size)
     rows = []
     print(f"{'N':>6} {'N1':>5} {'N0':>5} {'N2':>9} {'iters':>6} {'seconds':>9} "
           f"{'resid':>9} {'ref_gap':>9} {'kkt':>9}")

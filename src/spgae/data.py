@@ -49,8 +49,8 @@ class SynthSpec:
             raise ValueError("kind must be 1 or 2")
         if self.n_train < 1 or self.n_test < 0 or self.n_visible < 1:
             raise ValueError("sizes must be positive (n_test may be 0)")
-        if self.eps0 < 0:
-            raise ValueError("eps0 must be nonnegative")
+        if not (0 <= self.eps0 < math.inf):
+            raise ValueError("eps0 must be finite and nonnegative")
 
 
 def _type1_from_factors(theta_vec, sigma0, eps0, m, rng):

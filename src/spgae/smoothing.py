@@ -31,7 +31,7 @@ from .model import (Forward, ModelParams, ProblemData, Variables, preactivations
 
 def smooth_relu(y, mu: float):
     """Smoothed positive part, elementwise."""
-    if mu <= 0:
+    if not (mu > 0):
         raise ValueError("mu must be positive")
     y = np.asarray(y, dtype=np.float64)
     return np.where(y <= 0.0, 0.0,
@@ -40,7 +40,7 @@ def smooth_relu(y, mu: float):
 
 def smooth_relu_deriv(y, mu: float):
     """Derivative of the smoothed positive part: clamp(y/mu, 0, 1)."""
-    if mu <= 0:
+    if not (mu > 0):
         raise ValueError("mu must be positive")
     return np.clip(np.asarray(y, dtype=np.float64) / mu, 0.0, 1.0)
 
@@ -62,7 +62,7 @@ class GradientBlocks:
 def smoothed_loss(z: Variables, mu: float, data: ProblemData, params: ModelParams, *,
                   fw: Forward | None = None) -> float:
     """H~(z, mu) = F~ + P~ (everything except the regularizer)."""
-    if mu <= 0:
+    if not (mu > 0):
         raise ValueError("mu must be positive")
     n = data.n_samples
     Y, S = fw or preactivations(z, data)
@@ -90,7 +90,7 @@ def smoothed_loss_grad(z: Variables, mu: float, data: ProblemData,
         g_b2 = Q 1
         g_V = W Q + beta * 1 1^T
     """
-    if mu <= 0:
+    if not (mu > 0):
         raise ValueError("mu must be positive")
     n = data.n_samples
     Y, S = fw or preactivations(z, data)

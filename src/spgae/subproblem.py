@@ -13,7 +13,8 @@ exact closed-form updates:
   of ones under X and D = L I + 2 lambda2 I~^T I~ is diagonal.  M depends
   only on (L, lambda2, X), so P = X^^T M^{-1} is formed once per L (a
   WbFactor, which an outer run keeps until L changes), the constant
-  C = [-g_W + L W_bar, -g_b1 + L b1_bar] M^{-1} once per subproblem, and each
+  C = [-g_W + L W_bar, -g_b1 + L b1_bar] M^{-1} once per subproblem (by
+  WbFactor.step_terms, which AdmmState.from_anchor calls), and each
   sweep's minimizer is W^ = C + (rho + U) P.  With more samples than input
   dimensions (N > N0) M is inverted and each sweep forms W^ and
   S = W X + b1 1^T.  With N <= N0 the matrix inversion lemma solves against
@@ -34,15 +35,14 @@ names.  The returned V is snapped upward onto max(V, W X + b1 1^T, 0) so the
 iterate lies in Z exactly.
 
 The blocks write their (N1 x N) results and temporaries into buffers that
-are allocated once per solve, on the first sweep, after the factor is built
-(so they are never live during its peak); a sweep allocates nothing of that
-size.
+AdmmState.from_anchor allocates once per solve, after the factor and the
+subproblem's constants are formed (so they are never live during either
+peak); a sweep allocates nothing of that size.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,7 +70,7 @@ class SubproblemSpec:
     data: ProblemData
 
     def __post_init__(self):
-        if self.L <= 0:
+        if not (self.L > 0):
             raise ValueError("L must be positive")
 
 
@@ -126,166 +126,134 @@ class WbFactor:
         return cls(L=L, lambda2=lambda2, X=data.X, P=P, d=d, Xhat=Xhat,
                    G=P[:, :n0] @ data.X)
 
-    def fits(self, spec: SubproblemSpec) -> bool:
-        return (self.L == spec.L and self.lambda2 == spec.params.lambda2
-                and self.X is spec.data.X)
-
-
-@dataclass(frozen=True)
-class FactorizationCache:
-    """One subproblem's (W, b) constants: its L's factor plus the per-step terms.
-
-    ``build`` takes P (and, in sample space, G) from the WbFactor and forms
-    what the anchor and gradient set: C = R M^{-1} for
-    R = [-g_W + L W_bar, -g_b1 + L b1_bar], and the clamped b2, which no
-    sweep changes.  With N > N0 C is one matmul with the factor's M^{-1};
-    with N <= N0 it is C = R D^{-1} - (R D^{-1} X^) P, and CX = C_W X
-    (N1 x N) is kept too, C_W being C's first N0 columns.  Each sweep's
-    (W, b) minimizer is then W^ = C + (rho + U) P, with no solve; in sample
-    space a sweep forms S = CX + (rho + U) G + b1 1^T, N1 N^2 multiply-adds
-    instead of 2 N1 N (N0+1).
-    """
-
-    P: np.ndarray = field(repr=False)    # (N, N0+1), the factor's
-    C: np.ndarray = field(repr=False)    # (N1, N0+1)
-    b2: np.ndarray = field(repr=False)   # (N0,)
-    G: np.ndarray | None = field(default=None, repr=False)   # (N, N), sample space only
-    CX: np.ndarray | None = field(default=None, repr=False)  # (N1, N), sample space only
-
     @property
     def sample_space(self) -> bool:
         return self.G is not None
 
-    @classmethod
-    def build(cls, spec: SubproblemSpec,
-              factor: WbFactor | None = None) -> "FactorizationCache":
-        """``factor`` is the WbFactor of spec's (L, lambda2, X); None builds one."""
-        if factor is None:
-            factor = WbFactor.build(spec.data, spec.L, spec.params.lambda2)
-        elif not factor.fits(spec):
+    def step_terms(self, spec: SubproblemSpec):
+        """(C, CX, b2): what spec's anchor and gradient add to this factor.
+
+        C = R M^{-1} for R = [-g_W + L W_bar, -g_b1 + L b1_bar], and b2 is
+        the clamped b2, which no sweep changes.  With N > N0 C is one matmul
+        with M^{-1} and CX is None; with N <= N0 it is
+        C = R D^{-1} - (R D^{-1} X^) P, and CX = C_W X (N1 x N), C_W being
+        C's first N0 columns.  Each sweep's (W, b) minimizer is then
+        W^ = C + (rho + U) P, with no solve; in sample space a sweep forms
+        S = CX + (rho + U) G + b1 1^T, N1 N^2 multiply-adds instead of
+        2 N1 N (N0+1).
+        """
+        if not (self.L == spec.L and self.lambda2 == spec.params.lambda2
+                and self.X is spec.data.X):
             raise ValueError("factor was built for another L, lambda2 or X")
         a, g, L = spec.anchor, spec.grads, spec.L
         alpha = spec.params.alpha
         rhs = np.hstack([-g.g_W + L * a.W, (-g.g_b1 + L * a.b1)[:, None]])
         b2 = np.clip(a.b2 - g.g_b2 / L, -alpha, alpha)
-        if factor.Minv is not None:
-            return cls(P=factor.P, C=rhs @ factor.Minv, b2=b2)
-        RD = rhs / factor.d
-        C = RD - (RD @ factor.Xhat) @ factor.P
-        return cls(P=factor.P, C=C, b2=b2, G=factor.G,
-                   CX=C[:, :b2.size] @ spec.data.X)
-
-
-@dataclass
-class _Workspace:
-    """The sweep's (N1 x N) buffers; the three blocks write into them in place."""
-
-    S: np.ndarray   # W X + b1 1^T
-    T: np.ndarray   # rho + U
-    U: np.ndarray   # the U buffer not in use: U and this one swap every sweep
-    a: np.ndarray   # -xi2, then the multiplier step's d
-    b: np.ndarray   # the tied value, then U_new - U
+        if not self.sample_space:
+            return rhs @ self.Minv, None, b2
+        RD = rhs / self.d
+        C = RD - (RD @ self.Xhat) @ self.P
+        return C, C[:, :b2.size] @ spec.data.X, b2
 
 
 @dataclass
 class AdmmState:
-    """Primal blocks, auxiliary U, multipliers rho, and progress bookkeeping.
+    """One solve: its (W, b) constants, the iterate, and the sweep's buffers.
 
-    The blocks write into buffers allocated once per solve, on the first
-    sweep (so after the factorization): from then on ``S``, ``V`` and ``rho``
-    are the same arrays on every sweep, and ``U`` alternates between two.
-    After a (W, b) step, ``W`` is formed the first time it is read: in sample
-    space as C_W + (rho + U) P_W, in feature space as a copy of W^'s first
-    N0 columns.  ``b1`` may be a view into W^ until the solve returns.
+    ``from_anchor`` forms the constants from the factor of spec's L and then
+    allocates every (N1 x N) buffer, so a sweep allocates nothing of that
+    size: ``S``, ``T``, ``V``, ``rho`` and the two temporaries are the same
+    arrays on every sweep, and ``U`` swaps with ``U_spare``.  ``W`` is formed
+    when it is read; ``b1`` may be a view into W^ until the solve returns.
     """
 
+    factor: WbFactor
+    C: np.ndarray                 # (N1, N0+1), R M^{-1}
+    CX: np.ndarray | None         # (N1, N), C_W X, sample space only
     b1: np.ndarray
-    b2: np.ndarray
+    b2: np.ndarray                # clamped once: no sweep changes it
     V: np.ndarray
     U: np.ndarray
     rho: np.ndarray
-    iters: int = 0
+    S: np.ndarray                 # W X + b1 1^T for the current (W, b1)
+    T: np.ndarray                 # rho + U as of the last (W, b) step
+    U_spare: np.ndarray           # the U buffer not in use
+    neg_xi2: np.ndarray           # -xi2, then the multiplier step's d
+    tied: np.ndarray              # the tied value, then U_new - U
+    neg_xi1: np.ndarray           # -xi1, xi1 = g_V/L - V_bar + lambda1/L fixed per subproblem
+    L_xi1: np.ndarray             # L * xi1
+    What: np.ndarray | None = None   # the last W^, feature space only
+    iters: int = 0                # (W, b) steps taken
     delta_u_sq: float = np.inf
     delta_rho_sq: float = np.inf
     b1_clamp_hits: int = 0
-    S: np.ndarray | None = None   # cached W X + b1 1^T for the current (W, b1)
-    neg_xi1: np.ndarray | None = None  # -xi1, xi1 = g_V/L - V_bar + lambda1/L fixed per subproblem
-    L_xi1: np.ndarray | None = None    # L * xi1
-    _W: np.ndarray | None = field(default=None, init=False, repr=False)
-    _W_pending: Callable[[], np.ndarray] | None = field(default=None, init=False, repr=False)
-    _ws: _Workspace | None = field(default=None, init=False, repr=False)
 
     @property
     def W(self) -> np.ndarray:
-        if self._W is None:
-            self.W = self._W_pending()
-        return self._W
-
-    @W.setter
-    def W(self, value: np.ndarray) -> None:
-        self._W, self._W_pending = value, None
-
-    def workspace(self) -> _Workspace:
-        """The sweep's buffers, allocated on first use."""
-        if self._ws is None:
-            self._ws = _Workspace(*(np.empty_like(self.U) for _ in range(5)))
-        return self._ws
+        """The last (W, b) step's W, formed on each read: C_W + (rho + U) P_W
+        in sample space, a copy of W^'s first N0 columns in feature space."""
+        if not self.iters:
+            raise ValueError("W is formed by a (W, b) step and none has run")
+        n0 = self.b2.size
+        if self.factor.sample_space:
+            return self.C[:, :n0] + self.T @ self.factor.P[:, :n0]
+        return self.What[:, :n0].copy()
 
     @classmethod
-    def from_anchor(cls, spec: SubproblemSpec,
+    def from_anchor(cls, spec: SubproblemSpec, factor: WbFactor | None = None,
                     anchor_S: np.ndarray | None = None) -> "AdmmState":
-        """Start at the anchor.  ``anchor_S`` is its W X + b1 1^T when the caller
-        already holds it; the state only reads it, through a read-only view."""
+        """Start at the anchor.  ``factor`` is the WbFactor of spec's
+        (L, lambda2, X); None builds one.  ``anchor_S`` is the anchor's
+        W X + b1 1^T when the caller already holds it; it is copied, never
+        written to."""
+        if factor is None:
+            factor = WbFactor.build(spec.data, spec.L, spec.params.lambda2)
+        C, CX, b2 = factor.step_terms(spec)
         a, L = spec.anchor, spec.L
-        if anchor_S is None:
-            S = a.W @ spec.data.X + a.b1[:, None]
-        else:
-            S = anchor_S.view()
-            S.flags.writeable = False
         xi1 = spec.grads.g_V / L - a.V + spec.params.lambda1 / L
-        state = cls(b1=a.b1.copy(), b2=a.b2.copy(), V=a.V.copy(),
-                    U=S.copy(), rho=np.zeros_like(S), S=S,
-                    neg_xi1=-xi1, L_xi1=L * xi1)
-        state.W = a.W.copy()
-        return state
+        L_xi1 = L * xi1
+        neg_xi1 = np.negative(xi1, out=xi1)   # in place: no third array lives on
+        S = (a.W @ spec.data.X + a.b1[:, None] if anchor_S is None
+             else anchor_S.copy())
+        return cls(factor=factor, C=C, CX=CX, b1=a.b1.copy(), b2=b2,
+                   V=a.V.copy(), U=S.copy(), rho=np.zeros_like(S), S=S,
+                   T=np.empty_like(S), U_spare=np.empty_like(S),
+                   neg_xi2=np.empty_like(S), tied=np.empty_like(S),
+                   neg_xi1=neg_xi1, L_xi1=L_xi1)
 
 
-def update_wb(state: AdmmState, spec: SubproblemSpec, cache: FactorizationCache) -> AdmmState:
+def update_wb(state: AdmmState, spec: SubproblemSpec) -> AdmmState:
     """Exact (W, b) block minimizer, then clamp b into the box.
 
     W^ = (-[g_W, g_b1] + L [W_bar, b1_bar] + (rho + U) X^^T) M^{-1}
        = C + (rho + U) P;
-    b2 = clamp(b2_bar - g_b2 / L); b1 = clamp(last column of W^).
-    In sample space only the b1 column is formed and S comes from the cached
+    b2 = clamp(b2_bar - g_b2 / L), formed once; b1 = clamp(last column of W^).
+    In sample space only the b1 column is formed and S comes from the kept
     products; in feature space S is W^'s W block times X, read in place.
-    Either way W is left for the first read of ``state.W``, and b1 is
-    clamped only when some entry lies outside the box.
+    Either way W is formed only when ``state.W`` is read, and b1 is clamped
+    only when some entry lies outside the box.
     """
     alpha = spec.params.alpha
     n0 = spec.data.n_visible
-    ws = state.workspace()
-    T, S = ws.T, ws.S
+    f, T, S = state.factor, state.T, state.S
     np.add(state.rho, state.U, out=T)
-    if cache.sample_space:
-        b1 = cache.C[:, n0] + T @ cache.P[:, n0]
-        np.matmul(T, cache.G, out=S)
-        S += cache.CX
-        state._W_pending = lambda: cache.C[:, :n0] + T @ cache.P[:, :n0]
+    if f.sample_space:
+        b1 = state.C[:, n0] + T @ f.P[:, n0]
+        np.matmul(T, f.G, out=S)
+        S += state.CX
     else:
-        What = T @ cache.P
-        What += cache.C
-        W, b1 = What[:, :n0], What[:, n0]
-        np.matmul(W, spec.data.X, out=S)   # BLAS reads the strided view as is
-        state._W_pending = W.copy
-    state._W = None
+        What = T @ f.P
+        What += state.C
+        b1 = What[:, n0]
+        np.matmul(What[:, :n0], spec.data.X, out=S)   # BLAS reads the strided view as is
+        state.What = What
     hits = int(np.count_nonzero(np.abs(b1) > alpha))
     if hits:
         b1 = np.minimum(np.maximum(b1, -alpha), alpha)
         state.b1_clamp_hits += hits
     state.b1 = b1
-    state.b2 = cache.b2
     S += b1[:, None]
-    state.S = S
+    state.iters += 1
     return state
 
 
@@ -303,8 +271,7 @@ def update_vu(state: AdmmState, spec: SubproblemSpec) -> AdmmState:
     U = min(-xi2, V).  That is evaluated in place on -xi2 = S - rho, with
     t = (L xi1 - (-xi2)) / -(L + 1); each rewrite is exact in IEEE arithmetic.
     """
-    ws = state.workspace()
-    neg_xi2, tied, U = ws.a, ws.b, ws.U
+    neg_xi2, tied, U = state.neg_xi2, state.tied, state.U_spare
     np.subtract(state.S, state.rho, out=neg_xi2)
     np.subtract(state.L_xi1, neg_xi2, out=tied)
     tied /= -(spec.L + 1.0)
@@ -313,13 +280,13 @@ def update_vu(state: AdmmState, spec: SubproblemSpec) -> AdmmState:
     np.minimum(neg_xi2, state.V, out=U)
     d = np.subtract(U, state.U, out=tied).ravel()
     state.delta_u_sq = float(np.dot(d, d))
-    state.U, ws.U = U, state.U
+    state.U, state.U_spare = U, state.U
     return state
 
 
 def update_multipliers(state: AdmmState) -> AdmmState:
     """rho += U - (W X + b1 1^T) with the current blocks."""
-    d = np.subtract(state.U, state.S, out=state.workspace().a)
+    d = np.subtract(state.U, state.S, out=state.neg_xi2)
     state.rho += d
     d = d.ravel()
     state.delta_rho_sq = float(np.dot(d, d))
@@ -342,7 +309,7 @@ def solve_subproblem(spec: SubproblemSpec, tol: float = 1e-6,
     """Run the splitting iteration to tolerance and return a point in Z.
 
     ``anchor_S`` is the anchor's W X + b1 1^T if the caller has it; it is
-    never written to.  ``factor`` is the WbFactor of spec's L if the caller
+    copied, never written to.  ``factor`` is the WbFactor of spec's L if the caller
     keeps one; without it the solve builds its own.  A NaN or negative
     ``tol`` and a ``max_iter`` below 1 are errors.
     """
@@ -354,14 +321,12 @@ def solve_subproblem(spec: SubproblemSpec, tol: float = 1e-6,
     for block in (g.g_W, g.g_b1, g.g_b2, g.g_V):
         if not np.all(np.isfinite(block)):
             raise NumericError("non-finite gradient block passed to solver")
-    cache = FactorizationCache.build(spec, factor)
-    state = AdmmState.from_anchor(spec, anchor_S)
+    state = AdmmState.from_anchor(spec, factor, anchor_S)
     converged = False
     for it in range(1, max_iter + 1):
-        update_wb(state, spec, cache)
+        update_wb(state, spec)
         update_vu(state, spec)
         update_multipliers(state)
-        state.iters = it
         worst = max(state.delta_rho_sq, state.delta_u_sq)
         if not math.isfinite(worst):
             raise NumericError(

@@ -22,7 +22,7 @@ from spgae.qp_reference import kkt_residual, reference_solve
 from spgae.sgd import SgdConfig, sgd_run, spg_ada
 from spgae.smoothing import smoothed_loss, smoothed_loss_grad, smoothed_objective
 from spgae.spg import SpgConfig, estimate_validated_l0, run as spg_run
-from spgae.subproblem import FactorizationCache, solve_subproblem, subproblem_objective
+from spgae.subproblem import WbFactor, solve_subproblem, subproblem_objective
 
 from conftest import (random_feasible, random_problem, write_idx_images,
                       write_idx_labels)
@@ -117,7 +117,7 @@ def test_03_inner_solver_agrees_with_reference_qp():
         L = float(rng.uniform(0.5, 4.0))
         rng.uniform(1e-4, 1e-2)  # once a smoothing level; drawn to keep the instances
         spec = make_spec(n, n0, n1, seed=5000 + i, L=L)
-        sample_space += FactorizationCache.build(spec).sample_space
+        sample_space += WbFactor.build(spec.data, L, spec.params.lambda2).sample_space
         got = solve_subproblem(spec, tol=1e-14, max_iter=200000)
         ref = reference_solve(spec)
         gap = abs(subproblem_objective(spec, got.z)

@@ -61,6 +61,14 @@ class TestGenerateData:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps0", ["nan", "inf"])
+    def test_nonfinite_eps0_is_an_error(self, tmp_path, capsys, eps0):
+        rc = run_cli(["generate-data", "--preset", 6, "--eps0", eps0,
+                      "--out", tmp_path / "x"])
+        assert rc == 1
+        assert "error: eps0 must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("shape,n1_flag,n1", [
         (["--n", 20, "--n0", 3, "--ntest", 5], ["--n1", 2], 2),
         (["--preset", 4, "--ntest", 5], ["--n1", 7], 10),   # the preset's N1 wins
@@ -378,6 +386,23 @@ class TestQpBench:
                       "--out", tmp_path / "bench.csv"])
         assert rc == 1
         assert "error: tol must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "bench.csv").exists()
+
+    @pytest.mark.parametrize("sizes,entry", [
+        ("20:5:5,0:5:5", "'0:5:5'"),   # the valid first row is not solved either
+        ("", "''"),
+        ("20:5", "'20:5'"),
+        ("20:5:5:1", "'20:5:5:1'"),
+        ("20:x:5", "'20:x:5'"),
+        ("20:5:-1", "'20:5:-1'"),
+        ("20:5:5,", "''"),
+    ])
+    def test_bad_sizes_are_an_error(self, tmp_path, capsys, sizes, entry):
+        rc = run_cli(["qp-bench", "--sizes", sizes, "--out", tmp_path / "bench.csv"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: --sizes entry {entry} is not N:N1:N0" in err
         assert not (tmp_path / "bench.csv").exists()
 
     def test_oversize_instances_are_skipped(self, capsys):

@@ -43,8 +43,9 @@ class TestSpecValidation:
             SynthSpec(kind=1, n_train=5, n_test=-1, n_visible=2, eps0=0.1)
 
     def test_bad_noise(self):
-        with pytest.raises(ValueError):
-            SynthSpec(kind=2, n_train=5, n_test=0, n_visible=2, eps0=-0.5)
+        for eps0 in (-0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="eps0 must be finite and nonnegative"):
+                SynthSpec(kind=2, n_train=5, n_test=0, n_visible=2, eps0=eps0)
 
 
 class TestTypeOne:

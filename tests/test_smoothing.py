@@ -26,8 +26,9 @@ class TestKernel:
         assert smooth_relu_deriv(np.array(10.0), 0.1) == 1.0
 
     def test_mu_must_be_positive(self):
-        with pytest.raises(ValueError):
-            smooth_relu(np.array(1.0), 0.0)
+        for mu in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="mu must be positive"):
+                smooth_relu(np.array(1.0), mu)
 
     def test_kernel_below_relu_and_gap(self):
         rng = np.random.default_rng(0)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from spgae.model import ModelParams, ProblemData, Variables, feasibility
 from spgae.smoothing import GradientBlocks
-from spgae.subproblem import (AdmmState, FactorizationCache, NumericError,
+from spgae.subproblem import (AdmmState, NumericError,
                               SubproblemSpec, WbFactor, solve_subproblem,
                               subproblem_objective, update_multipliers,
                               update_vu, update_wb)
@@ -139,9 +139,8 @@ class TestWbUpdate:
         spec = SubproblemSpec(anchor=anchor,
                               grads=canceling_grads(anchor, params, data),
                               L=2.0, params=params, data=data)
-        cache = FactorizationCache.build(spec)
         state = AdmmState.from_anchor(spec)
-        state = update_wb(state, spec, cache)
+        state = update_wb(state, spec)
         # g_W = 0 at W = 0, U = S(anchor) = 0, rho = 0: solves to anchor
         assert np.allclose(state.W, 0.0, atol=1e-12)
         assert np.allclose(state.b1, 0.0, atol=1e-12)
@@ -149,12 +148,11 @@ class TestWbUpdate:
 
     @staticmethod
     def check_matches_dense_solve(spec):
-        cache = FactorizationCache.build(spec)
         state = AdmmState.from_anchor(spec)
         rng = np.random.default_rng(4)
         state.U = rng.standard_normal(state.U.shape)
         state.rho = rng.standard_normal(state.rho.shape)
-        got = update_wb(state, spec, cache)
+        got = update_wb(state, spec)
         # dense normal-equations oracle
         n0 = spec.data.n_visible
         Minv, rhs, Xhat = dense_wb_oracle(spec)
@@ -166,28 +164,27 @@ class TestWbUpdate:
         b2 = np.clip(spec.anchor.b2 - spec.grads.g_b2 / spec.L,
                      -spec.params.alpha, spec.params.alpha)
         assert np.allclose(got.b2, b2, atol=1e-12)
-        return cache
+        return state.factor
 
     @staticmethod
     def check_cached_constant_across_sweeps(spec):
         n0 = spec.data.n_visible
         Minv, const, Xhat = dense_wb_oracle(spec)
-        cache = FactorizationCache.build(spec)
         state = AdmmState.from_anchor(spec)
         rng = np.random.default_rng(5)
         for _ in range(2):
             # fresh (U, rho) between calls: a stale or misplaced C shows here
             state.U = rng.standard_normal(state.U.shape)
             state.rho = rng.standard_normal(state.rho.shape)
-            state = update_wb(state, spec, cache)
-            assert np.allclose(cache.C, const @ Minv, atol=1e-10)
+            state = update_wb(state, spec)
+            assert np.allclose(state.C, const @ Minv, atol=1e-10)
             Whb = (const + (state.rho + state.U) @ Xhat.T) @ Minv
             b1 = np.clip(Whb[:, n0], -spec.params.alpha, spec.params.alpha)
             assert np.allclose(state.b1, b1, atol=1e-10)
             assert np.allclose(state.S, Whb[:, :n0] @ spec.data.X + b1[:, None],
                                atol=1e-10)
             assert np.allclose(state.W, Whb[:, :n0], atol=1e-10)
-        return cache
+        return state.factor
 
     @staticmethod
     def ill_conditioned(spec):
@@ -199,12 +196,12 @@ class TestWbUpdate:
     @staticmethod
     def check_factor_matches_linalg_solve(spec):
         """P = X^^T M^{-1} and C = R M^{-1}, to 1e-10 relative to a dense solve."""
-        cache = FactorizationCache.build(spec)
+        state = AdmmState.from_anchor(spec)
         M, rhs, Xhat = dense_wb_system(spec)
-        for got, want in ((cache.P, np.linalg.solve(M, Xhat).T),
-                          (cache.C, np.linalg.solve(M, rhs.T).T)):
+        for got, want in ((state.factor.P, np.linalg.solve(M, Xhat).T),
+                          (state.C, np.linalg.solve(M, rhs.T).T)):
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
-        return cache
+        return state.factor
 
     def test_matches_dense_solve(self, tiny_problem):
         data, params = tiny_problem
@@ -238,7 +235,7 @@ class TestWbUpdate:
     def test_form_follows_shape(self):
         for n, n0, wide in ((6, 3, False), (4, 3, False), (3, 3, True), (2, 7, True)):
             spec = make_spec(n, n0, 2, seed=27)
-            assert FactorizationCache.build(spec).sample_space is wide
+            assert AdmmState.from_anchor(spec).factor.sample_space is wide
 
     def test_b2_clamp_exact(self):
         data, params = random_problem(4, 2, 2, seed=30)
@@ -249,8 +246,7 @@ class TestWbUpdate:
                                g_V=np.zeros((2, 4)))
         spec = SubproblemSpec(anchor=anchor, grads=grads, L=1.0,
                               params=params, data=data)
-        cache = FactorizationCache.build(spec)
-        state = update_wb(AdmmState.from_anchor(spec), spec, cache)
+        state = update_wb(AdmmState.from_anchor(spec), spec)
         assert state.b2[0] == -params.alpha
         assert state.b2[1] == params.alpha
 
@@ -273,7 +269,7 @@ class TestMultipliers:
         assert np.allclose(state.rho, 0.25)
 
 
-def reference_sweeps(spec, cache, sweeps):
+def reference_sweeps(spec, state, sweeps):
     """The sweep in its allocating form, one fresh array per expression:
     (S, U, V, rho, delta_rho_sq, delta_u_sq) after each sweep."""
     a, L, alpha = spec.anchor, spec.L, spec.params.alpha
@@ -283,12 +279,12 @@ def reference_sweeps(spec, cache, sweeps):
     rho = np.zeros_like(U)
     out = []
     for _ in range(sweeps):
-        if cache.sample_space:
+        if state.factor.sample_space:
             T = rho + U
-            b1_cand = cache.C[:, n0] + T @ cache.P[:, n0]
-            WX = cache.CX + T @ cache.G
+            b1_cand = state.C[:, n0] + T @ state.factor.P[:, n0]
+            WX = state.CX + T @ state.factor.G
         else:
-            What = cache.C + (rho + U) @ cache.P
+            What = state.C + (rho + U) @ state.factor.P
             b1_cand = What[:, n0]
             WX = np.ascontiguousarray(What[:, :n0]) @ spec.data.X
         S = WX + np.clip(b1_cand, -alpha, alpha)[:, None]
@@ -309,11 +305,10 @@ class TestWorkspace:
     def test_buffers_are_reused_across_sweeps(self):
         for n, n0, n1, seed in self.SHAPES:
             spec = make_spec(n, n0, n1, seed=seed, L=1.3)
-            cache = FactorizationCache.build(spec)
             state = AdmmState.from_anchor(spec)
             seen = []
             for _ in range(6):
-                update_wb(state, spec, cache)
+                update_wb(state, spec)
                 update_vu(state, spec)
                 update_multipliers(state)
                 seen.append((state.S, state.rho, state.V, state.U))
@@ -326,11 +321,10 @@ class TestWorkspace:
     def test_sweeps_match_allocating_reference_bit_for_bit(self):
         for n, n0, n1, seed in self.SHAPES:
             spec = make_spec(n, n0, n1, seed=seed, L=0.8)
-            cache = FactorizationCache.build(spec)
-            assert cache.sample_space is (n <= n0)
             state = AdmmState.from_anchor(spec)
-            for ref in reference_sweeps(spec, cache, 20):
-                update_wb(state, spec, cache)
+            assert state.factor.sample_space is (n <= n0)
+            for ref in reference_sweeps(spec, state, 20):
+                update_wb(state, spec)
                 update_vu(state, spec)
                 update_multipliers(state)
                 S, U, V, rho, drho, du = ref
@@ -358,16 +352,17 @@ class TestB1Clamp:
             alpha = spec.params.alpha
             seen = {"hits": 0}
 
-            def counting_wb(state, spec, cache):
+            def counting_wb(state, spec):
                 # the candidate b1 = last column of W^ = C + (rho + U) P
                 T = state.rho + state.U
-                if cache.sample_space:
-                    cand = cache.C[:, n0] + T @ cache.P[:, n0]
+                P = state.factor.P
+                if state.factor.sample_space:
+                    cand = state.C[:, n0] + T @ P[:, n0]
                 else:
-                    cand = (T @ cache.P + cache.C)[:, n0]
+                    cand = (T @ P + state.C)[:, n0]
                 seen["hits"] += int(np.count_nonzero(np.abs(cand) > alpha))
                 seen["cand"], seen["state"] = cand, state
-                return wb(state, spec, cache)
+                return wb(state, spec)
 
             monkeypatch.setattr(sp, "update_wb", counting_wb)
             res = solve_subproblem(spec)
@@ -380,9 +375,8 @@ class TestB1Clamp:
             assert np.array_equal(res.z.b1[~out], cand[~out])
 
             state = seen["state"]
-            ws = state.workspace()
-            buffers = (ws.S, ws.T, ws.U, ws.a, ws.b, state.S, state.U, state.V,
-                       state.rho)
+            buffers = (state.S, state.T, state.U, state.U_spare, state.neg_xi2,
+                       state.tied, state.V, state.rho)
             blocks = (res.z.W, res.z.b1, res.z.b2, res.z.V)
             for i, a in enumerate(blocks):
                 assert a.flags.c_contiguous and a.flags.owndata
@@ -399,6 +393,22 @@ class TestSolveSubproblem:
     def test_rejects_bad_stop_settings(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             solve_subproblem(make_spec(6, 2, 3, seed=60), **kwargs)
+
+    @pytest.mark.parametrize("L", [0.0, -1.0, float("nan")])
+    def test_L_must_be_positive(self, L):
+        spec = make_spec(6, 2, 3, seed=60)
+        with pytest.raises(ValueError, match="L must be positive"):
+            replace(spec, L=L)
+
+    def test_W_is_formed_by_a_wb_step(self):
+        for n, n0 in ((6, 3), (3, 6)):   # both forms
+            spec = make_spec(n, n0, 2, seed=76)
+            state = AdmmState.from_anchor(spec)
+            with pytest.raises(ValueError, match="none has run"):
+                state.W
+            update_wb(state, spec)
+            assert state.iters == 1
+            assert state.W.shape == spec.anchor.W.shape
 
     def test_kkt_tracks_stopping_tolerance_when_tight(self):
         """At tight stopping tolerances the returned point sits within
