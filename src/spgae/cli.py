@@ -302,6 +302,8 @@ def cmd_train(args) -> int:
     seeds = [int(s) for s in str(cfg["seeds"]).replace(",", " ").split()]
     if not seeds:
         raise ValueError("no seeds given")
+    if not (min(seeds) >= 0):
+        raise ValueError(f"--seeds must be >= 0, got {min(seeds)}")
     if len(set(seeds)) < len(seeds):
         raise ValueError(f"duplicate seeds in {cfg['seeds']!r}")
     if cfg["workers"] < 1:
@@ -514,6 +516,8 @@ def main(argv=None) -> int:
             raise SystemExit("use either --seed or --seeds, not both")
         args.seeds = str(args.seed)
     try:
+        if getattr(args, "seed", None) is not None and not (args.seed >= 0):
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

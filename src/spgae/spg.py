@@ -147,8 +147,9 @@ def spg_step(z: Variables, mu: float, L: float, data: ProblemData,
         before = smoothed_objective(z, mu, data, params, fw=fw)
     grads = smoothed_loss_grad(z, mu, data, params, fw=fw)
     spec = SubproblemSpec(anchor=z, grads=grads, L=L, params=params, data=data)
+    # plain sweeps: the accelerated sweep is not yet judged on the outer loop
     sub = solve_subproblem(spec, tol=config.sub_tol, max_iter=config.sub_max_iter,
-                           anchor_S=fw.S, factor=factor)
+                           anderson=0, anchor_S=fw.S, factor=factor)
     fw_next = preactivations(sub.z, data)
     after = smoothed_objective(sub.z, mu, data, params, fw=fw_next)
     decrease = after - before

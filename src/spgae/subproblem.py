@@ -34,6 +34,12 @@ multipliers so every update consumes exactly the quantities its closed form
 names.  The returned V is snapped upward onto max(V, W X + b1 1^T, 0) so the
 iterate lies in Z exactly.
 
+One sweep is the map G: (rho, U) -> (rho+, U+), and (d rho, d U) is its
+residual G(x) - x.  With ``anderson=m > 0`` a sweep that did not stop moves
+(rho, U) on from G(x) by type-II Anderson acceleration over its last m
+residuals (AndersonHistory).  The stop test is unchanged: it bounds the
+plain map's residual at the point the sweep started from.
+
 The blocks write their (N1 x N) results and temporaries into buffers that
 AdmmState.from_anchor allocates once per solve, after the factor and the
 subproblem's constants are formed (so they are never live during either
@@ -293,6 +299,89 @@ def update_multipliers(state: AdmmState) -> AdmmState:
     return state
 
 
+@dataclass
+class AndersonHistory:
+    """Type-II Anderson acceleration of the sweep's (rho, U) fixed point.
+
+    A sweep maps x = (rho, U) to G(x) = (rho+, U+) and leaves the residual
+    f = G(x) - x = (d rho, d U) in ``state.neg_xi2`` and ``state.tied``.
+    The last m differences of G(x) and of f between consecutive sweeps sit
+    in rings of m rows, allocated once per solve, and the Gram matrix of the
+    f differences gains one row of dots per sweep.  ``extrapolate`` then
+    moves the iterate from G(x) to G(x) - dG gamma, gamma the least-squares
+    fit of f by dF with Tikhonov weight 1e-10 tr(Gram) (Walker & Ni 2011).
+
+    Safeguard: when ||f||^2 more than quadruples from one sweep to the next,
+    the history is dropped, and if the sweep started from an extrapolated
+    point, that point is rejected: (rho, U) go back to the G(x) it was
+    extrapolated from, so a bad step costs one sweep (after Zhang,
+    O'Donoghue & Boyd 2020).  A singular fit skips the step.  The rings
+    hold 4 m N1 N floats.
+    """
+
+    dG: np.ndarray          # (m, 2 N1 N): differences of G(x), one per row
+    dF: np.ndarray          # (m, 2 N1 N): differences of f
+    gram: np.ndarray        # (m, m): dF's Gram matrix, ring order
+    pair: np.ndarray        # (2, 2, N1, N): newest f difference (later dG gamma), last f
+    g_prev: np.ndarray      # (2, N1, N): the last sweep's G(x)
+    held: int = 0           # ring rows in use
+    slot: int = 0           # the ring row the next difference goes to
+    fsq_prev: float | None = None   # ||f||^2 of the last sweep
+    stepped: bool = False   # the last call moved (rho, U) off G(x)
+
+    @classmethod
+    def allocate(cls, m: int, shape) -> "AndersonHistory":
+        size = 2 * shape[0] * shape[1]
+        return cls(dG=np.empty((m, size)), dF=np.empty((m, size)),
+                   gram=np.zeros((m, m)), pair=np.empty((2, 2) + shape),
+                   g_prev=np.empty((2,) + shape))
+
+    def extrapolate(self, state: AdmmState, fsq: float) -> None:
+        """Record the sweep just taken, whose ||f||^2 is ``fsq``, and move
+        state's (rho, U) on from G(x), or back to the last G(x) if the
+        safeguard rejects the point this sweep started from."""
+        m = self.gram.shape[0]
+        new, f = self.pair
+        j = self.slot
+        if self.fsq_prev is None or fsq > 4.0 * self.fsq_prev:
+            self.held = self.slot = 0     # the first sweep, or the residual jumped
+            if self.stepped:              # reject the extrapolated point
+                state.rho[...] = self.g_prev[0]
+                state.U[...] = self.g_prev[1]
+                self.fsq_prev, self.stepped = None, False
+                return
+        else:
+            np.subtract(state.neg_xi2, f[0], out=new[0])
+            np.subtract(state.tied, f[1], out=new[1])
+            self.dF[j] = new.reshape(-1)
+            dG = self.dG[j].reshape(self.g_prev.shape)
+            np.subtract(state.rho, self.g_prev[0], out=dG[0])
+            np.subtract(state.U, self.g_prev[1], out=dG[1])
+            self.held = min(self.held + 1, m)
+            self.slot = (j + 1) % m
+        self.fsq_prev = fsq
+        f[0], f[1] = state.neg_xi2, state.tied
+        self.g_prev[0] = state.rho
+        self.g_prev[1] = state.U
+        self.stepped = False
+        k = self.held
+        if not k:
+            return
+        # one pass over the ring: dF . new is the Gram row, dF . f the fit's rhs
+        dots = self.dF[:k] @ self.pair.reshape(2, -1).T
+        self.gram[j, :k] = self.gram[:k, j] = dots[:, 0]
+        gram = self.gram[:k, :k]
+        try:
+            gamma = np.linalg.solve(gram + 1e-10 * np.trace(gram) * np.eye(k),
+                                    dots[:, 1])
+        except np.linalg.LinAlgError:
+            return
+        np.dot(gamma, self.dG[:k], out=new.reshape(-1))
+        state.rho -= new[0]
+        state.U -= new[1]
+        self.stepped = True
+
+
 @dataclass(frozen=True)
 class SubproblemResult:
     z: Variables
@@ -303,25 +392,32 @@ class SubproblemResult:
 
 
 def solve_subproblem(spec: SubproblemSpec, tol: float = 1e-6,
-                     max_iter: int = 10000, *,
+                     max_iter: int = 10000, *, anderson: int = 15,
                      anchor_S: np.ndarray | None = None,
                      factor: WbFactor | None = None) -> SubproblemResult:
     """Run the splitting iteration to tolerance and return a point in Z.
 
+    ``anderson`` is the memory m of the sweep's Anderson acceleration; 0
+    runs the plain sweep, the same loop with the extrapolation skipped.
     ``anchor_S`` is the anchor's W X + b1 1^T if the caller has it; it is
     copied, never written to.  ``factor`` is the WbFactor of spec's L if the caller
     keeps one; without it the solve builds its own.  A NaN or negative
-    ``tol`` and a ``max_iter`` below 1 are errors.
+    ``tol``, a ``max_iter`` below 1 and an ``anderson`` that is not an
+    integer >= 0 are errors.
     """
     if not (tol >= 0.0):
         raise ValueError("tol must be >= 0")
     if not (max_iter >= 1):
         raise ValueError("max_iter must be >= 1")
+    if not (isinstance(anderson, (int, np.integer)) and not isinstance(anderson, bool)
+            and anderson >= 0):
+        raise ValueError("anderson must be an integer >= 0")
     g = spec.grads
     for block in (g.g_W, g.g_b1, g.g_b2, g.g_V):
         if not np.all(np.isfinite(block)):
             raise NumericError("non-finite gradient block passed to solver")
     state = AdmmState.from_anchor(spec, factor, anchor_S)
+    history = AndersonHistory.allocate(anderson, state.S.shape) if anderson else None
     converged = False
     for it in range(1, max_iter + 1):
         update_wb(state, spec)
@@ -335,6 +431,8 @@ def solve_subproblem(spec: SubproblemSpec, tol: float = 1e-6,
         if worst <= tol:
             converged = True
             break
+        if history is not None:
+            history.extrapolate(state, state.delta_rho_sq + state.delta_u_sq)
     # Snap the codes so the returned point satisfies Omega2 exactly even
     # though U only matches W X + b1 in the limit.
     V = np.maximum(np.maximum(state.V, state.S), 0.0)

@@ -1,13 +1,16 @@
-"""Formulas and a file reader that only the tests use.
+"""Formulas, a file reader and a solver loop that only the tests use.
 
 The library applies the constraint system, the bias box and the (V, U)
 closed form only implicitly or in place, and never reads back the CSV
-matrices it writes; these spell each one out for the tests.
+matrices it writes; these spell each one out for the tests.  ``plain_solve``
+drives the three sweep blocks by hand, without acceleration.
 """
 
 import numpy as np
 
 from spgae.model import ModelParams, ProblemData, Variables, preactivations
+from spgae.subproblem import (AdmmState, SubproblemResult, update_multipliers,
+                              update_vu, update_wb)
 
 
 def constraint_count(data: ProblemData) -> int:
@@ -66,3 +69,21 @@ def vu_closed_form(xi1, xi2, L):
     V = np.maximum(np.maximum(-xi1, tied), 0.0)
     U = np.minimum(-xi2, V)
     return V, U
+
+
+def plain_solve(spec, tol=1e-6, max_iter=10000, *, anchor_S=None, factor=None):
+    """The unaccelerated splitting solve, its three blocks called by hand:
+    sweep until max(||d rho||^2, ||d U||^2) <= tol, then snap V onto
+    max(V, W X + b1 1^T, 0)."""
+    state = AdmmState.from_anchor(spec, factor, anchor_S)
+    converged = False
+    while not converged and state.iters < max_iter:
+        update_wb(state, spec)
+        update_vu(state, spec)
+        update_multipliers(state)
+        converged = max(state.delta_rho_sq, state.delta_u_sq) <= tol
+    V = np.maximum(np.maximum(state.V, state.S), 0.0)
+    z = Variables(W=state.W, b1=state.b1.copy(), b2=state.b2, V=V)
+    return SubproblemResult(z=z, iters=state.iters,
+                            deltas=(state.delta_rho_sq, state.delta_u_sq),
+                            b1_clamp_hits=state.b1_clamp_hits, converged=converged)

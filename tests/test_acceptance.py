@@ -135,9 +135,11 @@ def test_03_inner_solver_agrees_with_reference_qp():
 
 
 def test_04_inner_solver_scaling_envelopes():
-    # "default stopping" is tolerance-or-iteration-cap; on the large instance
-    # the cap arm fires (the result carries converged=False as its warning
-    # flag), and only the generous time envelopes are binding here.
+    # "default stopping" is tolerance-or-iteration-cap.  With the default
+    # accelerated sweep the large instance stops on the tolerance arm (about
+    # 500 sweeps; the plain sweep runs into the 10,000-sweep cap), and the
+    # verdict line prints its converged flag.  Only the generous time
+    # envelopes and the small instance's convergence are binding here.
     spec_small = bench_instance(100, 5, 5, seed=0)
     t0 = time.perf_counter()
     res_small = solve_subproblem(spec_small)

@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 import spgae
-from spgae.cli import (_build_problem, _coerce, aggregate_traces, build_parser,
-                       main, resolve_train_config)
+from spgae.cli import (_build_problem, _coerce, aggregate_traces, bench_instance,
+                       build_parser, main, resolve_train_config)
 from spgae.data import SynthSpec, generate
 from spgae.serialize import load_kv, load_matrix, load_variables
+from spgae.subproblem import solve_subproblem
 from spgae.trace import RunTrace, TraceRow, TraceWriter
 
-from helpers import load_matrix_csv
+from helpers import load_matrix_csv, plain_solve
 
 
 # the default step-control constants intentionally trade the descent
@@ -67,6 +68,14 @@ class TestGenerateData:
                       "--out", tmp_path / "x"])
         assert rc == 1
         assert "error: eps0 must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_negative_seed_is_an_error(self, tmp_path, capsys):
+        rc = run_cli(["generate-data", "--preset", 1, "--seed", -1,
+                      "--out", tmp_path / "x"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "error: --seed must be >= 0, got -1" in err
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("shape,n1_flag,n1", [
@@ -225,6 +234,20 @@ class TestTrain:
                       flag, value, "--out", tmp_path / "run"])
         assert rc == 1
         assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("args,message", [
+        (["--method", "spg", "--preset", 1, "--seed", -1], "--seed must be >= 0, got -1"),
+        (["--method", "spg", "--preset", 1, "--seeds", "1,-2"],
+         "--seeds must be >= 0, got -2"),
+        (["--method", "adadelta", "--preset", 1, "--seeds", "-3 2"],
+         "--seeds must be >= 0, got -3"),
+    ])
+    def test_negative_seed_is_an_error(self, tmp_path, capsys, args, message):
+        rc = run_cli(["train", *args, "--out", tmp_path / "run"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: {message}" in err
         assert not (tmp_path / "run").exists()
 
     def test_missing_mnist_images_writes_nothing(self, tmp_path, capsys):
@@ -404,6 +427,22 @@ class TestQpBench:
         assert out == ""
         assert f"error: --sizes entry {entry} is not N:N1:N0" in err
         assert not (tmp_path / "bench.csv").exists()
+
+    def test_negative_seed_prints_nothing(self, tmp_path, capsys):
+        rc = run_cli(["qp-bench", "--sizes", "20:3:2", "--seed", -1,
+                      "--out", tmp_path / "bench.csv"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "error: --seed must be >= 0, got -1" in err
+        assert not (tmp_path / "bench.csv").exists()
+
+    def test_solves_at_the_solver_default(self, tmp_path):
+        """qp-bench runs solve_subproblem's default, accelerated sweep."""
+        out = tmp_path / "bench.csv"
+        assert run_cli(["qp-bench", "--sizes", "40:6:4", "--seed", 3, "--out", out]) == 0
+        iters = int(out.read_text().splitlines()[1].split(",")[4])
+        spec = bench_instance(40, 6, 4, seed=3)
+        assert iters == solve_subproblem(spec).iters < plain_solve(spec).iters
 
     def test_oversize_instances_are_skipped(self, capsys):
         rc = run_cli(["qp-bench", "--sizes", "1000:100:10", "--max-n2", "1000"])

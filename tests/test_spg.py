@@ -10,6 +10,7 @@ import pytest
 
 import spgae.model
 import spgae.spg
+from spgae.data import SynthSpec, generate, preset
 from spgae.model import (ModelParams, ProblemData, Variables, feasibility,
                          objective, penalty)
 from spgae.smoothing import smoothed_objective
@@ -19,7 +20,7 @@ from spgae.spg import (DivergenceError, SpgConfig, default_l0,
                        init_variables, run, spg_step, stationarity_diagnostic)
 
 from conftest import random_problem
-from helpers import smoothing_gap_bound
+from helpers import plain_solve, smoothing_gap_bound
 
 
 class TestConfig:
@@ -173,6 +174,30 @@ class TestRun:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             return SpgConfig(**kw)
+
+    def test_outer_steps_run_plain_sweeps(self, monkeypatch):
+        """spg.run solves every step with the plain sweep: a preset-6
+        run is byte for byte the run whose solves are the hand-driven,
+        unaccelerated loop."""
+        n, n1, n0 = preset(6)
+        X, _ = generate(SynthSpec(kind=2, n_train=n, n_test=0, n_visible=n0,
+                                  eps0=0.05, seed=0))
+        data = ProblemData.from_matrix(X, n1)
+        params = ModelParams.from_data(data)
+        cfg = self.config(max_outer_iters=60)
+        ref = run(data, params, cfg, seed=0)
+        seen = []
+
+        def hand_driven(spec, tol, max_iter, *, anderson, anchor_S, factor):
+            seen.append(anderson)
+            return plain_solve(spec, tol, max_iter, anchor_S=anchor_S, factor=factor)
+
+        monkeypatch.setattr(spgae.spg, "solve_subproblem", hand_driven)
+        got = run(data, params, cfg, seed=0)
+        assert set(seen) == {0} and len(seen) == got.iterations == 60
+        assert got.z.pack().tobytes() == ref.z.pack().tobytes()
+        assert ([(r.mu, r.L, r.smoothed, r.fval, r.sub_iters) for r in got.trace.rows]
+                == [(r.mu, r.L, r.smoothed, r.fval, r.sub_iters) for r in ref.trace.rows])
 
     def test_tiny_run_terminates_at_mu_eps(self, tiny_problem):
         data, params = tiny_problem

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from spgae.model import ModelParams, ProblemData, Variables, feasibility
 from spgae.smoothing import GradientBlocks
-from spgae.subproblem import (AdmmState, NumericError,
+from spgae.subproblem import (AdmmState, AndersonHistory, NumericError,
                               SubproblemSpec, WbFactor, solve_subproblem,
                               subproblem_objective, update_multipliers,
                               update_vu, update_wb)
 
 from conftest import random_problem
-from helpers import vu_closed_form
+from helpers import plain_solve, vu_closed_form
 
 
 def two_var_kkt_oracle(xi1, xi2, L):
@@ -341,7 +341,15 @@ class TestB1Clamp:
         """A large g_b1 pushes b1 past a small box: each (sweep, entry) with
         |b1_cand| > alpha is one clamp hit, and the returned b1 is exactly
         +-alpha there.  The returned blocks own their memory, apart from
-        each other and from the sweep buffers."""
+        each other and from the sweep buffers.  The solve runs at its
+        default, accelerated setting."""
+        self.check_clamps(monkeypatch)
+
+    def test_clamps_are_counted_per_sweep_with_plain_sweeps(self, monkeypatch):
+        self.check_clamps(monkeypatch, anderson=0)
+
+    @staticmethod
+    def check_clamps(monkeypatch, **solve_kwargs):
         import spgae.subproblem as sp
 
         wb = sp.update_wb
@@ -365,7 +373,7 @@ class TestB1Clamp:
                 return wb(state, spec)
 
             monkeypatch.setattr(sp, "update_wb", counting_wb)
-            res = solve_subproblem(spec)
+            res = solve_subproblem(spec, **solve_kwargs)
             assert res.converged
             assert res.b1_clamp_hits == seen["hits"] > res.iters
             cand = seen["cand"]
@@ -384,11 +392,96 @@ class TestB1Clamp:
                     assert not np.shares_memory(a, other)
 
 
+class TestAnderson:
+    """The accelerated sweep, and anderson=0 as the plain one."""
+
+    SHAPES = TestWorkspace.SHAPES   # N > N0, then N <= N0
+
+    def test_plain_setting_is_the_hand_driven_sweep(self):
+        for n, n0, n1, seed in self.SHAPES:
+            for tol in (1e-6, 1e-12):
+                spec = make_spec(n, n0, n1, seed=seed, L=1.3)
+                got = solve_subproblem(spec, tol=tol, anderson=0)
+                ref = plain_solve(spec, tol=tol)
+                assert got.iters == ref.iters
+                assert got.deltas == ref.deltas
+                assert got.z.pack().tobytes() == ref.z.pack().tobytes()
+
+    def test_accelerated_solves_are_byte_identical(self):
+        for n, n0, n1, seed in self.SHAPES:
+            spec = make_spec(n, n0, n1, seed=seed, L=1.3)
+            a = solve_subproblem(spec, tol=1e-12)
+            b = solve_subproblem(spec, tol=1e-12)
+            assert a.converged and (a.iters, a.deltas) == (b.iters, b.deltas)
+            assert a.z.pack().tobytes() == b.z.pack().tobytes()
+            assert a.iters < solve_subproblem(spec, tol=1e-12, anderson=0).iters
+
+    def test_agrees_with_reference_qp_in_both_forms(self):
+        """Acceptance 3's bounds (objective gap <= 1e-6, KKT <= 1e-5 at
+        tol 1e-14) hold for the accelerated solve in feature and in sample
+        space."""
+        from spgae.qp_reference import kkt_residual, reference_solve
+
+        forms = set()
+        for n, n0, n1, seed in ((8, 3, 2, 90), (10, 2, 4, 91), (3, 8, 2, 92),
+                                (4, 6, 3, 93)):
+            spec = make_spec(n, n0, n1, seed=seed, L=1.7)
+            forms.add(WbFactor.build(spec.data, spec.L, spec.params.lambda2).sample_space)
+            res = solve_subproblem(spec, tol=1e-14, max_iter=200000)
+            assert res.converged
+            gap = abs(subproblem_objective(spec, res.z)
+                      - subproblem_objective(spec, reference_solve(spec)))
+            assert gap <= 1e-6
+            assert kkt_residual(spec, res.z)["max"] <= 1e-5
+        assert forms == {False, True}
+
+    def test_non_finite_iterate_raises(self, monkeypatch):
+        import spgae.subproblem as sp
+
+        wb = sp.update_wb
+
+        def poisoned_wb(state, spec):
+            wb(state, spec)
+            if state.iters == 6:   # after four extrapolated steps
+                state.S[0, 0] = np.nan
+            return state
+
+        monkeypatch.setattr(sp, "update_wb", poisoned_wb)
+        for n, n0, n1, seed in self.SHAPES:
+            spec = make_spec(n, n0, n1, seed=seed, L=1.3)
+            with pytest.raises(NumericError, match="at sweep 6"):
+                solve_subproblem(spec, tol=1e-14)
+
+    def test_ring_keeps_its_gram_matrix_and_falls_back_on_a_jump(self):
+        spec = make_spec(40, 6, 5, seed=80, L=1.3)
+        state = AdmmState.from_anchor(spec)
+        history = AndersonHistory.allocate(3, state.S.shape)
+        # the first sweep only primes the history; the ring then fills and wraps
+        for fsq in (1.0, 0.9, 0.8, 0.7, 0.6, 2.5):   # 2.5 > 4 x 0.6: start over
+            update_wb(state, spec)
+            update_vu(state, spec)
+            update_multipliers(state)
+            if fsq == 2.5:
+                assert (history.held, history.slot) == (3, 1)
+                dF = history.dF
+                assert np.allclose(history.gram, dF @ dF.T, rtol=1e-12, atol=0.0)
+                assert history.stepped
+                g_prev = history.g_prev.copy()
+            history.extrapolate(state, fsq)
+        # the jump rejects the extrapolated start: (rho, U) return to its G(x)
+        assert (history.held, history.slot) == (0, 0)
+        assert (history.fsq_prev, history.stepped) == (None, False)
+        assert state.rho.tobytes() == g_prev[0].tobytes()
+        assert state.U.tobytes() == g_prev[1].tobytes()
+
+
 class TestSolveSubproblem:
     @pytest.mark.parametrize("kwargs,message", [
         ({"tol": float("nan")}, "tol must be >= 0"),
         ({"tol": -1.0}, "tol must be >= 0"),
         ({"max_iter": 0}, "max_iter must be >= 1"),
+        *(({"anderson": m}, "anderson must be an integer >= 0")
+          for m in (-1, float("nan"), 2.0, True, None)),
     ])
     def test_rejects_bad_stop_settings(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
