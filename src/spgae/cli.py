@@ -299,7 +299,12 @@ def cmd_train(args) -> int:
     cfg = resolve_train_config(args)
     if cfg["method"] not in ALL_METHODS:
         raise ValueError(f"unknown method {cfg['method']!r}; valid: {ALL_METHODS}")
-    seeds = [int(s) for s in str(cfg["seeds"]).replace(",", " ").split()]
+    seeds = []
+    for entry in str(cfg["seeds"]).replace(",", " ").split():
+        try:
+            seeds.append(int(entry))
+        except ValueError:
+            raise ValueError(f"--seeds entry {entry!r} is not an integer") from None
     if not seeds:
         raise ValueError("no seeds given")
     if not (min(seeds) >= 0):
@@ -373,6 +378,8 @@ def cmd_qp_bench(args) -> int:
     from .qp_reference import MAX_REFERENCE_DIM, kkt_residual, reference_solve
     from .subproblem import subproblem_objective
 
+    if not (args.tol >= 0.0):   # NaN fails it too; checked before the header prints
+        raise ValueError(f"--tol must be >= 0, got {args.tol}")
     sizes = list(BENCH_SIZES)
     if args.sizes is not None:   # every entry is checked before the first solve
         sizes = []

@@ -177,6 +177,10 @@ class Variables:
         V = vec[o:o + n1 * n].reshape((n1, n), order="F").copy()
         return cls(W=W, b1=b1, b2=b2, V=V)
 
+    def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(W, b1, b2, V), the order ``pack`` lays them out in."""
+        return (self.W, self.b1, self.b2, self.V)
+
     def pack(self) -> np.ndarray:
         return np.concatenate([self.W.ravel(order="F"), self.b1, self.b2,
                                self.V.ravel(order="F")])
@@ -198,13 +202,17 @@ class Forward(NamedTuple):
     S: np.ndarray   # encoder, W X + b1 1^T, (N1, N)
 
 
-def preactivations(z: Variables, data: ProblemData) -> Forward:
+def preactivations(z: Variables, data: ProblemData, S: np.ndarray | None = None) -> Forward:
     """Decoder and encoder pre-activations (Y, S) = (W^T V + b2 1^T, W X + b1 1^T).
 
-    The only place the two products are formed: evaluations of one iterate
-    take the result as ``fw`` and compute it themselves when it is omitted.
+    Pass ``S`` when the caller holds z's encoder pre-activation (an inner
+    solve returns it); only Y is then formed.  Outside the inner solver and
+    spg.init_point this is the only place either product is formed:
+    evaluations of one iterate take the result as ``fw``.
     """
-    return Forward(Y=z.W.T @ z.V + z.b2[:, None], S=z.W @ data.X + z.b1[:, None])
+    if S is None:
+        S = z.W @ data.X + z.b1[:, None]
+    return Forward(Y=z.W.T @ z.V + z.b2[:, None], S=S)
 
 
 def fidelity(z: Variables, data: ProblemData, *, fw: Forward | None = None) -> float:

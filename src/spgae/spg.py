@@ -100,12 +100,20 @@ def default_l0(data: ProblemData, params: ModelParams) -> float:
     return max(1.0, math.sqrt(n0 * n1 / n), params.beta, n0 / 30.0)
 
 
-def init_variables(data: ProblemData, seed: int = 0) -> Variables:
-    """W ~ randn/N, zero biases, V = (W X)_+ — a point of Z with zero penalty."""
+def init_point(data: ProblemData, seed: int = 0) -> tuple[Variables, np.ndarray]:
+    """W ~ randn/N, zero biases, V = (W X)_+ — a point of Z with zero
+    penalty — and its S = W X + b1 1^T, with W X formed once."""
     n, n0, n1 = data.dims
     W = stream(seed, "init").standard_normal((n1, n0)) / n
-    V = relu(W @ data.X)
-    return Variables(W=W, b1=np.zeros(n1), b2=np.zeros(n0), V=V)
+    WX = W @ data.X
+    z = Variables(W=W, b1=np.zeros(n1), b2=np.zeros(n0), V=relu(WX))
+    WX += z.b1[:, None]   # S as preactivations forms it: the add turns -0.0 into 0.0
+    return z, WX
+
+
+def init_variables(data: ProblemData, seed: int = 0) -> Variables:
+    """The start point of ``init_point`` without its S."""
+    return init_point(data, seed)[0]
 
 
 def stationarity_diagnostic(z_prev: Variables, z_next: Variables, L: float,
@@ -114,9 +122,15 @@ def stationarity_diagnostic(z_prev: Variables, z_next: Variables, L: float,
 
     On shrink iterations of a validated-L run this is bounded by
     2*sqrt(tau2)*sqrt(mu), tying iterate movement to the smoothing level.
+    The difference is written block by block into one buffer in ``pack``
+    order, so neither point is packed and the norm is the packed one's.
     """
-    return float((2.0 * params.lambda2 + L)
-                 * np.linalg.norm(z_next.pack() - z_prev.pack()))
+    diff = np.empty(sum(a.size for a in z_next.blocks()))
+    o = 0
+    for a, b in zip(z_next.blocks(), z_prev.blocks()):
+        np.subtract(a, b, out=diff[o:o + a.size].reshape(a.shape, order="F"))
+        o += a.size
+    return float((2.0 * params.lambda2 + L) * np.linalg.norm(diff))
 
 
 @dataclass(frozen=True)
@@ -139,7 +153,8 @@ def spg_step(z: Variables, mu: float, L: float, data: ProblemData,
     """One proximal step plus the (mu, L) update rule.
 
     ``fw`` and ``before`` are z's pre-activations and O~(z, mu) when the
-    caller already has them; the step then forms only z_next's.  ``factor``
+    caller already has them.  z_next's encoder pre-activation is the one the
+    solve returns, so the step forms only its decoder product.  ``factor``
     is the caller's WbFactor for this L; without it the solve builds one.
     """
     fw = fw or preactivations(z, data)
@@ -150,7 +165,7 @@ def spg_step(z: Variables, mu: float, L: float, data: ProblemData,
     # plain sweeps: the accelerated sweep is not yet judged on the outer loop
     sub = solve_subproblem(spec, tol=config.sub_tol, max_iter=config.sub_max_iter,
                            anderson=0, anchor_S=fw.S, factor=factor)
-    fw_next = preactivations(sub.z, data)
+    fw_next = preactivations(sub.z, data, S=sub.S)
     after = smoothed_objective(sub.z, mu, data, params, fw=fw_next)
     decrease = after - before
     accepted = decrease < -config.tau2 * mu / L
@@ -182,9 +197,10 @@ def run(data: ProblemData, params: ModelParams, config: SpgConfig | None = None,
         sink=None, trace: RunTrace | None = None) -> SpgResult:
     """Iterate spg_step until mu <= epsilon (or max iterations / divergence).
 
-    Each iterate's pre-activations are formed once; its trace row and the
-    next step's gradient read them.  The (W, b) factor is built once per
-    distinct L and reused by every step at that L.  Each row goes to ``trace``
+    Each iterate's pre-activations are formed once, its encoder product W X
+    only for the start point (a step's solve returns z_next's); its trace row
+    and the next step's gradient read them.  The (W, b) factor is built once
+    per distinct L and reused by every step at that L.  Each row goes to ``trace``
     (a new one by default) with its index there as ``k``.
 
     A caller's ``z0`` is copied with every entry below the smallest normal
@@ -193,17 +209,18 @@ def run(data: ProblemData, params: ModelParams, config: SpgConfig | None = None,
     the inner sweeps with such a row runs several times slower.
     """
     config = config or SpgConfig()
+    S = None
     if z0 is None:
-        z = init_variables(data, seed)
+        z, S = init_point(data, seed)
     else:
         z = z0.copy()
-        for a in (z.W, z.b1, z.b2, z.V):
+        for a in z.blocks():
             a[np.abs(a) < np.finfo(np.float64).tiny] = 0.0
+    fw = preactivations(z, data, S=S)
     mu = config.mu0
     L = config.L0 if config.L0 is not None else default_l0(data, params)
     trace = RunTrace() if trace is None else trace
 
-    fw = preactivations(z, data)
     smoothed = smoothed_objective(z, mu, data, params, fw=fw)
     trace.append(TraceRow(k=len(trace.rows), mu=mu, L=L, smoothed=smoothed,
                           sub_iters=0, wall_ms=0.0,
@@ -231,7 +248,7 @@ def run(data: ProblemData, params: ModelParams, config: SpgConfig | None = None,
                               sub_iters=step.sub.iters, wall_ms=wall_ms,
                               **metrics(z, data, params, test_X=test_X, fw=fw)), sink)
         if config.infnorm_bound is not None:
-            zmax = float(np.max(np.abs(z.pack())))
+            zmax = max(float(np.max(np.abs(a))) for a in z.blocks())
             if zmax > config.infnorm_bound * (1.0 + 1e-9):
                 raise RuntimeError(f"iterate left the level-set box: ||z||_inf = "
                                    f"{zmax:.6e} > {config.infnorm_bound:.6e}")

@@ -12,18 +12,20 @@ exact closed-form updates:
 * (W, b): the minimizer solves against M = D + X^ X^^T, where X^ stacks a row
   of ones under X and D = L I + 2 lambda2 I~^T I~ is diagonal.  M depends
   only on (L, lambda2, X), so P = X^^T M^{-1} is formed once per L (a
-  WbFactor, which an outer run keeps until L changes), the constant
-  C = [-g_W + L W_bar, -g_b1 + L b1_bar] M^{-1} once per subproblem (by
-  WbFactor.step_terms, which AdmmState.from_anchor calls), and each
-  sweep's minimizer is W^ = C + (rho + U) P.  With more samples than input
-  dimensions (N > N0) M is inverted and each sweep forms W^ and
+  WbFactor, which an outer run keeps until L changes), the anchor's terms
+  once per subproblem (by WbFactor.step_terms, which AdmmState.from_anchor
+  calls), and each sweep's minimizer is W^ = R M^{-1} + (rho + U) P for
+  R = [-g_W + L W_bar, -g_b1 + L b1_bar].  With more samples than
+  input dimensions (N > N0) M is inverted and each sweep forms W^ and
   S = W X + b1 1^T.  With N <= N0 the matrix inversion lemma solves against
   the N x N matrix I + X^^T D^{-1} X^ instead, and each sweep stays in sample
-  space: S = C_W X + (rho + U) P_W X + b1 1^T from two products formed up
-  front, and W is formed once, after the last sweep.  b is clamped into the
-  box [-alpha, alpha] (the clamp is exact for b2, and diagnostics count any
-  b1 activations).  numpy's LAPACK does the linear algebra; scipy is not
-  imported.
+  space: S = (R M^{-1})_W X + (rho + U) G + b1 1^T, G = P_W X, at N1 N^2
+  multiply-adds.  A sample-space solve forms one N1 (N0+1) N product,
+  K = R D^{-1} X^, and one N1 N^2 product, K G, up front, and one
+  N1 N N0 product, W = (R D^{-1})_W + (rho + U - K) P_W, after the last
+  sweep.  b is clamped into the box [-alpha, alpha] (the clamp is exact for
+  b2, and diagnostics count any b1 activations).  numpy's LAPACK does the
+  linear algebra; scipy is not imported.
 * (V, U): an entrywise four-case formula driven by xi1 = g_V/L - V_bar +
   lambda1/L and xi2 = rho - (W X + b1 1^T).
 
@@ -31,8 +33,10 @@ The multiplier step is rho += U - (W X + b1 1^T); iteration stops when
 max(||d rho||_F^2, ||d U||_F^2) <= tol, each squared norm one BLAS dot of the
 sweep's difference buffer with itself.  Block order is (W, b) -> (V, U) ->
 multipliers so every update consumes exactly the quantities its closed form
-names.  The returned V is snapped upward onto max(V, W X + b1 1^T, 0) so the
-iterate lies in Z exactly.
+names.  The returned V is snapped upward onto max(V, S, 0), S = W X + b1 1^T
+of the last (W, b) step, so the iterate lies in Z exactly.  The result
+carries that S as the returned point's encoder pre-activation: bit for bit
+its W X + b1 1^T in feature space, equal up to rounding in sample space.
 
 One sweep is the map G: (rho, U) -> (rho+, U+), and (d rho, d U) is its
 residual G(x) - x.  With ``anderson=m > 0`` a sweep that did not stop moves
@@ -137,29 +141,31 @@ class WbFactor:
         return self.G is not None
 
     def step_terms(self, spec: SubproblemSpec):
-        """(C, CX, b2): what spec's anchor and gradient add to this factor.
+        """(C, K, CX, c_b): what spec's anchor and gradient add to this factor.
 
-        C = R M^{-1} for R = [-g_W + L W_bar, -g_b1 + L b1_bar], and b2 is
-        the clamped b2, which no sweep changes.  With N > N0 C is one matmul
-        with M^{-1} and CX is None; with N <= N0 it is
-        C = R D^{-1} - (R D^{-1} X^) P, and CX = C_W X (N1 x N), C_W being
-        C's first N0 columns.  Each sweep's (W, b) minimizer is then
-        W^ = C + (rho + U) P, with no solve; in sample space a sweep forms
-        S = CX + (rho + U) G + b1 1^T, N1 N^2 multiply-adds instead of
-        2 N1 N (N0+1).
+        Each sweep's (W, b) minimizer is W^ = R M^{-1} + (rho + U) P.  With
+        N > N0, C = R M^{-1}, one matmul with M^{-1}, and the rest are None.
+        With N <= N0, C = R D^{-1} and R M^{-1} = C - K P for K = C X^
+        (N1 x N), the solve's one N1 (N0+1) N product.  As C X^ =
+        C_W X + C_b 1^T, K gives all a sweep reads: CX = (R M^{-1})_W X =
+        K - K G - C_b 1^T (one N1 N^2 product) and the b1 column
+        c_b = C_b - K P_b, P_b being P's last column.  A sweep forms
+        S = CX + (rho + U) G + b1 1^T, and W = C_W + (rho + U - K) P_W is
+        formed once, after the last sweep; R M^{-1} itself never is.
         """
         if not (self.L == spec.L and self.lambda2 == spec.params.lambda2
                 and self.X is spec.data.X):
             raise ValueError("factor was built for another L, lambda2 or X")
         a, g, L = spec.anchor, spec.grads, spec.L
-        alpha = spec.params.alpha
         rhs = np.hstack([-g.g_W + L * a.W, (-g.g_b1 + L * a.b1)[:, None]])
-        b2 = np.clip(a.b2 - g.g_b2 / L, -alpha, alpha)
         if not self.sample_space:
-            return rhs @ self.Minv, None, b2
-        RD = rhs / self.d
-        C = RD - (RD @ self.Xhat) @ self.P
-        return C, C[:, :b2.size] @ spec.data.X, b2
+            return rhs @ self.Minv, None, None, None
+        n0 = spec.data.n_visible
+        RD = np.divide(rhs, self.d, out=rhs)
+        K = RD @ self.Xhat
+        CX = K - K @ self.G
+        CX -= RD[:, n0, None]
+        return RD, K, CX, RD[:, n0] - K @ self.P[:, n0]
 
 
 @dataclass
@@ -174,8 +180,10 @@ class AdmmState:
     """
 
     factor: WbFactor
-    C: np.ndarray                 # (N1, N0+1), R M^{-1}
-    CX: np.ndarray | None         # (N1, N), C_W X, sample space only
+    C: np.ndarray                 # (N1, N0+1): R M^{-1}, or R D^{-1} in sample space
+    K: np.ndarray | None          # (N1, N), R D^{-1} X^, sample space only
+    CX: np.ndarray | None         # (N1, N), (R M^{-1})_W X, sample space only
+    c_b: np.ndarray | None        # (N1,), (R M^{-1})_b, sample space only
     b1: np.ndarray
     b2: np.ndarray                # clamped once: no sweep changes it
     V: np.ndarray
@@ -196,13 +204,13 @@ class AdmmState:
 
     @property
     def W(self) -> np.ndarray:
-        """The last (W, b) step's W, formed on each read: C_W + (rho + U) P_W
+        """The last (W, b) step's W, formed on each read: C_W + (rho + U - K) P_W
         in sample space, a copy of W^'s first N0 columns in feature space."""
         if not self.iters:
             raise ValueError("W is formed by a (W, b) step and none has run")
         n0 = self.b2.size
         if self.factor.sample_space:
-            return self.C[:, :n0] + self.T @ self.factor.P[:, :n0]
+            return self.C[:, :n0] + (self.T - self.K) @ self.factor.P[:, :n0]
         return self.What[:, :n0].copy()
 
     @classmethod
@@ -214,14 +222,15 @@ class AdmmState:
         written to."""
         if factor is None:
             factor = WbFactor.build(spec.data, spec.L, spec.params.lambda2)
-        C, CX, b2 = factor.step_terms(spec)
-        a, L = spec.anchor, spec.L
-        xi1 = spec.grads.g_V / L - a.V + spec.params.lambda1 / L
+        C, K, CX, c_b = factor.step_terms(spec)
+        a, g, L = spec.anchor, spec.grads, spec.L
+        b2 = np.clip(a.b2 - g.g_b2 / L, -spec.params.alpha, spec.params.alpha)
+        xi1 = g.g_V / L - a.V + spec.params.lambda1 / L
         L_xi1 = L * xi1
         neg_xi1 = np.negative(xi1, out=xi1)   # in place: no third array lives on
         S = (a.W @ spec.data.X + a.b1[:, None] if anchor_S is None
              else anchor_S.copy())
-        return cls(factor=factor, C=C, CX=CX, b1=a.b1.copy(), b2=b2,
+        return cls(factor=factor, C=C, K=K, CX=CX, c_b=c_b, b1=a.b1.copy(), b2=b2,
                    V=a.V.copy(), U=S.copy(), rho=np.zeros_like(S), S=S,
                    T=np.empty_like(S), U_spare=np.empty_like(S),
                    neg_xi2=np.empty_like(S), tied=np.empty_like(S),
@@ -232,7 +241,7 @@ def update_wb(state: AdmmState, spec: SubproblemSpec) -> AdmmState:
     """Exact (W, b) block minimizer, then clamp b into the box.
 
     W^ = (-[g_W, g_b1] + L [W_bar, b1_bar] + (rho + U) X^^T) M^{-1}
-       = C + (rho + U) P;
+       = R M^{-1} + (rho + U) P;
     b2 = clamp(b2_bar - g_b2 / L), formed once; b1 = clamp(last column of W^).
     In sample space only the b1 column is formed and S comes from the kept
     products; in feature space S is W^'s W block times X, read in place.
@@ -244,7 +253,7 @@ def update_wb(state: AdmmState, spec: SubproblemSpec) -> AdmmState:
     f, T, S = state.factor, state.T, state.S
     np.add(state.rho, state.U, out=T)
     if f.sample_space:
-        b1 = state.C[:, n0] + T @ f.P[:, n0]
+        b1 = state.c_b + T @ f.P[:, n0]
         np.matmul(T, f.G, out=S)
         S += state.CX
     else:
@@ -385,6 +394,7 @@ class AndersonHistory:
 @dataclass(frozen=True)
 class SubproblemResult:
     z: Variables
+    S: np.ndarray                 # W X + b1 1^T of the last (W, b) step, V's snap target
     iters: int
     deltas: tuple[float, float]   # (||d rho||_F^2, ||d U||_F^2) at the last sweep
     b1_clamp_hits: int
@@ -437,6 +447,6 @@ def solve_subproblem(spec: SubproblemSpec, tol: float = 1e-6,
     # though U only matches W X + b1 in the limit.
     V = np.maximum(np.maximum(state.V, state.S), 0.0)
     z = Variables(W=state.W, b1=state.b1.copy(), b2=state.b2, V=V)
-    return SubproblemResult(z=z, iters=state.iters,
+    return SubproblemResult(z=z, S=state.S, iters=state.iters,
                             deltas=(state.delta_rho_sq, state.delta_u_sq),
                             b1_clamp_hits=state.b1_clamp_hits, converged=converged)

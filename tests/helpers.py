@@ -74,7 +74,7 @@ def vu_closed_form(xi1, xi2, L):
 def plain_solve(spec, tol=1e-6, max_iter=10000, *, anchor_S=None, factor=None):
     """The unaccelerated splitting solve, its three blocks called by hand:
     sweep until max(||d rho||^2, ||d U||^2) <= tol, then snap V onto
-    max(V, W X + b1 1^T, 0)."""
+    max(V, W X + b1 1^T, 0), the S it returns."""
     state = AdmmState.from_anchor(spec, factor, anchor_S)
     converged = False
     while not converged and state.iters < max_iter:
@@ -84,6 +84,6 @@ def plain_solve(spec, tol=1e-6, max_iter=10000, *, anchor_S=None, factor=None):
         converged = max(state.delta_rho_sq, state.delta_u_sq) <= tol
     V = np.maximum(np.maximum(state.V, state.S), 0.0)
     z = Variables(W=state.W, b1=state.b1.copy(), b2=state.b2, V=V)
-    return SubproblemResult(z=z, iters=state.iters,
+    return SubproblemResult(z=z, S=state.S, iters=state.iters,
                             deltas=(state.delta_rho_sq, state.delta_u_sq),
                             b1_clamp_hits=state.b1_clamp_hits, converged=converged)

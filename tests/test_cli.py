@@ -250,6 +250,20 @@ class TestTrain:
         assert out == "" and f"error: {message}" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_non_integer_seed_is_an_error(self, tmp_path, capsys, where):
+        args = ["train", "--method", "adadelta", "--preset", 1, "--out", tmp_path / "run"]
+        if where == "flag":
+            args += ["--seeds", "1,x"]
+        else:
+            (tmp_path / "cfg.txt").write_text("seeds = 1,x\n")
+            args += ["--config", tmp_path / "cfg.txt"]
+        rc = run_cli(args)
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "error: --seeds entry 'x' is not an integer" in err
+        assert not (tmp_path / "run").exists()
+
     def test_missing_mnist_images_writes_nothing(self, tmp_path, capsys):
         rc = run_cli(["train", "--method", "spg", "--seed", 0,
                       "--mnist-images", tmp_path / "missing.idx", "--out", tmp_path / "run"])
@@ -408,7 +422,9 @@ class TestQpBench:
         rc = run_cli(["qp-bench", "--sizes", "20:3:2", "--tol", tol,
                       "--out", tmp_path / "bench.csv"])
         assert rc == 1
-        assert "error: tol must be >= 0" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        # rejected before the table header is printed
+        assert out == "" and f"error: --tol must be >= 0, got {float(tol)}" in err
         assert not (tmp_path / "bench.csv").exists()
 
     @pytest.mark.parametrize("sizes,entry", [

@@ -262,14 +262,32 @@ class TestRun:
             assert cur <= prev + 1e-12
         assert float(np.max(np.abs(res.z.pack()))) <= radius
 
-    def test_one_forward_pass_per_iterate(self, tiny_problem, monkeypatch):
-        data, params = tiny_problem
+    def test_one_forward_pass_per_iterate(self, monkeypatch):
+        """Each iterate's pre-activations are formed once, and the encoder
+        product W X only for the start point: a step takes z_next's from
+        its solve.  Every matmul with X as its right operand is counted, in
+        feature space (N > N0) and in sample space."""
+        products, counted_X = [], []
+
+        class CountedX(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul and inputs[1] is counted_X[-1]:
+                    products.append((inputs[0].shape, "out" in kwargs))
+
+                def plain(a):
+                    return a.view(np.ndarray) if isinstance(a, CountedX) else a
+
+                inputs = tuple(plain(a) for a in inputs)
+                if "out" in kwargs:
+                    kwargs["out"] = tuple(plain(a) for a in kwargs["out"])
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
         original = spgae.model.preactivations
         calls = []
 
-        def counted(z, d):
+        def counted(z, d, S=None):
             calls.append(1)
-            return original(z, d)
+            return original(z, d, S=S)
 
         # modules that did `from .model import preactivations` hold their own
         # reference
@@ -277,9 +295,41 @@ class TestRun:
             if name.startswith("spgae") and getattr(mod, "preactivations", None) is original:
                 monkeypatch.setattr(mod, "preactivations", counted)
         steps = 4
-        res = run(data, params, config=self.config(max_outer_iters=steps), seed=2)
-        assert res.iterations == steps
-        assert len(calls) == steps + 1
+        for n, n0, n1 in ((6, 3, 2), (5, 9, 4)):
+            data, params = random_problem(n, n0, n1, seed=11)
+            counted_X.append(data.X.view(CountedX))
+            data = dataclasses.replace(data, X=counted_X[-1])
+            products.clear()
+            calls.clear()
+            res = run(data, params, config=self.config(max_outer_iters=steps), seed=2)
+            assert res.iterations == steps
+            assert len(calls) == steps + 1
+            # W X itself: the start point's, with no out buffer
+            assert products[0] == ((n1, n0), False)
+            # the rest are the solver's: in feature space each sweep's W^ X
+            # into its S buffer, in sample space each factor's G = P_W X
+            rows = res.trace.rows
+            if n > n0:
+                want = [((n1, n0), True)] * sum(r.sub_iters for r in rows)
+            else:
+                want = [((n, n0), False)] * len(dict.fromkeys(r.L for r in rows[:-1]))
+            assert products[1:] == want
+
+    @pytest.mark.parametrize("shape", [(6, 3, 2), (5, 9, 4)], ids=["feature", "sample"])
+    def test_infnorm_bound_raises_outside_the_box(self, shape):
+        """The validated-L check compares the largest |entry| over all
+        blocks with the bound: a bound just below the first iterate's raises,
+        one at it does not."""
+        data, params = random_problem(*shape, seed=11)
+        zmax = float(np.max(np.abs(
+            run(data, params, config=self.config(max_outer_iters=1), seed=3).z.pack())))
+        at = run(data, params, config=self.config(max_outer_iters=1, infnorm_bound=zmax),
+                 seed=3)
+        assert at.iterations == 1
+        with pytest.raises(RuntimeError, match="iterate left the level-set box"):
+            run(data, params, config=self.config(max_outer_iters=1,
+                                                 infnorm_bound=zmax * (1.0 - 1e-6)),
+                seed=3)
 
     def test_accepted_steps_reuse_the_acceptance_value(self, tiny_problem, monkeypatch):
         data, params = tiny_problem
@@ -359,6 +409,19 @@ class TestStationarityDiagnostic:
             za.pack() - zb.pack())
         assert stationarity_diagnostic(za, zb, 3.0, params) == \
             pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(6, 3, 2), (5, 9, 4)])
+    def test_matches_the_packed_norm(self, shape):
+        """Written block by block, the difference is the packed one, so the
+        value equals the packed-norm formula exactly (rel 1e-12 is the
+        contract; summaries rely on the bits)."""
+        data, params = random_problem(*shape, seed=12)
+        rng = np.random.default_rng(13)
+        za, zb = (Variables.unpack(rng.standard_normal(data.n_packed), data)
+                  for _ in range(2))
+        for L in (1.0, 37.5):
+            packed = (2.0 * params.lambda2 + L) * np.linalg.norm(za.pack() - zb.pack())
+            assert stationarity_diagnostic(za, zb, L, params) == packed
 
     def test_zero_for_fixed_point(self, tiny_problem):
         data, params = tiny_problem

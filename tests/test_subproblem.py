@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spgae.model import ModelParams, ProblemData, Variables, feasibility
+from spgae.model import (ModelParams, ProblemData, Variables, feasibility,
+                         preactivations)
 from spgae.smoothing import GradientBlocks
 from spgae.subproblem import (AdmmState, AndersonHistory, NumericError,
                               SubproblemSpec, WbFactor, solve_subproblem,
@@ -74,6 +75,14 @@ def dense_wb_oracle(spec):
     """(M^{-1}, anchor term, X^) of the (W, b) normal equations, formed densely."""
     M, const, Xhat = dense_wb_system(spec)
     return np.linalg.inv(M), const, Xhat
+
+
+def anchor_term(state):
+    """R M^{-1}, the anchor's part of every sweep's W^, from the state's
+    constants: C itself in feature space, C - K P in sample space."""
+    if state.factor.sample_space:
+        return state.C - state.K @ state.factor.P
+    return state.C
 
 
 def canceling_grads(anchor, params, data):
@@ -177,7 +186,12 @@ class TestWbUpdate:
             state.U = rng.standard_normal(state.U.shape)
             state.rho = rng.standard_normal(state.rho.shape)
             state = update_wb(state, spec)
-            assert np.allclose(state.C, const @ Minv, atol=1e-10)
+            assert np.allclose(anchor_term(state), const @ Minv, atol=1e-10)
+            if state.factor.sample_space:
+                # the sweep reads (R M^{-1})_W X and (R M^{-1})_b, formed from K
+                assert np.allclose(state.CX, (const @ Minv)[:, :n0] @ spec.data.X,
+                                   atol=1e-10)
+                assert np.allclose(state.c_b, (const @ Minv)[:, n0], atol=1e-10)
             Whb = (const + (state.rho + state.U) @ Xhat.T) @ Minv
             b1 = np.clip(Whb[:, n0], -spec.params.alpha, spec.params.alpha)
             assert np.allclose(state.b1, b1, atol=1e-10)
@@ -195,11 +209,18 @@ class TestWbUpdate:
 
     @staticmethod
     def check_factor_matches_linalg_solve(spec):
-        """P = X^^T M^{-1} and C = R M^{-1}, to 1e-10 relative to a dense solve."""
+        """P = X^^T M^{-1} and R M^{-1}, to 1e-10 relative to a dense solve;
+        in sample space also the (R M^{-1})_W X and (R M^{-1})_b a sweep reads."""
         state = AdmmState.from_anchor(spec)
         M, rhs, Xhat = dense_wb_system(spec)
-        for got, want in ((state.factor.P, np.linalg.solve(M, Xhat).T),
-                          (state.C, np.linalg.solve(M, rhs.T).T)):
+        RMinv = np.linalg.solve(M, rhs.T).T
+        pairs = [(state.factor.P, np.linalg.solve(M, Xhat).T),
+                 (anchor_term(state), RMinv)]
+        if state.factor.sample_space:
+            n0 = spec.data.n_visible
+            pairs += [(state.CX, RMinv[:, :n0] @ spec.data.X),
+                      (state.c_b, RMinv[:, n0])]
+        for got, want in pairs:
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
         return state.factor
 
@@ -281,7 +302,7 @@ def reference_sweeps(spec, state, sweeps):
     for _ in range(sweeps):
         if state.factor.sample_space:
             T = rho + U
-            b1_cand = state.C[:, n0] + T @ state.factor.P[:, n0]
+            b1_cand = state.c_b + T @ state.factor.P[:, n0]
             WX = state.CX + T @ state.factor.G
         else:
             What = state.C + (rho + U) @ state.factor.P
@@ -361,11 +382,11 @@ class TestB1Clamp:
             seen = {"hits": 0}
 
             def counting_wb(state, spec):
-                # the candidate b1 = last column of W^ = C + (rho + U) P
+                # the candidate b1 = last column of W^ = R M^{-1} + (rho + U) P
                 T = state.rho + state.U
                 P = state.factor.P
                 if state.factor.sample_space:
-                    cand = state.C[:, n0] + T @ P[:, n0]
+                    cand = state.c_b + T @ P[:, n0]
                 else:
                     cand = (T @ P + state.C)[:, n0]
                 seen["hits"] += int(np.count_nonzero(np.abs(cand) > alpha))
@@ -492,6 +513,20 @@ class TestSolveSubproblem:
         spec = make_spec(6, 2, 3, seed=60)
         with pytest.raises(ValueError, match="L must be positive"):
             replace(spec, L=L)
+
+    def test_result_carries_the_encoder_preactivation(self):
+        """S is the returned point's W X + b1 1^T: within 1e-10 relative in
+        both forms, and bit for bit what preactivations forms in feature
+        space."""
+        for n, n0, n1, seed in TestWorkspace.SHAPES + ((30, 40, 6, 82),):
+            spec = make_spec(n, n0, n1, seed=seed, L=1.3)
+            for anderson in (0, 15):
+                res = solve_subproblem(spec, anderson=anderson)
+                want = res.z.W @ spec.data.X + res.z.b1[:, None]
+                assert np.max(np.abs(res.S - want)) <= 1e-10 * np.max(np.abs(want))
+                assert np.array_equal(res.z.V, np.maximum(np.maximum(res.z.V, res.S), 0.0))
+                if n > n0:
+                    assert res.S.tobytes() == preactivations(res.z, spec.data).S.tobytes()
 
     def test_W_is_formed_by_a_wb_step(self):
         for n, n0 in ((6, 3), (3, 6)):   # both forms
