@@ -331,6 +331,7 @@ class AndersonHistory:
     dG: np.ndarray          # (m, 2 N1 N): differences of G(x), one per row
     dF: np.ndarray          # (m, 2 N1 N): differences of f
     gram: np.ndarray        # (m, m): dF's Gram matrix, ring order
+    fit: np.ndarray         # (m, m): the regularized k x k Gram matrix, at its head
     pair: np.ndarray        # (2, 2, N1, N): newest f difference (later dG gamma), last f
     g_prev: np.ndarray      # (2, N1, N): the last sweep's G(x)
     held: int = 0           # ring rows in use
@@ -341,8 +342,8 @@ class AndersonHistory:
     @classmethod
     def allocate(cls, m: int, shape) -> "AndersonHistory":
         size = 2 * shape[0] * shape[1]
-        return cls(dG=np.empty((m, size)), dF=np.empty((m, size)),
-                   gram=np.zeros((m, m)), pair=np.empty((2, 2) + shape),
+        return cls(dG=np.empty((m, size)), dF=np.empty((m, size)), gram=np.zeros((m, m)),
+                   fit=np.empty((m, m)), pair=np.empty((2, 2) + shape),
                    g_prev=np.empty((2,) + shape))
 
     def extrapolate(self, state: AdmmState, fsq: float) -> None:
@@ -380,9 +381,11 @@ class AndersonHistory:
         dots = self.dF[:k] @ self.pair.reshape(2, -1).T
         self.gram[j, :k] = self.gram[:k, j] = dots[:, 0]
         gram = self.gram[:k, :k]
+        fit = self.fit.reshape(-1)[:k * k].reshape(k, k)
+        fit[...] = gram
+        fit.reshape(-1)[::k + 1] += 1e-10 * np.trace(gram)
         try:
-            gamma = np.linalg.solve(gram + 1e-10 * np.trace(gram) * np.eye(k),
-                                    dots[:, 1])
+            gamma = np.linalg.solve(fit, dots[:, 1])
         except np.linalg.LinAlgError:
             return
         np.dot(gamma, self.dG[:k], out=new.reshape(-1))

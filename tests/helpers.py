@@ -1,14 +1,18 @@
-"""Formulas, a file reader and a solver loop that only the tests use.
+"""Formulas, a file reader and solver loops that only the tests use.
 
 The library applies the constraint system, the bias box and the (V, U)
 closed form only implicitly or in place, and never reads back the CSV
 matrices it writes; these spell each one out for the tests.  ``plain_solve``
 drives the three sweep blocks by hand, without acceleration.
+``dense_reference_solve`` and ``dense_kkt_stationarity`` are the reference
+QP and its certificate on the whole dense system, which ``qp_reference``
+splits by hidden unit.
 """
 
 import numpy as np
 
 from spgae.model import ModelParams, ProblemData, Variables, preactivations
+from spgae.qp_reference import MAX_REFERENCE_DIM, _polish, nnls, quadratic_terms
 from spgae.subproblem import (AdmmState, SubproblemResult, update_multipliers,
                               update_vu, update_wb)
 
@@ -87,3 +91,83 @@ def plain_solve(spec, tol=1e-6, max_iter=10000, *, anchor_S=None, factor=None):
     return SubproblemResult(z=z, S=state.S, iters=state.iters,
                             deltas=(state.delta_rho_sq, state.delta_u_sq),
                             b1_clamp_hits=state.b1_clamp_hits, converged=converged)
+
+
+def dense_constraints(data: ProblemData, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Materialize (A, c) for tiny instances, matching the implicit row order."""
+    n, n0, n1 = data.dims
+    if data.n_packed > MAX_REFERENCE_DIM:
+        raise ValueError(f"dense constraints limited to {MAX_REFERENCE_DIM} packed "
+                         f"variables, got {data.n_packed}")
+    nw, nb = n1 * n0, n1 + n0
+    nv = n1 * n
+    nz = data.n_packed
+    rows_couple = np.zeros((nv, nz))
+    rows_couple[:, :nw] = np.kron(data.X.T, np.eye(n1))
+    rows_couple[:, nw:nw + n1] = np.kron(np.ones((n, 1)), np.eye(n1))
+    rows_couple[:, nw + nb:] = -np.eye(nv)
+    rows_vpos = np.zeros((nv, nz))
+    rows_vpos[:, nw + nb:] = -np.eye(nv)
+    rows_bhi = np.zeros((nb, nz))
+    rows_bhi[:, nw:nw + nb] = np.eye(nb)
+    rows_blo = -rows_bhi
+    A = np.vstack([rows_couple, rows_vpos, rows_bhi, rows_blo])
+    c = np.concatenate([np.zeros(2 * nv), np.full(2 * nb, params.alpha)])
+    return A, c
+
+
+def dense_reference_solve(spec, tol=1e-9, max_iter=200000) -> Variables:
+    """``reference_solve`` on the whole dense system: dual FISTA with matrix-
+    vector products by A, the step from the nz x nz Gram matrix of A H^-1/2,
+    and one active-set polish of all of z."""
+    data = spec.data
+    A, c = dense_constraints(data, spec.params)
+    h, q = quadratic_terms(spec)
+    As = A / np.sqrt(h)
+    lip = float(np.linalg.eigvalsh(As.T @ As)[-1])
+    step = 1.0 / max(lip, 1e-12)
+    scale = max(1.0, float(np.linalg.norm(q)))
+
+    gamma = np.zeros(A.shape[0])
+    yk = gamma.copy()
+    t = 1.0
+    for it in range(1, max_iter + 1):
+        grad_dual = -(A @ (-(q + A.T @ yk) / h) - c)
+        gamma_next = np.maximum(yk - step * grad_dual, 0.0)
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        if np.dot(grad_dual, gamma_next - gamma) > 0:  # adaptive restart
+            yk, t_next = gamma_next, 1.0
+        else:
+            yk = gamma_next + ((t - 1.0) / t_next) * (gamma_next - gamma)
+        gamma, t = gamma_next, t_next
+        if it % 200 == 0 or it == max_iter:
+            zv = -(q + A.T @ gamma) / h
+            slack = A @ zv - c
+            viol = float(max(0.0, slack.max()))
+            comp = float(abs(gamma @ slack))
+            if max(viol, comp / scale) <= 1e4 * tol:
+                for act_tol in (1e-7, 1e-9, 1e-5):
+                    zp = _polish(h, q, A, c, gamma, zv, act_tol)
+                    if zp is not None:
+                        return Variables.unpack(zp, data)
+            if max(viol, comp / scale) <= tol:
+                return Variables.unpack(zv, data)
+    zv = -(q + A.T @ gamma) / h
+    for act_tol in (1e-7, 1e-9, 1e-5, 1e-4):
+        zp = _polish(h, q, A, c, gamma, zv, act_tol)
+        if zp is not None:
+            return Variables.unpack(zp, data)
+    return Variables.unpack(zv, data)
+
+
+def dense_kkt_stationarity(spec, z, active_tol=1e-6) -> float:
+    """``kkt_residual``'s stationarity from one NNLS over every active row of
+    the dense system."""
+    A, c = dense_constraints(spec.data, spec.params)
+    h, q = quadratic_terms(spec)
+    zv = z.pack()
+    grad = h * zv + q
+    active = A @ zv - c >= -active_tol
+    if not np.any(active):
+        return float(np.linalg.norm(grad))
+    return nnls(A[active].T, -grad)[1]

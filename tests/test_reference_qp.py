@@ -1,5 +1,7 @@
 """Reference QP solver: certificates, hand instances, and its own limits."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,14 +9,35 @@ from hypothesis import strategies as st
 
 from spgae.cli import bench_instance
 from spgae.model import ModelParams, ProblemData, Variables, feasibility
-from spgae.qp_reference import (MAX_REFERENCE_DIM, _polish, dense_constraints,
-                                kkt_residual, nnls, quadratic_terms, reference_solve)
+from spgae.qp_reference import (MAX_REFERENCE_DIM, _polish, kkt_residual, nnls,
+                                quadratic_terms, reference_solve, unit_blocks)
 from spgae.smoothing import GradientBlocks
 from spgae.subproblem import SubproblemSpec, solve_subproblem, subproblem_objective
 
 from conftest import random_problem
-from helpers import constraint_count
+from helpers import (constraint_count, dense_constraints, dense_kkt_stationarity,
+                     dense_reference_solve)
 from test_subproblem import canceling_grads, make_spec
+
+# the qp-bench rows small enough for the reference, as (N, N1, N0)
+BENCH_REFERENCE_ROWS = [(20, 5, 5), (40, 6, 4), (60, 6, 6)]
+
+
+def small_alpha_spec(seed):
+    """A subproblem whose bias box binds on some b1 and some b2 entries."""
+    spec = make_spec(8, 3, 4, seed=seed, L=1.2)
+    return dataclasses.replace(spec, params=dataclasses.replace(spec.params, alpha=0.2))
+
+
+ORACLE_CASES = ([pytest.param(row, seed, id="{}-{}-{}-seed{}".format(*row, seed))
+                 for row in BENCH_REFERENCE_ROWS for seed in range(4)]
+                + [pytest.param(None, seed, id=f"small-alpha-{seed}")
+                   for seed in (170, 171, 172)])
+
+
+def oracle_spec(row, seed):
+    """A bench reference row at ``seed``, or with row None a small-alpha instance."""
+    return small_alpha_spec(seed) if row is None else bench_instance(*row, seed=seed)
 
 
 class TestDenseConstraints:
@@ -45,6 +68,31 @@ class TestDenseConstraints:
                                z.b - params.alpha, atol=1e-12)
             assert np.allclose(slack[2 * nv + z.b.size:],
                                -z.b - params.alpha, atol=1e-12)
+
+    @pytest.mark.parametrize("n,n0,n1", [(5, 3, 2), (4, 2, 3), (1, 1, 1), (3, 4, 1)])
+    def test_unit_blocks_permute_to_the_dense_system(self, n, n0, n1):
+        # rows and columns in unit order turn A into N1 copies of the unit
+        # block and one b2 box block down the diagonal
+        spec = make_spec(n, n0, n1, seed=180)
+        A, c = dense_constraints(spec.data, spec.params)
+        h, q = quadratic_terms(spec)
+        blocks = unit_blocks(spec)
+        rows = np.concatenate([blk.rows.ravel() for blk in blocks])
+        cols = np.concatenate([blk.cols.ravel() for blk in blocks])
+        assert np.array_equal(np.sort(rows), np.arange(A.shape[0]))
+        assert np.array_equal(np.sort(cols), np.arange(A.shape[1]))
+        diag = np.zeros_like(A)
+        r0 = c0 = 0
+        for blk in blocks:
+            for _ in range(blk.rows.shape[0]):
+                m, k = blk.A.shape
+                diag[r0:r0 + m, c0:c0 + k] = blk.A
+                r0, c0 = r0 + m, c0 + k
+        assert np.array_equal(A[np.ix_(rows, cols)], diag)
+        for blk in blocks:
+            assert np.array_equal(c[blk.rows], np.broadcast_to(blk.c, blk.rows.shape))
+            assert np.array_equal(h[blk.cols], np.broadcast_to(blk.h, blk.cols.shape))
+            assert np.array_equal(q[blk.cols], blk.Q)
 
     def test_dim_guard(self):
         data, params = random_problem(60, 5, 8, seed=7)
@@ -124,6 +172,17 @@ class TestReferenceSolve:
         assert z.b2[0] == pytest.approx(-1.0, abs=1e-7)
         assert z.V[0, 0] == pytest.approx(0.0, abs=1e-7)
 
+    @pytest.mark.parametrize("row,seed", ORACLE_CASES)
+    def test_matches_dense_reference(self, row, seed):
+        # the same dual FISTA on the whole dense system reaches the same point
+        spec = oracle_spec(row, seed)
+        z = reference_solve(spec)
+        assert np.abs(z.pack() - dense_reference_solve(spec).pack()).max() <= 1e-12
+        if row is None:
+            alpha = spec.params.alpha
+            assert np.isclose(np.abs(z.b1), alpha, rtol=0, atol=1e-12).any()
+            assert np.isclose(np.abs(z.b2), alpha, rtol=0, atol=1e-12).any()
+
     def test_kkt_certificate_random(self):
         for seed in range(4):
             spec = make_spec(5, 2, 2, seed=100 + seed, L=1.2)
@@ -172,6 +231,16 @@ class TestKktResidual:
                               L=2.0, params=params, data=data)
         res = kkt_residual(spec, anchor)
         assert res["max"] <= 1e-10
+
+    @pytest.mark.parametrize("row,seed", ORACLE_CASES)
+    def test_matches_dense_certificate(self, row, seed):
+        # per-unit NNLS against one NNLS over all active dense rows, at the
+        # anchor, at qp-bench's splitting solve and at the reference optimum
+        spec = oracle_spec(row, seed)
+        for z in (spec.anchor, solve_subproblem(spec, tol=1e-6).z, reference_solve(spec)):
+            stat = kkt_residual(spec, z)["stationarity"]
+            assert stat == pytest.approx(dense_kkt_stationarity(spec, z),
+                                         rel=1e-12, abs=1e-14)
 
     def test_flags_non_solution(self):
         spec = make_spec(5, 2, 2, seed=130)
@@ -258,7 +327,7 @@ class TestPolish:
         assert z_dup is not None
         assert np.allclose(z_dup, z, rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("n,n1,n0", [(20, 5, 5), (40, 6, 4), (60, 6, 6)])
+    @pytest.mark.parametrize("n,n1,n0", BENCH_REFERENCE_ROWS)
     def test_reference_rows_certify(self, n, n1, n0):
         # the qp-bench rows checked against the reference
         spec = bench_instance(n, n1, n0)
