@@ -238,7 +238,7 @@ def reference_solve(spec: SubproblemSpec, tol: float = 1e-9,
         else:
             yk = gamma_next + ((t - 1.0) / t_next) * (gamma_next - gamma)
         gamma, t = gamma_next, t_next
-        if it % 200 == 0 or it == max_iter:
+        if it % 25 == 0 or it == max_iter:
             zv, s = _dual_point(blocks, gamma, data.n_packed), slack(gamma)
             viol = float(max(0.0, s.max()))
             comp = float(abs(gamma @ s))

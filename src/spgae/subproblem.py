@@ -38,11 +38,14 @@ of the last (W, b) step, so the iterate lies in Z exactly.  The result
 carries that S as the returned point's encoder pre-activation: bit for bit
 its W X + b1 1^T in feature space, equal up to rounding in sample space.
 
-One sweep is the map G: (rho, U) -> (rho+, U+), and (d rho, d U) is its
-residual G(x) - x.  With ``anderson=m > 0`` a sweep that did not stop moves
-(rho, U) on from G(x) by type-II Anderson acceleration over its last m
-residuals (AndersonHistory).  The stop test is unchanged: it bounds the
-plain map's residual at the point the sweep started from.
+After a (W, b) step the rest of a sweep depends only on xi = S - rho (-xi2
+below), the (V, U) step's one input: U+ = vu(xi), rho+ = U+ - xi, and the
+next (W, b) step reads rho+ + U+ = 2 U+ - xi.  So one sweep is a map of xi,
+G(x) = S+ - rho+, with residual G(x) - x = S+ - U+.  With ``anderson=m > 0`` a
+type-II Anderson step over the last m residuals (AndersonHistory) follows
+each (W, b) step and moves xi on from G(x) by setting rho := S - xi;
+update_vu, update_multipliers and the stop test then run as in the plain
+sweep.
 
 The blocks write their (N1 x N) results and temporaries into buffers that
 AdmmState.from_anchor allocates once per solve, after the factor and the
@@ -192,8 +195,8 @@ class AdmmState:
     S: np.ndarray                 # W X + b1 1^T for the current (W, b1)
     T: np.ndarray                 # rho + U as of the last (W, b) step
     U_spare: np.ndarray           # the U buffer not in use
-    neg_xi2: np.ndarray           # -xi2, then the multiplier step's d
-    tied: np.ndarray              # the tied value, then U_new - U
+    neg_xi2: np.ndarray           # G(x) if accelerated, -xi2, then the multiplier step's d
+    tied: np.ndarray              # f if accelerated, the tied value, then U_new - U
     neg_xi1: np.ndarray           # -xi1, xi1 = g_V/L - V_bar + lambda1/L fixed per subproblem
     L_xi1: np.ndarray             # L * xi1
     What: np.ndarray | None = None   # the last W^, feature space only
@@ -310,75 +313,80 @@ def update_multipliers(state: AdmmState) -> AdmmState:
 
 @dataclass
 class AndersonHistory:
-    """Type-II Anderson acceleration of the sweep's (rho, U) fixed point.
+    """Type-II Anderson acceleration of the sweep's fixed point in xi = S - rho.
 
-    A sweep maps x = (rho, U) to G(x) = (rho+, U+) and leaves the residual
-    f = G(x) - x = (d rho, d U) in ``state.neg_xi2`` and ``state.tied``.
-    The last m differences of G(x) and of f between consecutive sweeps sit
-    in rings of m rows, allocated once per solve, and the Gram matrix of the
-    f differences gains one row of dots per sweep.  ``extrapolate`` then
-    moves the iterate from G(x) to G(x) - dG gamma, gamma the least-squares
-    fit of f by dF with Tikhonov weight 1e-10 tr(Gram) (Walker & Ni 2011).
+    After each (W, b) step, G(x) = S - rho is the map's value at the xi the
+    last (V, U) step read, and f = G(x) - x = S - U its residual.  The last m
+    differences of G(x) and of f between consecutive sweeps sit in rings of
+    m rows, allocated once per solve, and the Gram matrix of the f
+    differences gains one row of dots per sweep.  ``extrapolate`` then moves
+    xi from G(x) to G(x) - dG gamma, gamma the least-squares fit of f by dF
+    with Tikhonov weight 1e-10 tr(Gram) (Walker & Ni 2011; Fu, Zhang & Boyd
+    2020 accelerate the same variable of Douglas-Rachford splitting).
 
-    Safeguard: when ||f||^2 more than quadruples from one sweep to the next,
-    the history is dropped, and if the sweep started from an extrapolated
-    point, that point is rejected: (rho, U) go back to the G(x) it was
-    extrapolated from, so a bad step costs one sweep (after Zhang,
-    O'Donoghue & Boyd 2020).  A singular fit skips the step.  The rings
-    hold 4 m N1 N floats.
+    Safeguards (after Zhang, O'Donoghue & Boyd 2020): when ||f||^2 rises at
+    all after an extrapolated point, that point is rejected: xi goes back to
+    the G(x) it was extrapolated from, so a bad step costs one sweep, and the
+    history restarts.  It also restarts when ||f||^2 more than quadruples
+    after a plain step and after m sweeps without a new least ||f||^2.  A
+    singular fit skips the step.  The rings hold 2 m N1 N floats.
     """
 
-    dG: np.ndarray          # (m, 2 N1 N): differences of G(x), one per row
-    dF: np.ndarray          # (m, 2 N1 N): differences of f
+    dG: np.ndarray          # (m, N1 N): differences of G(x), one per row
+    dF: np.ndarray          # (m, N1 N): differences of f
     gram: np.ndarray        # (m, m): dF's Gram matrix, ring order
     fit: np.ndarray         # (m, m): the regularized k x k Gram matrix, at its head
-    pair: np.ndarray        # (2, 2, N1, N): newest f difference (later dG gamma), last f
-    g_prev: np.ndarray      # (2, N1, N): the last sweep's G(x)
+    pair: np.ndarray        # (2, N1 N): newest f difference (later dG gamma), last f
+    g_prev: np.ndarray      # (N1, N): the last sweep's G(x)
     held: int = 0           # ring rows in use
     slot: int = 0           # the ring row the next difference goes to
     fsq_prev: float | None = None   # ||f||^2 of the last sweep
-    stepped: bool = False   # the last call moved (rho, U) off G(x)
+    fsq_min: float = np.inf         # the least ||f||^2 so far
+    stale: int = 0          # sweeps since ||f||^2 last set a new least value
+    stepped: bool = False   # the last call moved xi off G(x)
 
     @classmethod
     def allocate(cls, m: int, shape) -> "AndersonHistory":
-        size = 2 * shape[0] * shape[1]
+        size = shape[0] * shape[1]
         return cls(dG=np.empty((m, size)), dF=np.empty((m, size)), gram=np.zeros((m, m)),
-                   fit=np.empty((m, m)), pair=np.empty((2, 2) + shape),
-                   g_prev=np.empty((2,) + shape))
+                   fit=np.empty((m, m)), pair=np.empty((2, size)), g_prev=np.empty(shape))
 
-    def extrapolate(self, state: AdmmState, fsq: float) -> None:
-        """Record the sweep just taken, whose ||f||^2 is ``fsq``, and move
-        state's (rho, U) on from G(x), or back to the last G(x) if the
-        safeguard rejects the point this sweep started from."""
+    def extrapolate(self, state: AdmmState) -> None:
+        """Record the (W, b) step just taken and set rho so that the (V, U)
+        step reads xi = S - rho on from G(x), or back at the last G(x) if
+        the safeguard rejects the point this sweep started from."""
         m = self.gram.shape[0]
         new, f = self.pair
-        j = self.slot
-        if self.fsq_prev is None or fsq > 4.0 * self.fsq_prev:
-            self.held = self.slot = 0     # the first sweep, or the residual jumped
-            if self.stepped:              # reject the extrapolated point
-                state.rho[...] = self.g_prev[0]
-                state.U[...] = self.g_prev[1]
-                self.fsq_prev, self.stepped = None, False
-                return
+        g = np.subtract(state.S, state.rho, out=state.neg_xi2)   # G(x), scratch
+        f_now = np.subtract(state.S, state.U, out=state.tied).reshape(-1)
+        fsq = float(np.dot(f_now, f_now))
+        if fsq < self.fsq_min:
+            self.fsq_min, self.stale = fsq, 0
         else:
-            np.subtract(state.neg_xi2, f[0], out=new[0])
-            np.subtract(state.tied, f[1], out=new[1])
-            self.dF[j] = new.reshape(-1)
-            dG = self.dG[j].reshape(self.g_prev.shape)
-            np.subtract(state.rho, self.g_prev[0], out=dG[0])
-            np.subtract(state.U, self.g_prev[1], out=dG[1])
+            self.stale += 1
+        if self.stepped and not fsq <= self.fsq_prev:   # a rise, or NaN: reject the point
+            np.subtract(state.S, self.g_prev, out=state.rho)
+            self.held = self.slot = 0
+            self.fsq_prev, self.stepped = None, False
+            return
+        j = self.slot
+        if self.fsq_prev is None or fsq > 4.0 * self.fsq_prev or self.stale >= m:
+            self.held = self.slot = self.stale = 0   # the first sweep, a jump or a stall
+        else:
+            np.subtract(f_now, f, out=new)
+            self.dF[j] = new
+            np.subtract(g, self.g_prev, out=self.dG[j].reshape(g.shape))
             self.held = min(self.held + 1, m)
             self.slot = (j + 1) % m
         self.fsq_prev = fsq
-        f[0], f[1] = state.neg_xi2, state.tied
-        self.g_prev[0] = state.rho
-        self.g_prev[1] = state.U
+        f[...] = f_now
+        self.g_prev[...] = g
         self.stepped = False
         k = self.held
         if not k:
             return
         # one pass over the ring: dF . new is the Gram row, dF . f the fit's rhs
-        dots = self.dF[:k] @ self.pair.reshape(2, -1).T
+        dots = self.dF[:k] @ self.pair.T
         self.gram[j, :k] = self.gram[:k, j] = dots[:, 0]
         gram = self.gram[:k, :k]
         fit = self.fit.reshape(-1)[:k * k].reshape(k, k)
@@ -388,9 +396,8 @@ class AndersonHistory:
             gamma = np.linalg.solve(fit, dots[:, 1])
         except np.linalg.LinAlgError:
             return
-        np.dot(gamma, self.dG[:k], out=new.reshape(-1))
-        state.rho -= new[0]
-        state.U -= new[1]
+        np.dot(gamma, self.dG[:k], out=new)
+        state.rho += new.reshape(g.shape)   # S - rho = G(x) - dG gamma
         self.stepped = True
 
 
@@ -434,6 +441,8 @@ def solve_subproblem(spec: SubproblemSpec, tol: float = 1e-6,
     converged = False
     for it in range(1, max_iter + 1):
         update_wb(state, spec)
+        if history is not None:
+            history.extrapolate(state)
         update_vu(state, spec)
         update_multipliers(state)
         worst = max(state.delta_rho_sq, state.delta_u_sq)
@@ -444,8 +453,6 @@ def solve_subproblem(spec: SubproblemSpec, tol: float = 1e-6,
         if worst <= tol:
             converged = True
             break
-        if history is not None:
-            history.extrapolate(state, state.delta_rho_sq + state.delta_u_sq)
     # Snap the codes so the returned point satisfies Omega2 exactly even
     # though U only matches W X + b1 in the limit.
     V = np.maximum(np.maximum(state.V, state.S), 0.0)

@@ -473,27 +473,77 @@ class TestAnderson:
             with pytest.raises(NumericError, match="at sweep 6"):
                 solve_subproblem(spec, tol=1e-14)
 
+    @staticmethod
+    def accelerated_sweep(state, spec, history):
+        update_wb(state, spec)
+        history.extrapolate(state)
+        update_vu(state, spec)
+        update_multipliers(state)
+
     def test_ring_keeps_its_gram_matrix_and_falls_back_on_a_jump(self):
         spec = make_spec(40, 6, 5, seed=80, L=1.3)
         state = AdmmState.from_anchor(spec)
         history = AndersonHistory.allocate(3, state.S.shape)
+        # the rings hold differences of xi = S - rho alone: one N1 x N row each
+        assert history.dG.shape == history.dF.shape == (3, state.S.size)
         # the first sweep only primes the history; the ring then fills and wraps
-        for fsq in (1.0, 0.9, 0.8, 0.7, 0.6, 2.5):   # 2.5 > 4 x 0.6: start over
-            update_wb(state, spec)
-            update_vu(state, spec)
-            update_multipliers(state)
-            if fsq == 2.5:
-                assert (history.held, history.slot) == (3, 1)
-                dF = history.dF
-                assert np.allclose(history.gram, dF @ dF.T, rtol=1e-12, atol=0.0)
-                assert history.stepped
-                g_prev = history.g_prev.copy()
-            history.extrapolate(state, fsq)
-        # the jump rejects the extrapolated start: (rho, U) return to its G(x)
+        for _ in range(5):
+            self.accelerated_sweep(state, spec, history)
+        assert (history.held, history.slot) == (3, 1)
+        dF = history.dF
+        assert np.allclose(history.gram, dF @ dF.T, rtol=1e-12, atol=0.0)
+        assert history.stepped
+        g_prev = history.g_prev.copy()
+        # a jump in ||f||^2 = ||S - U||^2 after an extrapolated point rejects
+        # it: xi = S - rho returns to the G(x) it came from, and the history
+        # starts over
+        update_wb(state, spec)
+        state.U += 10.0
+        history.extrapolate(state)
         assert (history.held, history.slot) == (0, 0)
         assert (history.fsq_prev, history.stepped) == (None, False)
-        assert state.rho.tobytes() == g_prev[0].tobytes()
-        assert state.U.tobytes() == g_prev[1].tobytes()
+        assert state.rho.tobytes() == (state.S - g_prev).tobytes()
+
+    def test_history_restarts_after_m_sweeps_without_a_new_least_residual(self):
+        spec = make_spec(40, 6, 5, seed=80, L=1.3)
+        state = AdmmState.from_anchor(spec)
+        history = AndersonHistory.allocate(3, state.S.shape)
+        for _ in range(5):
+            self.accelerated_sweep(state, spec, history)
+        assert (history.held, history.stale) == (3, 0)
+        history.fsq_min = 0.0   # no later sweep sets a new least ||f||^2
+        for stale in (1, 2):
+            self.accelerated_sweep(state, spec, history)
+            assert (history.held, history.stale, history.stepped) == (3, stale, True)
+        self.accelerated_sweep(state, spec, history)   # the m-th: start over
+        assert (history.held, history.slot, history.stale) == (0, 0, 0)
+        assert not history.stepped
+        self.accelerated_sweep(state, spec, history)
+        assert (history.held, history.stale, history.stepped) == (1, 1, True)
+
+    def test_converges_on_the_slow_single_input_instances_of_acceptance_3(self):
+        """Acceptance 3's instances 9, 31 and 43 (N0 = 1, 8:4:1, 10:4:1 and
+        5:4:1), drawn as that check draws them, converge within its bounds.
+        They are the single-input instances the accelerated solve needs the
+        most sweeps for, the kind on which a weaker safeguard can stall."""
+        from spgae.qp_reference import kkt_residual, reference_solve
+
+        rng = np.random.default_rng(777)
+        for i in range(44):
+            n, n1, n0 = (int(rng.integers(2, 11)), int(rng.integers(1, 5)),
+                         int(rng.integers(1, 4)))
+            L = float(rng.uniform(0.5, 4.0))
+            rng.uniform(1e-4, 1e-2)
+            if i not in (9, 31, 43):
+                continue
+            assert n0 == 1
+            spec = make_spec(n, n0, n1, seed=5000 + i, L=L)
+            res = solve_subproblem(spec, tol=1e-14, max_iter=200000)
+            assert res.converged
+            gap = abs(subproblem_objective(spec, res.z)
+                      - subproblem_objective(spec, reference_solve(spec)))
+            assert gap <= 1e-6
+            assert kkt_residual(spec, res.z)["max"] <= 1e-5
 
 
 class TestSolveSubproblem:
