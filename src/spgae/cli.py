@@ -24,8 +24,7 @@ from .model import ModelParams, ProblemData, Variables, packed_size, relu
 from .rng import stream
 from .sgd import (METHODS as SGD_METHODS, SgdConfig, SgdMember, net_to_feasible,
                   sgd_lockstep, spg_ada, spg_ada_tail)
-from .smoothing import GradientBlocks
-from .spg import SpgConfig, SpgResult, estimate_validated_l0, run as spg_run
+from .spg import SpgConfig, estimate_validated_l0, run as spg_run
 from .subproblem import SubproblemSpec, solve_subproblem
 from .trace import RunTrace, TraceWriter
 
@@ -141,6 +140,8 @@ def _synthetic(cfg: dict, seed: int):
 def _build_problem(cfg: dict, seed: int):
     """Return (ProblemData, test matrix or None) from whichever source is configured."""
     test_X, n1 = None, cfg["n1"]
+    if cfg["test_file"] and not cfg["train_file"]:
+        raise ValueError("--test-file needs --train-file")
     if cfg["train_file"]:
         X = serialize.load_matrix(cfg["train_file"])
         test_X = serialize.load_matrix(cfg["test_file"]) if cfg["test_file"] else None
@@ -184,13 +185,6 @@ def _write_config_snapshot(path, cfg: dict, seed: int, params: ModelParams,
     if extra:
         snap.update(extra)
     serialize.save_kv(path, snap)
-
-
-def _spg_summary(result: SpgResult) -> dict:
-    """The summary fields of a deterministic solver run (``spg``, ``spg-ada``)."""
-    return {"iterations": result.iterations, "final_mu": result.mu,
-            "final_L": result.L, "b1_clamp_hits": result.b1_clamp_hits,
-            "capped_solves": result.capped_solves, "mu_shrinks": result.mu_shrinks}
 
 
 class _SeedRun:
@@ -242,56 +236,57 @@ def train_seeds(cfg: dict, seeds, outs, spg_config: SpgConfig | None) -> list[di
     summaries.
 
     ``spg_config`` is ``_spg_config(cfg)`` for the ``spg`` and ``spg-ada``
-    methods, else None.  ``spg`` runs one seed after another.  The SGD methods
-    and ``spg-ada`` set up every seed, train all of them as one lockstep group
-    (``sgd_lockstep``), then finish each seed (``spg-ada``: its solver tail)
-    and write its files.
+    methods, else None.  Every seed is set up; the methods with an SGD phase
+    (every one but ``spg``; ``spg-ada``'s is its Adadelta warm start) train
+    all seeds in it as one lockstep group (``sgd_lockstep``).  Each seed is
+    then finished (``spg``: the solver run, ``spg-ada``: its solver tail) and
+    its files written.
     """
     method = cfg["method"]
-    if method == "spg":
-        summaries = []
-        for seed, outdir in zip(seeds, outs):
-            run = _SeedRun(cfg, seed, outdir, spg_config)
-            t_start = time.perf_counter()
-            with run.sink:
-                result = spg_run(run.data, run.params, run.config, seed=seed,
-                                 test_X=run.test_X, sink=run.sink)
-            run.elapsed_s += time.perf_counter() - t_start
-            fields = {**_spg_summary(result),
-                      "final_stationarity": result.final_stationarity}
-            resolved = run.config.L0 if run.config.L0 is not None else "auto"
-            summaries.append(run.finish(result.z, result.trace, fields,
-                                        {"resolved_L0": resolved}))
-        return summaries
     ada = method == "spg-ada"       # the SGD phase is spg-ada's Adadelta warm start
-    sgd_configs = [SgdConfig(method="adadelta" if ada else method,
-                             epochs=cfg["ada_epochs" if ada else "epochs"],
-                             batch_size=cfg["batch_size"], lr=cfg["lr"], seed=seed)
-                   for seed in seeds]
+    sgd_configs = [] if method == "spg" else [
+        SgdConfig(method="adadelta" if ada else method,
+                  epochs=cfg["ada_epochs" if ada else "epochs"],
+                  batch_size=cfg["batch_size"], lr=cfg["lr"], seed=seed)
+        for seed in seeds]
     with contextlib.ExitStack() as stack:
         runs = []
         for seed, outdir in zip(seeds, outs):
             runs.append(_SeedRun(cfg, seed, outdir, spg_config))
             stack.enter_context(runs[-1].sink)
         t_start = time.perf_counter()
-        trained = sgd_lockstep([SgdMember(r.data, r.params, c, test_X=r.test_X,
-                                          sink=r.sink)
-                                for r, c in zip(runs, sgd_configs)])
+        trained = [(None, None)] * len(runs)
+        if sgd_configs:
+            trained = sgd_lockstep([SgdMember(r.data, r.params, c, test_X=r.test_X,
+                                              sink=r.sink)
+                                    for r, c in zip(runs, sgd_configs)])
         shared_s = time.perf_counter() - t_start
         summaries = []
         for run, (p, trace) in zip(runs, trained):
             t_start = time.perf_counter()
-            if ada:
+            extra = None
+            if method == "spg":
+                result = spg_run(run.data, run.params, run.config, seed=run.seed,
+                                 test_X=run.test_X, sink=run.sink)
+                fields = {"final_stationarity": result.final_stationarity}
+            elif ada:
                 result, trace = spg_ada_tail(p, trace, run.data, run.params, run.config,
                                              seed=run.seed, test_X=run.test_X,
                                              sink=run.sink)
-                z = result.z
-                fields = {**_spg_summary(result), "handoff_index": trace.handoff_index}
+                fields = {"handoff_index": trace.handoff_index}
             else:
                 z = net_to_feasible(p, run.data, run.params)
                 fields = {"epochs": cfg["epochs"]}
+            if spg_config is not None:
+                z, trace = result.z, result.trace
+                fields = {"iterations": result.iterations, "final_mu": result.mu,
+                          "final_L": result.L, "b1_clamp_hits": result.b1_clamp_hits,
+                          "capped_solves": result.capped_solves,
+                          "mu_shrinks": result.mu_shrinks, **fields}
+                # the L0 the solver started at: the L of its first trace row
+                extra = {"resolved_L0": trace.rows[trace.handoff_index or 0].L}
             run.elapsed_s += shared_s + time.perf_counter() - t_start
-            summaries.append(run.finish(z, trace, fields))
+            summaries.append(run.finish(z, trace, fields, extra))
         return summaries
 
 
@@ -370,7 +365,7 @@ def bench_instance(n: int, n1: int, n0: int, seed: int = 0):
     params = ModelParams.from_data(data)
     anchor = Variables(W=W_bar, b1=np.zeros(n1), b2=np.zeros(n0),
                        V=relu(W_bar @ X))
-    grads = GradientBlocks(g_W=g_W, g_b1=g_b[:n1], g_b2=g_b[n1:], g_V=g_V)
+    grads = Variables(W=g_W, b1=g_b[:n1], b2=g_b[n1:], V=g_V)
     return SubproblemSpec(anchor=anchor, grads=grads, L=1.0, params=params, data=data)
 
 

@@ -21,8 +21,6 @@ N1*N*beta) * mu holds, which is what lets the outer loop drive mu -> 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import (Forward, ModelParams, ProblemData, Variables, preactivations,
@@ -43,20 +41,6 @@ def smooth_relu_deriv(y, mu: float):
     if not (mu > 0):
         raise ValueError("mu must be positive")
     return np.clip(np.asarray(y, dtype=np.float64) / mu, 0.0, 1.0)
-
-
-@dataclass
-class GradientBlocks:
-    """Gradient of H~ split along the variable blocks."""
-
-    g_W: np.ndarray   # (N1, N0)
-    g_b1: np.ndarray  # (N1,)
-    g_b2: np.ndarray  # (N0,)
-    g_V: np.ndarray   # (N1, N)
-
-    def pack(self) -> np.ndarray:
-        return np.concatenate([self.g_W.ravel(order="F"), self.g_b1, self.g_b2,
-                               self.g_V.ravel(order="F")])
 
 
 def smoothed_loss(z: Variables, mu: float, data: ProblemData, params: ModelParams, *,
@@ -80,8 +64,8 @@ def smoothed_objective(z: Variables, mu: float, data: ProblemData, params: Model
 
 
 def smoothed_loss_grad(z: Variables, mu: float, data: ProblemData,
-                       params: ModelParams, *, fw: Forward | None = None) -> GradientBlocks:
-    """Analytic gradient of H~ at z.
+                       params: ModelParams, *, fw: Forward | None = None) -> Variables:
+    """Analytic gradient of H~ at z, a point of z's own space.
 
     With Y = W^T V + b2 1^T and S = W X + b1 1^T:
         Q   = (2/N) ((Y)_+ - X .* sr'(Y, mu))
@@ -96,9 +80,6 @@ def smoothed_loss_grad(z: Variables, mu: float, data: ProblemData,
     Y, S = fw or preactivations(z, data)
     Q = (2.0 / n) * (relu(Y) - data.X * smooth_relu_deriv(Y, mu))
     Ds = smooth_relu_deriv(S, mu)
-    g_W = z.V @ Q.T - params.beta * (Ds @ data.X.T)
-    g_b1 = -params.beta * np.sum(Ds, axis=1)
-    g_b2 = np.sum(Q, axis=1)
-    g_V = z.W @ Q + params.beta
-    return GradientBlocks(g_W=g_W, g_b1=g_b1, g_b2=g_b2,
-                          g_V=np.ascontiguousarray(g_V))
+    return Variables(W=z.V @ Q.T - params.beta * (Ds @ data.X.T),
+                     b1=-params.beta * np.sum(Ds, axis=1), b2=np.sum(Q, axis=1),
+                     V=np.ascontiguousarray(z.W @ Q + params.beta))

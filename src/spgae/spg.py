@@ -111,11 +111,6 @@ def init_point(data: ProblemData, seed: int = 0) -> tuple[Variables, np.ndarray]
     return z, WX
 
 
-def init_variables(data: ProblemData, seed: int = 0) -> Variables:
-    """The start point of ``init_point`` without its S."""
-    return init_point(data, seed)[0]
-
-
 def stationarity_diagnostic(z_prev: Variables, z_next: Variables, L: float,
                             params: ModelParams) -> float:
     """Computable surrogate (2*lambda2 + L) * ||z_next - z_prev||_2.
@@ -280,14 +275,13 @@ def _box_radius(data: ProblemData, params: ModelParams) -> tuple[float, float]:
 
 
 def estimate_validated_l0(data: ProblemData, params: ModelParams, mu0: float,
-                          seed: int = 0, n_pairs: int = 40,
-                          safety: float = 10.0) -> tuple[float, float]:
+                          seed: int = 0) -> tuple[float, float]:
     """Sampled estimate of the L0 making every step provably non-increasing.
 
     mu0 * L0 must dominate max{6*lambda2*N1*N0 + (2/eta)(N2*Lh + lambda1*N1*N),
     8*lambda2 + Lg} where Lh, Lg are Lipschitz moduli of mu*H~ and its gradient
-    over the level-set box times (0, 1).  The moduli are estimated from random
-    pairs and inflated by ``safety``; overestimation only makes steps smaller.
+    over the level-set box times (0, 1).  The moduli are estimated from 40
+    random pairs and inflated tenfold; overestimation only makes steps smaller.
     Returns (L0, box_radius).
     """
     if not 0.0 < mu0 < 1.0:
@@ -297,7 +291,7 @@ def estimate_validated_l0(data: ProblemData, params: ModelParams, mu0: float,
     rng = stream(seed, "test")
     nz = data.n_packed
     lh = lg = 0.0
-    for _ in range(n_pairs):
+    for _ in range(40):
         base = rng.uniform(-radius, radius, size=nz)
         scale = 10.0 ** rng.uniform(-4, 0) * radius
         other = np.clip(base + rng.standard_normal(nz) * scale, -radius, radius)
@@ -317,13 +311,12 @@ def estimate_validated_l0(data: ProblemData, params: ModelParams, mu0: float,
     bound = max(6.0 * params.lambda2 * n1 * n0
                 + (2.0 / eta) * (nz * lh + params.lambda1 * n1 * n),
                 8.0 * params.lambda2 + lg)
-    l0 = min(max(safety * bound / mu0, 1.0), 1e30)
+    l0 = min(max(10.0 * bound / mu0, 1.0), 1e30)
     return l0, radius
 
 
 def estimate_local_l0(z0: Variables, mu0: float, data: ProblemData,
-                      params: ModelParams, seed: int = 0, n_probes: int = 8,
-                      safety: float = 2.0) -> float:
+                      params: ModelParams, seed: int = 0) -> float:
     """Secant estimate of the gradient-Lipschitz scale of H~ near z0.
 
     The proximal weight must dominate the local curvature for the first
@@ -331,19 +324,19 @@ def estimate_local_l0(z0: Variables, mu0: float, data: ProblemData,
     initialization the curvature is tiny and the practical default handles
     it, but a warm start sits in a region where entries of the
     preactivations cross the smoothing band and curvature reaches
-    O(max|X| / mu).  Probing secants along random directions captures that
-    scale.  Floored at default_l0, so cold-ish points fall back to the
-    practical setting.
+    O(max|X| / mu).  Secants along 8 random directions capture that scale,
+    which is doubled for safety.  Floored at default_l0, so cold-ish points
+    fall back to the practical setting.
     """
     rng = stream(seed, "test")
     g0 = smoothed_loss_grad(z0, mu0, data, params).pack()
     v0 = z0.pack()
     step = 1e-3 * (1.0 + float(np.max(np.abs(v0))))
     ratio = 0.0
-    for _ in range(n_probes):
+    for _ in range(8):
         d = rng.standard_normal(v0.size)
         d /= float(np.linalg.norm(d))
         zp = Variables.unpack(v0 + step * d, data)
         gp = smoothed_loss_grad(zp, mu0, data, params).pack()
         ratio = max(ratio, float(np.linalg.norm(gp - g0)) / step)
-    return min(max(safety * ratio, default_l0(data, params)), 1e12)
+    return min(max(2.0 * ratio, default_l0(data, params)), 1e12)

@@ -61,7 +61,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import ModelParams, ProblemData, Variables, regularizer
-from .smoothing import GradientBlocks
 
 
 class NumericError(RuntimeError):
@@ -77,7 +76,7 @@ class SubproblemSpec:
     """Anchor point, gradient blocks and weights defining one subproblem."""
 
     anchor: Variables
-    grads: GradientBlocks
+    grads: Variables
     L: float
     params: ModelParams
     data: ProblemData
@@ -160,7 +159,7 @@ class WbFactor:
                 and self.X is spec.data.X):
             raise ValueError("factor was built for another L, lambda2 or X")
         a, g, L = spec.anchor, spec.grads, spec.L
-        rhs = np.hstack([-g.g_W + L * a.W, (-g.g_b1 + L * a.b1)[:, None]])
+        rhs = np.hstack([-g.W + L * a.W, (-g.b1 + L * a.b1)[:, None]])
         if not self.sample_space:
             return rhs @ self.Minv, None, None, None
         n0 = spec.data.n_visible
@@ -227,8 +226,8 @@ class AdmmState:
             factor = WbFactor.build(spec.data, spec.L, spec.params.lambda2)
         C, K, CX, c_b = factor.step_terms(spec)
         a, g, L = spec.anchor, spec.grads, spec.L
-        b2 = np.clip(a.b2 - g.g_b2 / L, -spec.params.alpha, spec.params.alpha)
-        xi1 = g.g_V / L - a.V + spec.params.lambda1 / L
+        b2 = np.clip(a.b2 - g.b2 / L, -spec.params.alpha, spec.params.alpha)
+        xi1 = g.V / L - a.V + spec.params.lambda1 / L
         L_xi1 = L * xi1
         neg_xi1 = np.negative(xi1, out=xi1)   # in place: no third array lives on
         S = (a.W @ spec.data.X + a.b1[:, None] if anchor_S is None
@@ -432,8 +431,7 @@ def solve_subproblem(spec: SubproblemSpec, tol: float = 1e-6,
     if not (isinstance(anderson, (int, np.integer)) and not isinstance(anderson, bool)
             and anderson >= 0):
         raise ValueError("anderson must be an integer >= 0")
-    g = spec.grads
-    for block in (g.g_W, g.g_b1, g.g_b2, g.g_V):
+    for block in spec.grads.blocks():
         if not np.all(np.isfinite(block)):
             raise NumericError("non-finite gradient block passed to solver")
     state = AdmmState.from_anchor(spec, factor, anchor_S)

@@ -164,6 +164,21 @@ class TestTrain:
         assert trace.rows[2].mu is None
         assert trace.rows[3].mu is not None
 
+    @pytest.mark.parametrize("method,extra", [
+        ("spg", []), ("spg", ["--L0", 2]), ("spg", ["--theoretical-L"]),
+        ("spg-ada", ["--ada-epochs", 2]),
+    ])
+    def test_resolved_L0_is_the_first_solver_rows_L(self, tmp_path, method, extra):
+        out = tmp_path / "run"
+        assert run_cli(["train", "--method", method, "--n", 12, "--n1", 3, "--n0", 2,
+                        "--max-iters", 3, "--seed", 1, *extra, "--out", out]) == 0
+        first = int(load_kv(out / "summary.txt").get("handoff_index", 0))
+        L = RunTrace.read_csv(out / "trace.csv").rows[first].L
+        assert L is not None
+        assert float(load_kv(out / "config.txt")["resolved_L0"]) == L
+        if extra == ["--L0", 2]:
+            assert L == 2.0
+
     def test_multi_seed_layout(self, tmp_path):
         out = tmp_path / "multi"
         rc = run_cli(["train", "--method", "adadelta", "--n", 10, "--n1", 2,
@@ -188,7 +203,7 @@ class TestTrain:
             assert ((seq / f"seed_{seed}" / "model.bin").read_bytes()
                     == (par / f"seed_{seed}" / "model.bin").read_bytes())
 
-    @pytest.mark.parametrize("method", ["adadelta", "adam", "spg-ada"])
+    @pytest.mark.parametrize("method", ["adadelta", "adam", "spg-ada", "spg"])
     def test_each_seed_matches_its_own_command(self, tmp_path, method):
         args = ["train", "--method", method, "--n", 30, "--n1", 3, "--n0", 2,
                 "--ntest", 5, "--epochs", 3, "--ada-epochs", 3, "--max-iters", 5,
@@ -228,6 +243,7 @@ class TestTrain:
         ("--tau2", "nan", "tau2 must be positive"),
         ("--sub-max-iter", 0, "sub_max_iter must be >= 1"),
         ("--lambda1", "nan", "lambda1 and lambda2 must be nonnegative"),
+        ("--test-file", "test.bin", "--test-file needs --train-file"),
     ])
     def test_bad_solver_setting_is_an_error(self, tmp_path, capsys, flag, value, message):
         rc = run_cli(["train", "--method", "spg", "--preset", 6, "--seed", 0,

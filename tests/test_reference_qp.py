@@ -11,7 +11,6 @@ from spgae.cli import bench_instance
 from spgae.model import ModelParams, ProblemData, Variables, feasibility
 from spgae.qp_reference import (MAX_REFERENCE_DIM, _polish, kkt_residual, nnls,
                                 quadratic_terms, reference_solve, unit_blocks)
-from spgae.smoothing import GradientBlocks
 from spgae.subproblem import SubproblemSpec, solve_subproblem, subproblem_objective
 
 from conftest import random_problem
@@ -99,10 +98,10 @@ class TestDenseConstraints:
         assert data.n_packed > MAX_REFERENCE_DIM
         with pytest.raises(ValueError):
             dense_constraints(data, params)
-        zero_grads = GradientBlocks(
-            g_W=np.zeros((data.n_hidden, data.n_visible)),
-            g_b1=np.zeros(data.n_hidden), g_b2=np.zeros(data.n_visible),
-            g_V=np.zeros((data.n_hidden, data.n_samples)))
+        zero_grads = Variables(
+            W=np.zeros((data.n_hidden, data.n_visible)),
+            b1=np.zeros(data.n_hidden), b2=np.zeros(data.n_visible),
+            V=np.zeros((data.n_hidden, data.n_samples)))
         spec = SubproblemSpec(anchor=Variables.zeros(data), grads=zero_grads,
                               L=1.0, params=params, data=data)
         with pytest.raises(ValueError):
@@ -145,8 +144,8 @@ class TestReferenceSolve:
                                        beta=1.0, theta=2.0, alpha=1.0)
         anchor = Variables(W=np.array([[0.5]]), b1=np.array([0.25]),
                            b2=np.array([-0.5]), V=np.array([[1.0]]))
-        grads = GradientBlocks(g_W=np.array([[1.0]]), g_b1=np.array([-0.5]),
-                               g_b2=np.array([1.0]), g_V=np.array([[-2.0]]))
+        grads = Variables(W=np.array([[1.0]]), b1=np.array([-0.5]),
+                          b2=np.array([1.0]), V=np.array([[-2.0]]))
         spec = SubproblemSpec(anchor=anchor, grads=grads, L=2.0,
                               params=params, data=data)
         z = reference_solve(spec)
@@ -162,8 +161,8 @@ class TestReferenceSolve:
                                        beta=1.0, theta=2.0, alpha=1.0)
         anchor = Variables(W=np.array([[0.5]]), b1=np.array([0.25]),
                            b2=np.array([-0.5]), V=np.array([[1.0]]))
-        grads = GradientBlocks(g_W=np.array([[1.0]]), g_b1=np.array([-0.5]),
-                               g_b2=np.array([1.0]), g_V=np.array([[3.0]]))
+        grads = Variables(W=np.array([[1.0]]), b1=np.array([-0.5]),
+                          b2=np.array([1.0]), V=np.array([[3.0]]))
         spec = SubproblemSpec(anchor=anchor, grads=grads, L=2.0,
                               params=params, data=data)
         z = reference_solve(spec)

@@ -117,11 +117,11 @@ class TestGradient:
         g = smoothed_loss_grad(z, 1e-3, data, params)
         # W=0, V=0: decoder preactivation 0, sigma'(0)=0, so g_W = 0;
         # penalty gives the constant beta block on V
-        assert np.allclose(g.g_W, 0.0)
-        assert np.allclose(g.g_V, params.beta)
-        assert np.allclose(g.g_b1, 0.0)
+        assert np.allclose(g.W, 0.0)
+        assert np.allclose(g.V, params.beta)
+        assert np.allclose(g.b1, 0.0)
         # b2 direction: Q at Y=0 is 0 (both relu part and sigma' part vanish)
-        assert np.allclose(g.g_b2, 0.0)
+        assert np.allclose(g.b2, 0.0)
 
     def test_matches_central_differences(self):
         data, params = random_problem(4, 2, 3, seed=9)

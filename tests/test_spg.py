@@ -17,7 +17,7 @@ from spgae.smoothing import smoothed_objective
 from spgae.subproblem import WbFactor
 from spgae.spg import (DivergenceError, SpgConfig, default_l0,
                        estimate_local_l0, estimate_validated_l0,
-                       init_variables, run, spg_step, stationarity_diagnostic)
+                       init_point, run, spg_step, stationarity_diagnostic)
 
 from conftest import random_problem
 from helpers import plain_solve, smoothing_gap_bound
@@ -79,7 +79,7 @@ class TestDefaults:
 
     def test_init_in_Z_with_zero_penalty(self, tiny_problem):
         data, params = tiny_problem
-        z = init_variables(data, seed=5)
+        z = init_point(data, seed=5)[0]
         rep = feasibility(z, data, params, tol=0.0)
         assert rep.in_Z
         assert penalty(z, data, params) == 0.0
@@ -87,10 +87,10 @@ class TestDefaults:
 
     def test_init_deterministic_and_scaled(self, tiny_problem):
         data, _ = tiny_problem
-        z1 = init_variables(data, seed=7)
-        z2 = init_variables(data, seed=7)
+        z1 = init_point(data, seed=7)[0]
+        z2 = init_point(data, seed=7)[0]
         assert np.array_equal(z1.pack(), z2.pack())
-        z3 = init_variables(data, seed=8)
+        z3 = init_point(data, seed=8)[0]
         assert not np.array_equal(z1.W, z3.W)
         # randn/N scaling: entries should be O(1/N) for this tiny N
         assert np.max(np.abs(z1.W)) < 10.0 / data.n_samples
@@ -105,7 +105,7 @@ class TestStep:
     def test_branch_contract(self, tiny_problem):
         data, params = tiny_problem
         cfg = self.config()
-        z = init_variables(data, seed=1)
+        z = init_point(data, seed=1)[0]
         mu, L = cfg.mu0, 1.0
         seen = set()
         for _ in range(30):
@@ -127,7 +127,7 @@ class TestStep:
     def test_solver_reads_the_anchors_preactivations(self, tiny_problem, monkeypatch):
         data, params = tiny_problem
         cfg = self.config()
-        z = init_variables(data, seed=1)
+        z = init_point(data, seed=1)[0]
         fw = spgae.model.preactivations(z, data)
         S_before = fw.S.copy()
         passed = []
@@ -159,7 +159,7 @@ class TestStep:
         data, params = tiny_problem
         cfg = self.config()
         gap = smoothing_gap_bound(data, params)
-        z, mu, L = init_variables(data, seed=2), cfg.mu0, 1.0
+        z, mu, L = init_point(data, seed=2)[0], cfg.mu0, 1.0
         for _ in range(25):
             step = spg_step(z, mu, L, data, params, cfg)
             z, mu, L = step.z_next, step.mu_next, step.L_next
@@ -363,7 +363,7 @@ class TestRun:
         assert built == list(dict.fromkeys(used))
         monkeypatch.undo()
         # the same steps, each solve building its own factor
-        z, mu, L = init_variables(data, seed=1), cfg.mu0, cfg.L0
+        z, mu, L = init_point(data, seed=1)[0], cfg.mu0, cfg.L0
         for row in res.trace.rows[1:]:
             step = spg_step(z, mu, L, data, params, cfg)
             z, mu, L = step.z_next, step.mu_next, step.L_next
@@ -374,7 +374,7 @@ class TestRun:
     def test_subnormal_start_entries_are_flushed_on_a_copy(self, tiny_problem):
         data, params = tiny_problem
         cfg = self.config(max_outer_iters=6)
-        z0, flushed = init_variables(data, seed=5), init_variables(data, seed=5)
+        z0, flushed = init_point(data, seed=5)[0], init_point(data, seed=5)[0]
         for z, value in ((z0, 5e-324), (flushed, 0.0)):
             z.W[0] = z.b1[0] = z.V[0] = value   # a dead unit of a weight-decayed warm start
         before = z0.pack().tobytes()
@@ -403,8 +403,8 @@ class TestRun:
 class TestStationarityDiagnostic:
     def test_formula(self, tiny_problem):
         data, params = tiny_problem
-        za = init_variables(data, seed=1)
-        zb = init_variables(data, seed=2)
+        za = init_point(data, seed=1)[0]
+        zb = init_point(data, seed=2)[0]
         expect = (2.0 * params.lambda2 + 3.0) * np.linalg.norm(
             za.pack() - zb.pack())
         assert stationarity_diagnostic(za, zb, 3.0, params) == \
@@ -425,14 +425,14 @@ class TestStationarityDiagnostic:
 
     def test_zero_for_fixed_point(self, tiny_problem):
         data, params = tiny_problem
-        z = init_variables(data, seed=1)
+        z = init_point(data, seed=1)[0]
         assert stationarity_diagnostic(z, z, 5.0, params) == 0.0
 
 
 class TestLocalL0Estimate:
     def test_floor_and_determinism(self, tiny_problem):
         data, params = tiny_problem
-        z = init_variables(data, seed=1)
+        z = init_point(data, seed=1)[0]
         l_a = estimate_local_l0(z, 1e-3, data, params, seed=0)
         l_b = estimate_local_l0(z, 1e-3, data, params, seed=0)
         assert l_a == l_b

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from spgae.model import (ModelParams, ProblemData, Variables, feasibility,
                          preactivations)
-from spgae.smoothing import GradientBlocks
 from spgae.subproblem import (AdmmState, AndersonHistory, NumericError,
                               SubproblemSpec, WbFactor, solve_subproblem,
                               subproblem_objective, update_multipliers,
@@ -52,10 +51,10 @@ def make_spec(n, n0, n1, seed, L=1.0, grads=None, anchor=None):
         anchor = Variables(W=W, b1=np.zeros(n1), b2=np.zeros(n0),
                            V=np.maximum(W @ data.X, 0.0))
     if grads is None:
-        grads = GradientBlocks(g_W=rng.standard_normal((n1, n0)),
-                               g_b1=rng.standard_normal(n1),
-                               g_b2=rng.standard_normal(n0),
-                               g_V=rng.standard_normal((n1, n)))
+        grads = Variables(W=rng.standard_normal((n1, n0)),
+                          b1=rng.standard_normal(n1),
+                          b2=rng.standard_normal(n0),
+                          V=rng.standard_normal((n1, n)))
     return SubproblemSpec(anchor=anchor, grads=grads, L=L,
                           params=params, data=data)
 
@@ -66,8 +65,8 @@ def dense_wb_system(spec):
     Xhat = np.vstack([spec.data.X, np.ones(spec.data.n_samples)])
     M = spec.L * np.eye(n0 + 1) + Xhat @ Xhat.T
     M[:n0, :n0] += 2.0 * spec.params.lambda2 * np.eye(n0)
-    const = np.hstack([-spec.grads.g_W + spec.L * spec.anchor.W,
-                       (-spec.grads.g_b1 + spec.L * spec.anchor.b1)[:, None]])
+    const = np.hstack([-spec.grads.W + spec.L * spec.anchor.W,
+                       (-spec.grads.b1 + spec.L * spec.anchor.b1)[:, None]])
     return M, const, Xhat
 
 
@@ -91,11 +90,11 @@ def canceling_grads(anchor, params, data):
     The prox objective's gradient at the anchor is g + grad R(anchor), so
     g = -grad R makes a strictly feasible anchor the unique minimizer.
     """
-    return GradientBlocks(
-        g_W=-2.0 * params.lambda2 * anchor.W,
-        g_b1=np.zeros(data.n_hidden),
-        g_b2=np.zeros(data.n_visible),
-        g_V=-params.lambda1 * np.ones((data.n_hidden, data.n_samples)))
+    return Variables(
+        W=-2.0 * params.lambda2 * anchor.W,
+        b1=np.zeros(data.n_hidden),
+        b2=np.zeros(data.n_visible),
+        V=-params.lambda1 * np.ones((data.n_hidden, data.n_samples)))
 
 
 class TestVUClosedForm:
@@ -170,7 +169,7 @@ class TestWbUpdate:
         assert np.allclose(got.W, Whb[:, :n0], atol=1e-10)
         b1 = np.clip(Whb[:, n0], -spec.params.alpha, spec.params.alpha)
         assert np.allclose(got.b1, b1, atol=1e-10)
-        b2 = np.clip(spec.anchor.b2 - spec.grads.g_b2 / spec.L,
+        b2 = np.clip(spec.anchor.b2 - spec.grads.b2 / spec.L,
                      -spec.params.alpha, spec.params.alpha)
         assert np.allclose(got.b2, b2, atol=1e-12)
         return state.factor
@@ -261,10 +260,10 @@ class TestWbUpdate:
     def test_b2_clamp_exact(self):
         data, params = random_problem(4, 2, 2, seed=30)
         anchor = Variables.zeros(data)
-        grads = GradientBlocks(g_W=np.zeros((2, 2)), g_b1=np.zeros(2),
-                               g_b2=np.array([10.0 * params.alpha,
-                                              -10.0 * params.alpha]),
-                               g_V=np.zeros((2, 4)))
+        grads = Variables(W=np.zeros((2, 2)), b1=np.zeros(2),
+                          b2=np.array([10.0 * params.alpha,
+                                       -10.0 * params.alpha]),
+                          V=np.zeros((2, 4)))
         spec = SubproblemSpec(anchor=anchor, grads=grads, L=1.0,
                               params=params, data=data)
         state = update_wb(AdmmState.from_anchor(spec), spec)
@@ -295,7 +294,7 @@ def reference_sweeps(spec, state, sweeps):
     (S, U, V, rho, delta_rho_sq, delta_u_sq) after each sweep."""
     a, L, alpha = spec.anchor, spec.L, spec.params.alpha
     n0 = spec.data.n_visible
-    xi1 = spec.grads.g_V / L - a.V + spec.params.lambda1 / L
+    xi1 = spec.grads.V / L - a.V + spec.params.lambda1 / L
     U = a.W @ spec.data.X + a.b1[:, None]
     rho = np.zeros_like(U)
     out = []
@@ -377,7 +376,7 @@ class TestB1Clamp:
         for n, n0, n1, seed in TestWorkspace.SHAPES:
             spec = make_spec(n, n0, n1, seed=seed)
             spec = replace(spec, params=replace(spec.params, alpha=1.0),
-                           grads=replace(spec.grads, g_b1=50.0 * (np.arange(n1) % 3 - 1.0)))
+                           grads=replace(spec.grads, b1=50.0 * (np.arange(n1) % 3 - 1.0)))
             alpha = spec.params.alpha
             seen = {"hits": 0}
 
@@ -642,8 +641,8 @@ class TestSolveSubproblem:
                                        beta=1.0, theta=2.0, alpha=1.0)
         anchor = Variables(W=np.array([[0.5]]), b1=np.array([0.25]),
                            b2=np.array([-0.5]), V=np.array([[1.0]]))
-        grads = GradientBlocks(g_W=np.array([[1.0]]), g_b1=np.array([-0.5]),
-                               g_b2=np.array([1.0]), g_V=np.array([[-2.0]]))
+        grads = Variables(W=np.array([[1.0]]), b1=np.array([-0.5]),
+                          b2=np.array([1.0]), V=np.array([[-2.0]]))
         spec = SubproblemSpec(anchor=anchor, grads=grads, L=2.0,
                               params=params, data=data)
         res = solve_subproblem(spec, tol=1e-16, max_iter=50000)
@@ -664,8 +663,8 @@ class TestSolveSubproblem:
                                        beta=1.0, theta=2.0, alpha=1.0)
         anchor = Variables(W=np.array([[0.5]]), b1=np.array([0.25]),
                            b2=np.array([-0.5]), V=np.array([[1.0]]))
-        grads = GradientBlocks(g_W=np.array([[1.0]]), g_b1=np.array([-0.5]),
-                               g_b2=np.array([1.0]), g_V=np.array([[3.0]]))
+        grads = Variables(W=np.array([[1.0]]), b1=np.array([-0.5]),
+                          b2=np.array([1.0]), V=np.array([[3.0]]))
         spec = SubproblemSpec(anchor=anchor, grads=grads, L=2.0,
                               params=params, data=data)
         res = solve_subproblem(spec, tol=1e-16, max_iter=50000)
@@ -684,9 +683,9 @@ class TestSolveSubproblem:
 
     def test_nan_gradient_raises(self):
         spec = make_spec(4, 2, 2, seed=50)
-        bad = GradientBlocks(g_W=np.full((2, 2), np.nan),
-                             g_b1=np.zeros(2), g_b2=np.zeros(2),
-                             g_V=np.zeros((2, 4)))
+        bad = Variables(W=np.full((2, 2), np.nan),
+                        b1=np.zeros(2), b2=np.zeros(2),
+                        V=np.zeros((2, 4)))
         spec2 = SubproblemSpec(anchor=spec.anchor, grads=bad, L=1.0,
                                params=spec.params, data=spec.data)
         with pytest.raises(NumericError):
@@ -720,9 +719,9 @@ class TestSolveSubproblem:
             assert (factor.G is not None) is (n <= n0)   # both forms
             g = spec.grads
             for scale in (1.0, -0.5):   # two subproblems at one L share the factor
-                step = replace(spec, grads=GradientBlocks(
-                    g_W=scale * g.g_W, g_b1=scale * g.g_b1,
-                    g_b2=scale * g.g_b2, g_V=scale * g.g_V))
+                step = replace(spec, grads=Variables(
+                    W=scale * g.W, b1=scale * g.b1,
+                    b2=scale * g.b2, V=scale * g.V))
                 got = solve_subproblem(step, tol=1e-10, factor=factor)
                 ref = solve_subproblem(step, tol=1e-10)
                 assert got.iters == ref.iters
