@@ -142,6 +142,13 @@ def _build_problem(cfg: dict, seed: int):
     test_X, n1 = None, cfg["n1"]
     if cfg["test_file"] and not cfg["train_file"]:
         raise ValueError("--test-file needs --train-file")
+    for key in ("mnist_labels", "per_class"):
+        if cfg[key] is not None and not cfg["mnist_images"]:
+            raise ValueError(f"--{key.replace('_', '-')} needs --mnist-images")
+    for key in ("train_file", "mnist_images"):
+        if cfg["preset"] is not None and cfg[key]:
+            raise ValueError(f"--preset sets synthetic sizes and cannot be combined "
+                             f"with --{key.replace('_', '-')}")
     if cfg["train_file"]:
         X = serialize.load_matrix(cfg["train_file"])
         test_X = serialize.load_matrix(cfg["test_file"]) if cfg["test_file"] else None

@@ -147,15 +147,19 @@ def load_mnist(spec: MnistSpec) -> tuple[np.ndarray, np.ndarray]:
 # Metrics
 
 def metrics(z: Variables, data: ProblemData, params: ModelParams,
-            test_X=None, *, fw: Forward | None = None) -> dict:
+            test_X=None, *, fw: Forward | None = None, reg: float | None = None) -> dict:
     """FVal = O(z); FeasVi = mean l1 gap between V and the encoder output;
-    TrainErr = F(z); TestErr reconstructs test columns through v = (W x + b1)_+."""
+    TrainErr = F(z); TestErr reconstructs test columns through v = (W x + b1)_+.
+    ``fw`` and ``reg`` are z's pre-activations and R(z) when the caller
+    already has them."""
     fw = fw or preactivations(z, data)
+    if reg is None:
+        reg = regularizer(z, params)
     feasvi = float(np.sum(np.abs(z.V - relu(fw.S)))) / (data.n_samples * data.n_hidden)
     trainerr = fidelity(z, data, fw=fw)
     out = {
         # O = F + R + P, summed in the order ``objective`` uses
-        "fval": trainerr + regularizer(z, params) + penalty(z, data, params, fw=fw),
+        "fval": trainerr + reg + penalty(z, data, params, fw=fw),
         "feasvi": feasvi,
         "trainerr": trainerr,
         "testerr": None,

@@ -58,9 +58,12 @@ def smoothed_loss(z: Variables, mu: float, data: ProblemData, params: ModelParam
 
 
 def smoothed_objective(z: Variables, mu: float, data: ProblemData, params: ModelParams, *,
-                       fw: Forward | None = None) -> float:
-    """O~(z, mu) = H~(z, mu) + R(z)."""
-    return smoothed_loss(z, mu, data, params, fw=fw) + regularizer(z, params)
+                       fw: Forward | None = None, reg: float | None = None) -> float:
+    """O~(z, mu) = H~(z, mu) + R(z); ``fw`` and ``reg`` are z's pre-activations
+    and R(z) when the caller already has them."""
+    if reg is None:
+        reg = regularizer(z, params)
+    return smoothed_loss(z, mu, data, params, fw=fw) + reg
 
 
 def smoothed_loss_grad(z: Variables, mu: float, data: ProblemData,

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import metrics
-from .model import Forward, ModelParams, ProblemData, Variables, preactivations, relu
+from .model import (Forward, ModelParams, ProblemData, Variables, preactivations,
+                    regularizer, relu)
 from .rng import stream
 from .smoothing import smoothed_loss, smoothed_loss_grad, smoothed_objective
 from .subproblem import SubproblemResult, SubproblemSpec, WbFactor, solve_subproblem
@@ -139,6 +140,7 @@ class StepResult:
     smoothed_next: float      # O~(z_next, mu_next): the next step's "before"
     sub: SubproblemResult
     fw_next: Forward          # pre-activations of z_next
+    reg_next: float           # R(z_next), which both O~ values above add
 
 
 def spg_step(z: Variables, mu: float, L: float, data: ProblemData,
@@ -151,6 +153,8 @@ def spg_step(z: Variables, mu: float, L: float, data: ProblemData,
     caller already has them.  z_next's encoder pre-activation is the one the
     solve returns, so the step forms only its decoder product.  ``factor``
     is the caller's WbFactor for this L; without it the solve builds one.
+    The gradient is dropped once the solve returns, and R(z_next) is formed
+    once for both smoothed objectives.
     """
     fw = fw or preactivations(z, data)
     if before is None:
@@ -160,18 +164,22 @@ def spg_step(z: Variables, mu: float, L: float, data: ProblemData,
     # plain sweeps: the accelerated sweep is not yet judged on the outer loop
     sub = solve_subproblem(spec, tol=config.sub_tol, max_iter=config.sub_max_iter,
                            anderson=0, anchor_S=fw.S, factor=factor)
+    del grads, spec   # g_W is as large as W: free it before z_next is evaluated
     fw_next = preactivations(sub.z, data, S=sub.S)
-    after = smoothed_objective(sub.z, mu, data, params, fw=fw_next)
+    reg = regularizer(sub.z, params)
+    after = smoothed_objective(sub.z, mu, data, params, fw=fw_next, reg=reg)
     decrease = after - before
     accepted = decrease < -config.tau2 * mu / L
     if accepted:
         mu_next, L_next, smoothed_next = mu, L, after
     else:
         mu_next, L_next = config.tau1 * mu, config.tau3 * L
-        smoothed_next = smoothed_objective(sub.z, mu_next, data, params, fw=fw_next)
+        smoothed_next = smoothed_objective(sub.z, mu_next, data, params, fw=fw_next,
+                                           reg=reg)
     return StepResult(z_next=sub.z, mu_next=mu_next, L_next=L_next, accepted=accepted,
                       decrease=decrease, smoothed_after=after,
-                      smoothed_next=smoothed_next, sub=sub, fw_next=fw_next)
+                      smoothed_next=smoothed_next, sub=sub, fw_next=fw_next,
+                      reg_next=reg)
 
 
 @dataclass
@@ -192,11 +200,12 @@ def run(data: ProblemData, params: ModelParams, config: SpgConfig | None = None,
         sink=None, trace: RunTrace | None = None) -> SpgResult:
     """Iterate spg_step until mu <= epsilon (or max iterations / divergence).
 
-    Each iterate's pre-activations are formed once, its encoder product W X
-    only for the start point (a step's solve returns z_next's); its trace row
-    and the next step's gradient read them.  The (W, b) factor is built once
-    per distinct L and reused by every step at that L.  Each row goes to ``trace``
-    (a new one by default) with its index there as ``k``.
+    Each iterate's pre-activations and regularizer R(z) are formed once, its
+    encoder product W X only for the start point (a step's solve returns
+    z_next's); its trace row and the next step's gradient read them.  The
+    (W, b) factor is built once per distinct L and reused by every step at
+    that L.  Each row goes to ``trace`` (a new one by default) with its index
+    there as ``k``.
 
     A caller's ``z0`` is copied with every entry below the smallest normal
     float set to 0.0, and is itself left as it is: the dead ReLU units of a
@@ -216,16 +225,15 @@ def run(data: ProblemData, params: ModelParams, config: SpgConfig | None = None,
     L = config.L0 if config.L0 is not None else default_l0(data, params)
     trace = RunTrace() if trace is None else trace
 
-    smoothed = smoothed_objective(z, mu, data, params, fw=fw)
+    reg = regularizer(z, params)
+    smoothed = smoothed_objective(z, mu, data, params, fw=fw, reg=reg)
     trace.append(TraceRow(k=len(trace.rows), mu=mu, L=L, smoothed=smoothed,
                           sub_iters=0, wall_ms=0.0,
-                          **metrics(z, data, params, test_X=test_X, fw=fw)), sink)
+                          **metrics(z, data, params, test_X=test_X, fw=fw, reg=reg)), sink)
     guard = config.divergence_factor * abs(smoothed) + 1e-9
     clamp_hits = capped = shrinks = 0
     factor = None
-    k = 0
-    while k < config.max_outer_iters:
-        k += 1
+    for k in range(1, config.max_outer_iters + 1):
         t0 = time.perf_counter()
         if factor is None or factor.L != L:
             factor = None  # free the old factor before the new one is built
@@ -236,12 +244,16 @@ def run(data: ProblemData, params: ModelParams, config: SpgConfig | None = None,
         clamp_hits += step.sub.b1_clamp_hits
         capped += not step.sub.converged
         shrinks += not step.accepted
-        z_prev, L_prev = z, L
+        if step.mu_next <= config.epsilon or k == config.max_outer_iters:
+            # the last step: formed here, so no step runs while z's
+            # predecessor is still held
+            stationarity = stationarity_diagnostic(z, step.z_next, L, params)
         z, mu, L, fw = step.z_next, step.mu_next, step.L_next, step.fw_next
         smoothed = step.smoothed_next
         trace.append(TraceRow(k=len(trace.rows), mu=mu, L=L, smoothed=smoothed,
                               sub_iters=step.sub.iters, wall_ms=wall_ms,
-                              **metrics(z, data, params, test_X=test_X, fw=fw)), sink)
+                              **metrics(z, data, params, test_X=test_X, fw=fw,
+                                        reg=step.reg_next)), sink)
         if config.infnorm_bound is not None:
             zmax = max(float(np.max(np.abs(a))) for a in z.blocks())
             if zmax > config.infnorm_bound * (1.0 + 1e-9):
@@ -258,7 +270,6 @@ def run(data: ProblemData, params: ModelParams, config: SpgConfig | None = None,
             break
     else:
         trace.termination_reason = "max_iters"
-    stationarity = stationarity_diagnostic(z_prev, z, L_prev, params)
     return SpgResult(z=z, trace=trace, mu=mu, L=L, iterations=k,
                      b1_clamp_hits=clamp_hits, capped_solves=capped,
                      mu_shrinks=shrinks, final_stationarity=stationarity)

@@ -22,7 +22,7 @@ exact closed-form updates:
   space: S = (R M^{-1})_W X + (rho + U) G + b1 1^T, G = P_W X, at N1 N^2
   multiply-adds.  A sample-space solve forms one N1 (N0+1) N product,
   K = R D^{-1} X^, and one N1 N^2 product, K G, up front, and one
-  N1 N N0 product, W = (R D^{-1})_W + (rho + U - K) P_W, after the last
+  N1 N N0 product, W = (rho + U - K) P_W + (R D^{-1})_W, after the last
   sweep.  b is clamped into the box [-alpha, alpha] (the clamp is exact for
   b2, and diagnostics count any b1 activations).  numpy's LAPACK does the
   linear algebra; scipy is not imported.
@@ -50,7 +50,12 @@ sweep.
 The blocks write their (N1 x N) results and temporaries into buffers that
 AdmmState.from_anchor allocates once per solve, after the factor and the
 subproblem's constants are formed (so they are never live during either
-peak); a sweep allocates nothing of that size.
+peak); a sweep allocates nothing of that size.  AdmmState.finish drops them,
+and solve_subproblem the Anderson rings, before W is formed.  Beside the
+anchor's W and g_W, a sample-space solve thus holds one N1 x N0 array at a
+time: R, until step_terms has formed K, CX and c_b from it, then only the
+returned W, to which (R D^{-1})_W is added a row block at a time.  A
+feature-space solve keeps C = R M^{-1} and the last W^ through its sweeps.
 """
 
 from __future__ import annotations
@@ -145,29 +150,33 @@ class WbFactor:
     def step_terms(self, spec: SubproblemSpec):
         """(C, K, CX, c_b): what spec's anchor and gradient add to this factor.
 
-        Each sweep's (W, b) minimizer is W^ = R M^{-1} + (rho + U) P.  With
-        N > N0, C = R M^{-1}, one matmul with M^{-1}, and the rest are None.
-        With N <= N0, C = R D^{-1} and R M^{-1} = C - K P for K = C X^
-        (N1 x N), the solve's one N1 (N0+1) N product.  As C X^ =
-        C_W X + C_b 1^T, K gives all a sweep reads: CX = (R M^{-1})_W X =
-        K - K G - C_b 1^T (one N1 N^2 product) and the b1 column
-        c_b = C_b - K P_b, P_b being P's last column.  A sweep forms
-        S = CX + (rho + U) G + b1 1^T, and W = C_W + (rho + U - K) P_W is
-        formed once, after the last sweep; R M^{-1} itself never is.
+        Each sweep's (W, b) minimizer is W^ = R M^{-1} + (rho + U) P, R
+        written into one (N1, N0+1) buffer.  With N > N0, C = R M^{-1}, one
+        matmul with M^{-1}, and the rest are None.  With N <= N0,
+        R M^{-1} = R D^{-1} - K P for K = R D^{-1} X^ (N1 x N), the solve's
+        one N1 (N0+1) N product.  As R D^{-1} X^ = (R D^{-1})_W X +
+        (R D^{-1})_b 1^T, K gives all a sweep reads: CX = (R M^{-1})_W X =
+        K - K G - (R D^{-1})_b 1^T (one N1 N^2 product) and the b1 column
+        c_b = (R D^{-1})_b - K P_b, P_b being P's last column.  C is then
+        None: R D^{-1} is dropped here, and AdmmState.form_W forms its W
+        block again from spec, row block by row block.
         """
         if not (self.L == spec.L and self.lambda2 == spec.params.lambda2
                 and self.X is spec.data.X):
             raise ValueError("factor was built for another L, lambda2 or X")
         a, g, L = spec.anchor, spec.grads, spec.L
-        rhs = np.hstack([-g.W + L * a.W, (-g.b1 + L * a.b1)[:, None]])
-        if not self.sample_space:
-            return rhs @ self.Minv, None, None, None
         n0 = spec.data.n_visible
-        RD = np.divide(rhs, self.d, out=rhs)
+        R = np.empty((a.b1.size, n0 + 1))
+        np.multiply(a.W, L, out=R[:, :n0])
+        R[:, :n0] -= g.W
+        np.subtract(L * a.b1, g.b1, out=R[:, n0])
+        if not self.sample_space:
+            return R @ self.Minv, None, None, None
+        RD = np.divide(R, self.d, out=R)
         K = RD @ self.Xhat
         CX = K - K @ self.G
         CX -= RD[:, n0, None]
-        return RD, K, CX, RD[:, n0] - K @ self.P[:, n0]
+        return None, K, CX, RD[:, n0] - K @ self.P[:, n0]
 
 
 @dataclass
@@ -177,12 +186,13 @@ class AdmmState:
     ``from_anchor`` forms the constants from the factor of spec's L and then
     allocates every (N1 x N) buffer, so a sweep allocates nothing of that
     size: ``S``, ``T``, ``V``, ``rho`` and the two temporaries are the same
-    arrays on every sweep, and ``U`` swaps with ``U_spare``.  ``W`` is formed
-    when it is read; ``b1`` may be a view into W^ until the solve returns.
+    arrays on every sweep, and ``U`` swaps with ``U_spare``.  W is formed
+    only by ``form_W``; ``b1`` may be a view into W^ until the solve
+    returns.  ``finish`` ends the solve and drops the sweep's buffers.
     """
 
     factor: WbFactor
-    C: np.ndarray                 # (N1, N0+1): R M^{-1}, or R D^{-1} in sample space
+    C: np.ndarray | None          # (N1, N0+1): R M^{-1}, feature space only
     K: np.ndarray | None          # (N1, N), R D^{-1} X^, sample space only
     CX: np.ndarray | None         # (N1, N), (R M^{-1})_W X, sample space only
     c_b: np.ndarray | None        # (N1,), (R M^{-1})_b, sample space only
@@ -204,16 +214,45 @@ class AdmmState:
     delta_rho_sq: float = np.inf
     b1_clamp_hits: int = 0
 
-    @property
-    def W(self) -> np.ndarray:
-        """The last (W, b) step's W, formed on each read: C_W + (rho + U - K) P_W
-        in sample space, a copy of W^'s first N0 columns in feature space."""
+    def form_W(self, spec: SubproblemSpec) -> np.ndarray:
+        """The last (W, b) step's W, formed anew on each call.
+
+        In feature space a copy of W^'s first N0 columns.  In sample space
+        (rho + U - K) P_W, the one N1 x N0 array this makes, plus
+        (R D^{-1})_W, formed again from spec's anchor and gradient a row
+        block at a time by step_terms' elementwise operations, so that W
+        has the bits of C_W + (rho + U - K) P_W.
+        """
         if not self.iters:
             raise ValueError("W is formed by a (W, b) step and none has run")
         n0 = self.b2.size
-        if self.factor.sample_space:
-            return self.C[:, :n0] + (self.T - self.K) @ self.factor.P[:, :n0]
-        return self.What[:, :n0].copy()
+        if not self.factor.sample_space:
+            return self.What[:, :n0].copy()
+        W = (self.T - self.K) @ self.factor.P[:, :n0]
+        a, g, L, d = spec.anchor, spec.grads, spec.L, self.factor.d[:n0]
+        # blocks of about 32k entries through one buffer, no per-block temporaries
+        n1, rows = W.shape[0], max(1, (1 << 15) // n0)
+        block = np.empty((min(rows, n1), n0))
+        for i in range(0, n1, rows):
+            blk = block[:min(rows, n1 - i)]
+            np.multiply(a.W[i:i + rows], L, out=blk)
+            blk -= g.W[i:i + rows]
+            blk /= d
+            W[i:i + rows] += blk
+        return W
+
+    def finish(self, spec: SubproblemSpec, converged: bool) -> "SubproblemResult":
+        """End the solve: snap V upward onto max(V, S, 0), so the point lies
+        in Z exactly though U only matches W X + b1 1^T in the limit, drop
+        every sweep buffer but S, T and K, then form W and return the
+        result."""
+        V = np.maximum(np.maximum(self.V, self.S), 0.0)
+        self.V = self.U = self.rho = self.U_spare = self.neg_xi2 = self.tied = None
+        self.neg_xi1 = self.L_xi1 = self.C = self.CX = None
+        z = Variables(W=self.form_W(spec), b1=self.b1.copy(), b2=self.b2, V=V)
+        return SubproblemResult(z=z, S=self.S, iters=self.iters,
+                                deltas=(self.delta_rho_sq, self.delta_u_sq),
+                                b1_clamp_hits=self.b1_clamp_hits, converged=converged)
 
     @classmethod
     def from_anchor(cls, spec: SubproblemSpec, factor: WbFactor | None = None,
@@ -226,15 +265,18 @@ class AdmmState:
             factor = WbFactor.build(spec.data, spec.L, spec.params.lambda2)
         C, K, CX, c_b = factor.step_terms(spec)
         a, g, L = spec.anchor, spec.grads, spec.L
+        # S and T outlive the sweeps, so they are allocated first: the buffers
+        # that finish drops then lie together, and the new W can reuse them
+        S = (a.W @ spec.data.X + a.b1[:, None] if anchor_S is None
+             else anchor_S.copy())
+        T = np.empty_like(S)
         b2 = np.clip(a.b2 - g.b2 / L, -spec.params.alpha, spec.params.alpha)
         xi1 = g.V / L - a.V + spec.params.lambda1 / L
         L_xi1 = L * xi1
         neg_xi1 = np.negative(xi1, out=xi1)   # in place: no third array lives on
-        S = (a.W @ spec.data.X + a.b1[:, None] if anchor_S is None
-             else anchor_S.copy())
         return cls(factor=factor, C=C, K=K, CX=CX, c_b=c_b, b1=a.b1.copy(), b2=b2,
                    V=a.V.copy(), U=S.copy(), rho=np.zeros_like(S), S=S,
-                   T=np.empty_like(S), U_spare=np.empty_like(S),
+                   T=T, U_spare=np.empty_like(S),
                    neg_xi2=np.empty_like(S), tied=np.empty_like(S),
                    neg_xi1=neg_xi1, L_xi1=L_xi1)
 
@@ -247,8 +289,8 @@ def update_wb(state: AdmmState, spec: SubproblemSpec) -> AdmmState:
     b2 = clamp(b2_bar - g_b2 / L), formed once; b1 = clamp(last column of W^).
     In sample space only the b1 column is formed and S comes from the kept
     products; in feature space S is W^'s W block times X, read in place.
-    Either way W is formed only when ``state.W`` is read, and b1 is clamped
-    only when some entry lies outside the box.
+    Either way W is formed only by ``state.form_W``, and b1 is clamped only
+    when some entry lies outside the box.
     """
     alpha = spec.params.alpha
     n0 = spec.data.n_visible
@@ -447,14 +489,9 @@ def solve_subproblem(spec: SubproblemSpec, tol: float = 1e-6,
         if not math.isfinite(worst):
             raise NumericError(
                 f"non-finite inner iterate at sweep {it} "
-                f"(|W|max={np.max(np.abs(state.W)):.3e})", state=state)
+                f"(|W|max={np.max(np.abs(state.form_W(spec))):.3e})", state=state)
         if worst <= tol:
             converged = True
             break
-    # Snap the codes so the returned point satisfies Omega2 exactly even
-    # though U only matches W X + b1 in the limit.
-    V = np.maximum(np.maximum(state.V, state.S), 0.0)
-    z = Variables(W=state.W, b1=state.b1.copy(), b2=state.b2, V=V)
-    return SubproblemResult(z=z, S=state.S, iters=state.iters,
-                            deltas=(state.delta_rho_sq, state.delta_u_sq),
-                            b1_clamp_hits=state.b1_clamp_hits, converged=converged)
+    history = None   # the rings go before W is formed
+    return state.finish(spec, converged)

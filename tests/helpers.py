@@ -13,8 +13,7 @@ import numpy as np
 
 from spgae.model import ModelParams, ProblemData, Variables, preactivations
 from spgae.qp_reference import MAX_REFERENCE_DIM, _polish, nnls, quadratic_terms
-from spgae.subproblem import (AdmmState, SubproblemResult, update_multipliers,
-                              update_vu, update_wb)
+from spgae.subproblem import AdmmState, update_multipliers, update_vu, update_wb
 
 
 def constraint_count(data: ProblemData) -> int:
@@ -77,8 +76,8 @@ def vu_closed_form(xi1, xi2, L):
 
 def plain_solve(spec, tol=1e-6, max_iter=10000, *, anchor_S=None, factor=None):
     """The unaccelerated splitting solve, its three blocks called by hand:
-    sweep until max(||d rho||^2, ||d U||^2) <= tol, then snap V onto
-    max(V, W X + b1 1^T, 0), the S it returns."""
+    sweep until max(||d rho||^2, ||d U||^2) <= tol, then end it as the
+    library does (``AdmmState.finish``)."""
     state = AdmmState.from_anchor(spec, factor, anchor_S)
     converged = False
     while not converged and state.iters < max_iter:
@@ -86,11 +85,7 @@ def plain_solve(spec, tol=1e-6, max_iter=10000, *, anchor_S=None, factor=None):
         update_vu(state, spec)
         update_multipliers(state)
         converged = max(state.delta_rho_sq, state.delta_u_sq) <= tol
-    V = np.maximum(np.maximum(state.V, state.S), 0.0)
-    z = Variables(W=state.W, b1=state.b1.copy(), b2=state.b2, V=V)
-    return SubproblemResult(z=z, S=state.S, iters=state.iters,
-                            deltas=(state.delta_rho_sq, state.delta_u_sq),
-                            b1_clamp_hits=state.b1_clamp_hits, converged=converged)
+    return state.finish(spec, converged)
 
 
 def dense_constraints(data: ProblemData, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:

@@ -244,6 +244,12 @@ class TestTrain:
         ("--sub-max-iter", 0, "sub_max_iter must be >= 1"),
         ("--lambda1", "nan", "lambda1 and lambda2 must be nonnegative"),
         ("--test-file", "test.bin", "--test-file needs --train-file"),
+        ("--mnist-labels", "labels.idx", "--mnist-labels needs --mnist-images"),
+        ("--per-class", 2, "--per-class needs --mnist-images"),
+        ("--train-file", "train.bin", "--preset sets synthetic sizes and cannot be "
+                                      "combined with --train-file"),
+        ("--mnist-images", "images.idx", "--preset sets synthetic sizes and cannot be "
+                                         "combined with --mnist-images"),
     ])
     def test_bad_solver_setting_is_an_error(self, tmp_path, capsys, flag, value, message):
         rc = run_cli(["train", "--method", "spg", "--preset", 6, "--seed", 0,

@@ -142,6 +142,33 @@ class TestStep:
         assert passed[0] is fw.S
         assert np.array_equal(fw.S, S_before)
 
+    def test_sample_space_step_holds_at_most_three_w_sized_arrays(self):
+        """A sample-space step with a prebuilt factor allocates at most three
+        N1 x N0 arrays' worth above what its caller holds: the gradient's W
+        beside R, later beside the new W, but never R D^{-1} and the new W
+        at once."""
+        import tracemalloc
+
+        n, n1, n0 = 30, 100, 3000
+        data, params = random_problem(n, n0, n1, seed=7)
+        cfg = self.config()
+        z, S = init_point(data, seed=1)
+        fw = spgae.model.preactivations(z, data, S=S)
+        L = default_l0(data, params)
+        factor = WbFactor.build(data, L, params.lambda2)
+        assert factor.sample_space
+        before = smoothed_objective(z, cfg.mu0, data, params, fw=fw)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            step = spg_step(z, cfg.mu0, L, data, params, cfg, fw=fw, before=before,
+                            factor=factor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert step.sub.converged
+        assert peak - entry <= 3 * n1 * n0 * 8
+
     def test_zero_data_shrinks_at_fixed_point(self):
         # with X = 0 and z = 0 the subproblem returns the anchor, giving
         # zero decrease, which must take the shrink branch (tie -> shrink)
@@ -345,6 +372,24 @@ class TestRun:
         assert 0 < res.mu_shrinks < res.iterations
         # the start point, each step's "after", and O~(z, mu_next) after a shrink
         assert len(calls) == 1 + res.iterations + res.mu_shrinks
+
+    def test_one_regularizer_per_iterate(self, tiny_problem, monkeypatch):
+        """R(z) is formed once per iterate, for its smoothed objectives and
+        its trace row alike, on accepted and on rejected steps."""
+        data, params = tiny_problem
+        original = spgae.model.regularizer
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("spgae") and getattr(mod, "regularizer", None) is original:
+                monkeypatch.setattr(mod, "regularizer", counted)
+        res = run(data, params, config=self.config(L0=1.0, max_outer_iters=30), seed=1)
+        assert 0 < res.mu_shrinks < res.iterations
+        assert len(calls) == 1 + res.iterations
 
     def test_one_factor_per_distinct_L(self, tiny_problem, monkeypatch):
         data, params = tiny_problem

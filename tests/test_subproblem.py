@@ -76,11 +76,13 @@ def dense_wb_oracle(spec):
     return np.linalg.inv(M), const, Xhat
 
 
-def anchor_term(state):
+def anchor_term(state, spec):
     """R M^{-1}, the anchor's part of every sweep's W^, from the state's
-    constants: C itself in feature space, C - K P in sample space."""
+    constants: C itself in feature space.  In sample space the state keeps
+    no R D^{-1}, so it is formed here from spec: R D^{-1} - K P."""
     if state.factor.sample_space:
-        return state.C - state.K @ state.factor.P
+        _, R, _ = dense_wb_system(spec)
+        return R / state.factor.d - state.K @ state.factor.P
     return state.C
 
 
@@ -150,7 +152,7 @@ class TestWbUpdate:
         state = AdmmState.from_anchor(spec)
         state = update_wb(state, spec)
         # g_W = 0 at W = 0, U = S(anchor) = 0, rho = 0: solves to anchor
-        assert np.allclose(state.W, 0.0, atol=1e-12)
+        assert np.allclose(state.form_W(spec), 0.0, atol=1e-12)
         assert np.allclose(state.b1, 0.0, atol=1e-12)
         assert np.allclose(state.b2, 0.0, atol=1e-12)
 
@@ -166,7 +168,7 @@ class TestWbUpdate:
         Minv, rhs, Xhat = dense_wb_oracle(spec)
         rhs = rhs + (state.rho + state.U) @ Xhat.T
         Whb = rhs @ Minv
-        assert np.allclose(got.W, Whb[:, :n0], atol=1e-10)
+        assert np.allclose(got.form_W(spec), Whb[:, :n0], atol=1e-10)
         b1 = np.clip(Whb[:, n0], -spec.params.alpha, spec.params.alpha)
         assert np.allclose(got.b1, b1, atol=1e-10)
         b2 = np.clip(spec.anchor.b2 - spec.grads.b2 / spec.L,
@@ -185,7 +187,7 @@ class TestWbUpdate:
             state.U = rng.standard_normal(state.U.shape)
             state.rho = rng.standard_normal(state.rho.shape)
             state = update_wb(state, spec)
-            assert np.allclose(anchor_term(state), const @ Minv, atol=1e-10)
+            assert np.allclose(anchor_term(state, spec), const @ Minv, atol=1e-10)
             if state.factor.sample_space:
                 # the sweep reads (R M^{-1})_W X and (R M^{-1})_b, formed from K
                 assert np.allclose(state.CX, (const @ Minv)[:, :n0] @ spec.data.X,
@@ -196,7 +198,7 @@ class TestWbUpdate:
             assert np.allclose(state.b1, b1, atol=1e-10)
             assert np.allclose(state.S, Whb[:, :n0] @ spec.data.X + b1[:, None],
                                atol=1e-10)
-            assert np.allclose(state.W, Whb[:, :n0], atol=1e-10)
+            assert np.allclose(state.form_W(spec), Whb[:, :n0], atol=1e-10)
         return state.factor
 
     @staticmethod
@@ -214,7 +216,7 @@ class TestWbUpdate:
         M, rhs, Xhat = dense_wb_system(spec)
         RMinv = np.linalg.solve(M, rhs.T).T
         pairs = [(state.factor.P, np.linalg.solve(M, Xhat).T),
-                 (anchor_term(state), RMinv)]
+                 (anchor_term(state, spec), RMinv)]
         if state.factor.sample_space:
             n0 = spec.data.n_visible
             pairs += [(state.CX, RMinv[:, :n0] @ spec.data.X),
@@ -389,7 +391,11 @@ class TestB1Clamp:
                 else:
                     cand = (T @ P + state.C)[:, n0]
                 seen["hits"] += int(np.count_nonzero(np.abs(cand) > alpha))
-                seen["cand"], seen["state"] = cand, state
+                seen["cand"] = cand
+                # the sweep buffers as of the last (W, b) step: the solve
+                # drops them before it returns
+                seen["buffers"] = (state.S, state.T, state.U, state.U_spare,
+                                   state.neg_xi2, state.tied, state.V, state.rho)
                 return wb(state, spec)
 
             monkeypatch.setattr(sp, "update_wb", counting_wb)
@@ -402,9 +408,7 @@ class TestB1Clamp:
             assert np.array_equal(res.z.b1[out], np.copysign(alpha, cand[out]))
             assert np.array_equal(res.z.b1[~out], cand[~out])
 
-            state = seen["state"]
-            buffers = (state.S, state.T, state.U, state.U_spare, state.neg_xi2,
-                       state.tied, state.V, state.rho)
+            buffers = seen["buffers"]
             blocks = (res.z.W, res.z.b1, res.z.b2, res.z.V)
             for i, a in enumerate(blocks):
                 assert a.flags.c_contiguous and a.flags.owndata
@@ -582,10 +586,10 @@ class TestSolveSubproblem:
             spec = make_spec(n, n0, 2, seed=76)
             state = AdmmState.from_anchor(spec)
             with pytest.raises(ValueError, match="none has run"):
-                state.W
+                state.form_W(spec)
             update_wb(state, spec)
             assert state.iters == 1
-            assert state.W.shape == spec.anchor.W.shape
+            assert state.form_W(spec).shape == spec.anchor.W.shape
 
     def test_kkt_tracks_stopping_tolerance_when_tight(self):
         """At tight stopping tolerances the returned point sits within
