@@ -137,8 +137,8 @@ def _synthetic(cfg: dict, seed: int):
     return spec, n1, *datamod.generate(spec)
 
 
-def _build_problem(cfg: dict, seed: int):
-    """Return (ProblemData, test matrix or None) from whichever source is configured."""
+def _build_problem(cfg: dict, seed: int) -> ProblemData:
+    """The problem, test matrix included, from whichever source is configured."""
     test_X, n1 = None, cfg["n1"]
     if cfg["test_file"] and not cfg["train_file"]:
         raise ValueError("--test-file needs --train-file")
@@ -157,11 +157,10 @@ def _build_problem(cfg: dict, seed: int):
             images_path=cfg["mnist_images"], labels_path=cfg["mnist_labels"],
             per_class=cfg["per_class"], seed=seed))
     else:
-        _, n1, X, Xte = _synthetic(cfg, seed)
-        test_X = Xte if Xte.shape[1] else None
+        _, n1, X, test_X = _synthetic(cfg, seed)
     if n1 is None:
         raise ValueError("--n1 is required unless --preset gives it")
-    return ProblemData.from_matrix(X, n1), test_X
+    return ProblemData.from_matrix(X, n1, test_X=test_X)
 
 
 def _model_params(cfg: dict, data: ProblemData) -> ModelParams:
@@ -180,39 +179,24 @@ def _spg_config(cfg: dict) -> SpgConfig:
                      sub_max_iter=cfg["sub_max_iter"])
 
 
-def _write_config_snapshot(path, cfg: dict, seed: int, params: ModelParams,
-                           extra: dict | None = None):
-    snap = {k: ("none" if v is None else v) for k, v in sorted(cfg.items())}
-    snap["seed"] = seed
-    snap["resolved_lambda1"] = params.lambda1
-    snap["resolved_lambda2"] = params.lambda2
-    snap["resolved_beta"] = params.beta
-    snap["resolved_theta"] = params.theta
-    snap["resolved_alpha"] = params.alpha
-    if extra:
-        snap.update(extra)
-    serialize.save_kv(path, snap)
-
-
 class _SeedRun:
-    """One seed of a ``train`` command: its problem, solver config and open
-    trace, then the files it writes into ``outdir``."""
+    """One seed of a ``train`` command: its problem, solver config and trace
+    (whose sink is the open ``trace.csv``), then its files in ``outdir``."""
 
     def __init__(self, cfg: dict, seed: int, outdir: str, spg_config: SpgConfig | None):
         t_start = time.perf_counter()
         self.cfg, self.seed, self.outdir = cfg, seed, outdir
-        self.data, self.test_X = _build_problem(cfg, seed)
+        self.data = _build_problem(cfg, seed)
         self.params = _model_params(cfg, self.data)
         self.config = spg_config
         if cfg["theoretical_L"] and spg_config is not None:
             self.config = spg_config.with_L0(*estimate_validated_l0(
                 self.data, self.params, cfg["mu0"], seed=seed))
         os.makedirs(outdir, exist_ok=True)   # only once the set-up has validated
-        self.sink = TraceWriter(os.path.join(outdir, "trace.csv"))
+        self.trace = RunTrace(sink=TraceWriter(os.path.join(outdir, "trace.csv")))
         self.elapsed_s = time.perf_counter() - t_start
 
-    def finish(self, z: Variables, trace: RunTrace, fields: dict,
-               extra_snap: dict | None = None) -> dict:
+    def finish(self, z: Variables, fields: dict) -> dict:
         """Write model.bin, config.txt and summary.txt; returns the summary.
 
         ``fields`` are the method's summary fields.  The summary's
@@ -222,18 +206,23 @@ class _SeedRun:
         t_start = time.perf_counter()
         method = self.cfg["method"]
         summary = {"method": method, "seed": self.seed, **fields}
+        snap = {k: ("none" if v is None else v) for k, v in sorted(self.cfg.items())}
+        snap["seed"] = self.seed
+        for k in ("lambda1", "lambda2", "beta", "theta", "alpha"):
+            snap[f"resolved_{k}"] = getattr(self.params, k)
         if method in ("spg", "spg-ada"):
-            # the solver's last trace row already holds the metrics of z
-            last = trace.rows[-1]
+            # the solver's last trace row already holds the metrics of z; its
+            # first (row handoff_index) holds the L0 it started at
+            last = self.trace.rows[-1]
             m = {k: getattr(last, k) for k in ("fval", "feasvi", "trainerr", "testerr")}
+            snap["resolved_L0"] = self.trace.rows[self.trace.handoff_index or 0].L
         else:
-            m = datamod.metrics(z, self.data, self.params, test_X=self.test_X)
+            m = datamod.metrics(z, self.data, self.params)
         summary.update({k: ("" if v is None else v) for k, v in m.items()})
-        summary["termination"] = trace.termination_reason
+        summary["termination"] = self.trace.termination_reason
         summary["elapsed_s"] = self.elapsed_s + time.perf_counter() - t_start
         serialize.save_variables(os.path.join(self.outdir, "model.bin"), z, self.data)
-        _write_config_snapshot(os.path.join(self.outdir, "config.txt"), self.cfg,
-                               self.seed, self.params, extra_snap)
+        serialize.save_kv(os.path.join(self.outdir, "config.txt"), snap)
         serialize.save_kv(os.path.join(self.outdir, "summary.txt"), summary)
         return summary
 
@@ -260,40 +249,36 @@ def train_seeds(cfg: dict, seeds, outs, spg_config: SpgConfig | None) -> list[di
         runs = []
         for seed, outdir in zip(seeds, outs):
             runs.append(_SeedRun(cfg, seed, outdir, spg_config))
-            stack.enter_context(runs[-1].sink)
+            stack.enter_context(runs[-1].trace.sink)
         t_start = time.perf_counter()
-        trained = [(None, None)] * len(runs)
+        nets = [None] * len(runs)
         if sgd_configs:
-            trained = sgd_lockstep([SgdMember(r.data, r.params, c, test_X=r.test_X,
-                                              sink=r.sink)
-                                    for r, c in zip(runs, sgd_configs)])
+            group = [SgdMember(r.data, r.params, c, trace=r.trace)
+                     for r, c in zip(runs, sgd_configs)]
+            nets = [p for p, _ in sgd_lockstep(group)]
         shared_s = time.perf_counter() - t_start
         summaries = []
-        for run, (p, trace) in zip(runs, trained):
+        for run, p in zip(runs, nets):
             t_start = time.perf_counter()
-            extra = None
             if method == "spg":
                 result = spg_run(run.data, run.params, run.config, seed=run.seed,
-                                 test_X=run.test_X, sink=run.sink)
+                                 trace=run.trace)
                 fields = {"final_stationarity": result.final_stationarity}
             elif ada:
-                result, trace = spg_ada_tail(p, trace, run.data, run.params, run.config,
-                                             seed=run.seed, test_X=run.test_X,
-                                             sink=run.sink)
-                fields = {"handoff_index": trace.handoff_index}
+                result = spg_ada_tail(p, run.trace, run.data, run.params, run.config,
+                                      seed=run.seed)
+                fields = {"handoff_index": run.trace.handoff_index}
             else:
                 z = net_to_feasible(p, run.data, run.params)
                 fields = {"epochs": cfg["epochs"]}
             if spg_config is not None:
-                z, trace = result.z, result.trace
+                z = result.z
                 fields = {"iterations": result.iterations, "final_mu": result.mu,
                           "final_L": result.L, "b1_clamp_hits": result.b1_clamp_hits,
                           "capped_solves": result.capped_solves,
                           "mu_shrinks": result.mu_shrinks, **fields}
-                # the L0 the solver started at: the L of its first trace row
-                extra = {"resolved_L0": trace.rows[trace.handoff_index or 0].L}
             run.elapsed_s += shared_s + time.perf_counter() - t_start
-            summaries.append(run.finish(z, trace, fields, extra))
+            summaries.append(run.finish(z, fields))
         return summaries
 
 

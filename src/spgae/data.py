@@ -146,24 +146,21 @@ def load_mnist(spec: MnistSpec) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # Metrics
 
-def metrics(z: Variables, data: ProblemData, params: ModelParams,
-            test_X=None, *, fw: Forward | None = None, reg: float | None = None) -> dict:
+def metrics(z: Variables, data: ProblemData, params: ModelParams, *,
+            fw: Forward | None = None, reg: float | None = None) -> dict:
     """FVal = O(z); FeasVi = mean l1 gap between V and the encoder output;
-    TrainErr = F(z); TestErr reconstructs test columns through v = (W x + b1)_+.
-    ``fw`` and ``reg`` are z's pre-activations and R(z) when the caller
-    already has them."""
+    TrainErr = F(z); TestErr reconstructs ``data.test_X`` through
+    v = (W x + b1)_+ (None without test columns).  ``fw`` and ``reg`` are z's
+    pre-activations and R(z) when the caller already has them."""
     fw = fw or preactivations(z, data)
     if reg is None:
         reg = regularizer(z, params)
     feasvi = float(np.sum(np.abs(z.V - relu(fw.S)))) / (data.n_samples * data.n_hidden)
     trainerr = fidelity(z, data, fw=fw)
-    out = {
+    return {
         # O = F + R + P, summed in the order ``objective`` uses
         "fval": trainerr + reg + penalty(z, data, params, fw=fw),
         "feasvi": feasvi,
         "trainerr": trainerr,
-        "testerr": None,
+        "testerr": None if data.test_X is None else autoencoder_error(z, data.test_X),
     }
-    if test_X is not None and np.size(test_X) > 0:
-        out["testerr"] = autoencoder_error(z, np.asarray(test_X, dtype=np.float64))
-    return out

@@ -26,6 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .rng import stream
+
 
 def relu(y):
     """Elementwise positive part."""
@@ -34,7 +36,7 @@ def relu(y):
 
 @dataclass(frozen=True)
 class ProblemData:
-    """Data matrix (columns are samples) plus the hidden width and cached norms."""
+    """Data matrix (columns are samples), hidden width, norms and test columns."""
 
     X: np.ndarray       # (N0, N), entrywise nonnegative
     n_samples: int      # N
@@ -42,9 +44,11 @@ class ProblemData:
     n_hidden: int       # N1
     fro_sq: float       # ||X||_F^2
     one_norm: float     # ||X||_1 = max absolute column sum
+    test_X: np.ndarray | None = None   # (N0, M), M >= 1: test error's columns
 
     @classmethod
-    def from_matrix(cls, X, n_hidden: int) -> "ProblemData":
+    def from_matrix(cls, X, n_hidden: int, test_X=None) -> "ProblemData":
+        """A float64 ``test_X`` is held, not copied; an empty one is None."""
         X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
         if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
             raise ValueError("X must be a nonempty 2-d matrix with sample columns")
@@ -54,6 +58,14 @@ class ProblemData:
             raise ValueError("X must be finite")
         if np.any(X < 0):
             raise ValueError("X must be entrywise nonnegative")
+        if test_X is not None:
+            test_X = np.asarray(test_X, dtype=np.float64)
+            if test_X.size == 0:
+                test_X = None
+            elif (test_X.ndim != 2 or test_X.shape[0] != X.shape[0]
+                  or not np.all(np.isfinite(test_X))):
+                raise ValueError(f"the test matrix must be finite and 2-d with the "
+                                 f"training matrix's {X.shape[0]} rows")
         return cls(
             X=X,
             n_samples=X.shape[1],
@@ -61,6 +73,7 @@ class ProblemData:
             n_hidden=int(n_hidden),
             fro_sq=float(np.sum(X * X)),
             one_norm=float(np.max(np.sum(np.abs(X), axis=0))),
+            test_X=test_X,
         )
 
     @property
@@ -72,6 +85,12 @@ class ProblemData:
     def n_packed(self) -> int:
         """Length of the packed variable."""
         return packed_size(self.dims)
+
+
+def init_W(data: ProblemData, seed: int) -> np.ndarray:
+    """W ~ randn(N1, N0) / N from ``seed``'s init stream: every start point's W."""
+    n, n0, n1 = data.dims
+    return stream(seed, "init").standard_normal((n1, n0)) / n
 
 
 def packed_size(dims) -> int:
@@ -245,10 +264,9 @@ def penalty(z: Variables, data: ProblemData, params: ModelParams, *,
     return float(params.beta * np.sum(z.V - relu(S)))
 
 
-def objective(z: Variables, data: ProblemData, params: ModelParams, *,
-              fw: Forward | None = None) -> float:
+def objective(z: Variables, data: ProblemData, params: ModelParams) -> float:
     """O(z) = F + R + P."""
-    fw = fw or preactivations(z, data)
+    fw = preactivations(z, data)
     return fidelity(z, data, fw=fw) + regularizer(z, params) + penalty(z, data, params, fw=fw)
 
 

@@ -124,11 +124,11 @@ def nnls(A: np.ndarray, b: np.ndarray, maxiter: int | None = None) -> tuple[np.n
     raise RuntimeError("Maximum number of iterations reached.")
 
 
-def kkt_residual(spec: SubproblemSpec, z: Variables, active_tol: float = 1e-6) -> dict:
+def kkt_residual(spec: SubproblemSpec, z: Variables) -> dict:
     """Stationarity / feasibility / complementarity residuals of z.
 
     Each unit's multipliers are recovered by nonnegative least squares
-    restricted to its constraints active within ``active_tol``; the units'
+    restricted to its constraints active within 1e-6; the units'
     stationarity residuals add in squares.  ``"gamma"`` holds the
     multipliers in the row order of the dense system A z <= c.
     """
@@ -140,7 +140,7 @@ def kkt_residual(spec: SubproblemSpec, z: Variables, active_tol: float = 1e-6) -
         for rows, cols, q in zip(blk.rows, blk.cols, blk.Q):
             grad = blk.h * zv[cols] + q
             slack[rows] = blk.A @ zv[cols] - blk.c
-            active = slack[rows] >= -active_tol
+            active = slack[rows] >= -1e-6
             if np.any(active):
                 gamma[rows[active]], stat = nnls(blk.A[active].T, -grad)
             else:
@@ -203,8 +203,7 @@ def _polish_units(blocks, gamma, zv, act_tols) -> np.ndarray | None:
     return zp
 
 
-def reference_solve(spec: SubproblemSpec, tol: float = 1e-9,
-                    max_iter: int = 200000) -> Variables:
+def reference_solve(spec: SubproblemSpec) -> Variables:
     """Solve the subproblem on a tiny instance via dual FISTA + active-set polish."""
     data = spec.data
     if data.n_packed > MAX_REFERENCE_DIM:
@@ -229,7 +228,7 @@ def reference_solve(spec: SubproblemSpec, tol: float = 1e-9,
     gamma = np.zeros(sum(blk.rows.size for blk in blocks))
     yk = gamma.copy()
     t = 1.0
-    for it in range(1, max_iter + 1):
+    for it in range(1, 200001):
         grad_dual = -slack(yk)
         gamma_next = np.maximum(yk - step * grad_dual, 0.0)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
@@ -238,15 +237,15 @@ def reference_solve(spec: SubproblemSpec, tol: float = 1e-9,
         else:
             yk = gamma_next + ((t - 1.0) / t_next) * (gamma_next - gamma)
         gamma, t = gamma_next, t_next
-        if it % 25 == 0 or it == max_iter:
+        if it % 25 == 0 or it == 200000:   # stop at 1e-9, or 1e-5 if the polish certifies
             zv, s = _dual_point(blocks, gamma, data.n_packed), slack(gamma)
             viol = float(max(0.0, s.max()))
             comp = float(abs(gamma @ s))
-            if max(viol, comp / scale) <= 1e4 * tol:
+            if max(viol, comp / scale) <= 1e-5:
                 zp = _polish_units(blocks, gamma, zv, (1e-7, 1e-9, 1e-5))
                 if zp is not None:
                     return Variables.unpack(zp, data)
-            if max(viol, comp / scale) <= tol:
+            if max(viol, comp / scale) <= 1e-9:
                 return Variables.unpack(zv, data)
     zv = _dual_point(blocks, gamma, data.n_packed)
     zp = _polish_units(blocks, gamma, zv, (1e-7, 1e-9, 1e-5, 1e-4))

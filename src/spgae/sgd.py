@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ModelParams, ProblemData, Variables, autoencoder_error, relu
+from .model import (ModelParams, ProblemData, Variables, autoencoder_error, init_W,
+                    relu)
 from .rng import stream
 from .spg import SpgConfig, SpgResult, estimate_local_l0, run as spg_run_driver
 from .trace import RunTrace, TraceRow
@@ -100,8 +101,7 @@ class NetParams:
     @classmethod
     def default_init(cls, data: ProblemData, seed: int = 0) -> "NetParams":
         n, n0, n1 = data.dims
-        W = stream(seed, "init").standard_normal((n1, n0)) / n
-        return cls(W=W, b1=np.zeros(n1), b2=np.zeros(n0))
+        return cls(W=init_W(data, seed), b1=np.zeros(n1), b2=np.zeros(n0))
 
     def copy(self) -> "NetParams":
         n1, n0 = self.W.shape[-2:]
@@ -244,14 +244,13 @@ class _Optimizer:
 @dataclass
 class SgdMember:
     """One network of a lockstep group: its problem, config, optional start
-    point (else ``NetParams.default_init`` under the config's seed), test
-    matrix and trace sink."""
+    point (else ``NetParams.default_init`` under the config's seed) and
+    optional trace (else a new one), which receives its rows."""
     data: ProblemData
     params: ModelParams
     config: SgdConfig
     p0: NetParams | None = None
-    test_X: np.ndarray | None = None
-    sink: object = None
+    trace: RunTrace | None = None
 
 
 def sgd_lockstep(members) -> list[tuple[NetParams, RunTrace]]:
@@ -260,11 +259,11 @@ def sgd_lockstep(members) -> list[tuple[NetParams, RunTrace]]:
     The members must share the problem shape (N, N1, N0) and ``lambda2``, and
     their configs may differ only in ``seed``.  Each member starts from its own
     point, draws its batch permutations from its own seed's ``batch`` stream,
-    gathers its batches from its own data and sends its trace rows (one per
-    epoch; row 0 is the initial point) to its own sink, so its parameters and
-    rows are the same bits as in a group of one.  Only ``wall_ms`` is shared:
-    it is the wall time of the group's epoch.  Returns (parameters, trace) per
-    member, in order.
+    gathers its batches from its own data and appends its rows (one per
+    epoch; row 0 is the initial point; test error on its ``data.test_X``) to
+    its own trace, so its parameters and rows are the same bits as in a group
+    of one.  Only ``wall_ms`` is shared: it is the wall time of the group's
+    epoch.  Returns (parameters, trace) per member, in order.
     """
     first = members[0]
     config, n = first.config, first.data.n_samples
@@ -282,15 +281,15 @@ def sgd_lockstep(members) -> list[tuple[NetParams, RunTrace]]:
     ws = GradWorkspace(p)
     batch_rngs = [stream(m.config.seed, "batch") for m in members]
     datas = [m.data for m in members]
-    test_Xs = [np.asarray(m.test_X, dtype=np.float64)
-               if m.test_X is not None and np.size(m.test_X) else None for m in members]
-    traces = [RunTrace(termination_reason="epochs") for _ in members]
+    traces = [RunTrace() if m.trace is None else m.trace for m in members]
+    for trace in traces:
+        trace.termination_reason = "epochs"
 
     def epoch_rows(k, wall_ms):
-        for net, m, test_X, trace in zip(nets, members, test_Xs, traces):
-            te = autoencoder_error(net, test_X) if test_X is not None else None
-            trace.append(TraceRow(k=k, trainerr=autoencoder_error(net, m.data.X),
-                                  testerr=te, wall_ms=wall_ms), m.sink)
+        for net, data, trace in zip(nets, datas, traces):
+            te = None if data.test_X is None else autoencoder_error(net, data.test_X)
+            trace.append(TraceRow(k=k, trainerr=autoencoder_error(net, data.X),
+                                  testerr=te, wall_ms=wall_ms))
 
     epoch_rows(0, 0.0)
     for epoch in range(1, config.epochs + 1):
@@ -305,13 +304,13 @@ def sgd_lockstep(members) -> list[tuple[NetParams, RunTrace]]:
 
 
 def sgd_run(data: ProblemData, params: ModelParams, config: SgdConfig,
-            p0: NetParams | None = None, test_X=None,
-            sink=None) -> tuple[NetParams, RunTrace]:
+            p0: NetParams | None = None,
+            trace: RunTrace | None = None) -> tuple[NetParams, RunTrace]:
     """Minibatch training; one trace row per epoch (row 0 is the initial point).
 
     The group of one of ``sgd_lockstep``.
     """
-    return sgd_lockstep([SgdMember(data, params, config, p0, test_X, sink)])[0]
+    return sgd_lockstep([SgdMember(data, params, config, p0, trace)])[0]
 
 
 def net_to_feasible(p: NetParams, data: ProblemData, params: ModelParams) -> Variables:
@@ -324,24 +323,23 @@ def net_to_feasible(p: NetParams, data: ProblemData, params: ModelParams) -> Var
 
 
 def spg_ada(data: ProblemData, params: ModelParams, spg_config: SpgConfig | None = None,
-            ada_epochs: int = 1000, seed: int = 0, test_X=None,
-            sink=None) -> tuple[SpgResult, RunTrace]:
+            ada_epochs: int = 1000, seed: int = 0,
+            trace: RunTrace | None = None) -> SpgResult:
     """Adadelta warm start, feasibility handoff, then the deterministic solver.
 
-    Returns the solver result plus the one trace of the run: the warm start's
-    rows, then the solver's, numbered on across the handoff.  The handoff row
-    is the first row with a non-blank mu and its index is recorded on the
-    trace.  Rows reach the sink as each phase produces them.
+    The result's ``.trace`` is the run's one trace (``trace``, else a new one):
+    the warm start's rows, then the solver's, numbered on across the handoff,
+    whose index (the first row with a non-blank mu) it records.  Rows reach
+    its sink as each phase produces them.
     """
     ada_cfg = SgdConfig(method="adadelta", epochs=ada_epochs, seed=seed)
-    p, ada_trace = sgd_run(data, params, ada_cfg, test_X=test_X, sink=sink)
-    return spg_ada_tail(p, ada_trace, data, params, spg_config, seed=seed,
-                        test_X=test_X, sink=sink)
+    p, ada_trace = sgd_run(data, params, ada_cfg, trace=trace)
+    return spg_ada_tail(p, ada_trace, data, params, spg_config, seed=seed)
 
 
 def spg_ada_tail(p: NetParams, ada_trace: RunTrace, data: ProblemData,
                  params: ModelParams, spg_config: SpgConfig | None = None,
-                 seed: int = 0, test_X=None, sink=None) -> tuple[SpgResult, RunTrace]:
+                 seed: int = 0) -> SpgResult:
     """``spg_ada`` after its warm start: the handoff from the Adadelta point
     ``p`` and the solver run, which continues ``p``'s trace ``ada_trace``."""
     z0 = net_to_feasible(p, data, params)
@@ -354,6 +352,5 @@ def spg_ada_tail(p: NetParams, ada_trace: RunTrace, data: ProblemData,
             estimate_local_l0(z0, config.mu0, data, params, seed=seed),
             config.infnorm_bound)
     ada_trace.handoff_index = len(ada_trace.rows)
-    result = spg_run_driver(data, params, config=config, z0=z0, seed=seed,
-                            test_X=test_X, sink=sink, trace=ada_trace)
-    return result, result.trace
+    return spg_run_driver(data, params, config=config, z0=z0, seed=seed,
+                          trace=ada_trace)

@@ -23,14 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import metrics
-from .model import (Forward, ModelParams, ProblemData, Variables, preactivations,
-                    regularizer, relu)
+from .model import (Forward, ModelParams, ProblemData, Variables, init_W,
+                    preactivations, regularizer, relu)
 from .rng import stream
 from .smoothing import smoothed_loss, smoothed_loss_grad, smoothed_objective
 from .subproblem import SubproblemResult, SubproblemSpec, WbFactor, solve_subproblem
 from .trace import RunTrace, TraceRow
 
 _SOLVE_DEFAULTS = inspect.signature(solve_subproblem).parameters
+
+DIVERGENCE_FACTOR = 10.0   # DivergenceError once O~ passes this multiple of its start
 
 
 class DivergenceError(RuntimeError):
@@ -52,7 +54,6 @@ class SpgConfig:
     max_outer_iters: int = 4000
     sub_tol: float = _SOLVE_DEFAULTS["tol"].default
     sub_max_iter: int = _SOLVE_DEFAULTS["max_iter"].default
-    divergence_factor: float = 10.0
     infnorm_bound: float | None = None  # validated-L mode: assert ||z||_inf stays below
 
     def __post_init__(self):
@@ -102,10 +103,10 @@ def default_l0(data: ProblemData, params: ModelParams) -> float:
 
 
 def init_point(data: ProblemData, seed: int = 0) -> tuple[Variables, np.ndarray]:
-    """W ~ randn/N, zero biases, V = (W X)_+ — a point of Z with zero
+    """W = ``init_W``, zero biases, V = (W X)_+ — a point of Z with zero
     penalty — and its S = W X + b1 1^T, with W X formed once."""
     n, n0, n1 = data.dims
-    W = stream(seed, "init").standard_normal((n1, n0)) / n
+    W = init_W(data, seed)
     WX = W @ data.X
     z = Variables(W=W, b1=np.zeros(n1), b2=np.zeros(n0), V=relu(WX))
     WX += z.b1[:, None]   # S as preactivations forms it: the add turns -0.0 into 0.0
@@ -196,16 +197,16 @@ class SpgResult:
 
 
 def run(data: ProblemData, params: ModelParams, config: SpgConfig | None = None,
-        z0: Variables | None = None, seed: int = 0, test_X=None,
-        sink=None, trace: RunTrace | None = None) -> SpgResult:
+        z0: Variables | None = None, seed: int = 0,
+        trace: RunTrace | None = None) -> SpgResult:
     """Iterate spg_step until mu <= epsilon (or max iterations / divergence).
 
     Each iterate's pre-activations and regularizer R(z) are formed once, its
     encoder product W X only for the start point (a step's solve returns
     z_next's); its trace row and the next step's gradient read them.  The
     (W, b) factor is built once per distinct L and reused by every step at
-    that L.  Each row goes to ``trace`` (a new one by default) with its index
-    there as ``k``.
+    that L.  Each row goes to ``trace`` (a new one by default) and its sink
+    with its index there as ``k``; test error is on ``data.test_X``.
 
     A caller's ``z0`` is copied with every entry below the smallest normal
     float set to 0.0, and is itself left as it is: the dead ReLU units of a
@@ -229,8 +230,8 @@ def run(data: ProblemData, params: ModelParams, config: SpgConfig | None = None,
     smoothed = smoothed_objective(z, mu, data, params, fw=fw, reg=reg)
     trace.append(TraceRow(k=len(trace.rows), mu=mu, L=L, smoothed=smoothed,
                           sub_iters=0, wall_ms=0.0,
-                          **metrics(z, data, params, test_X=test_X, fw=fw, reg=reg)), sink)
-    guard = config.divergence_factor * abs(smoothed) + 1e-9
+                          **metrics(z, data, params, fw=fw, reg=reg)))
+    guard = DIVERGENCE_FACTOR * abs(smoothed) + 1e-9
     clamp_hits = capped = shrinks = 0
     factor = None
     for k in range(1, config.max_outer_iters + 1):
@@ -252,8 +253,7 @@ def run(data: ProblemData, params: ModelParams, config: SpgConfig | None = None,
         smoothed = step.smoothed_next
         trace.append(TraceRow(k=len(trace.rows), mu=mu, L=L, smoothed=smoothed,
                               sub_iters=step.sub.iters, wall_ms=wall_ms,
-                              **metrics(z, data, params, test_X=test_X, fw=fw,
-                                        reg=step.reg_next)), sink)
+                              **metrics(z, data, params, fw=fw, reg=step.reg_next)))
         if config.infnorm_bound is not None:
             zmax = max(float(np.max(np.abs(a))) for a in z.blocks())
             if zmax > config.infnorm_bound * (1.0 + 1e-9):
@@ -263,7 +263,7 @@ def run(data: ProblemData, params: ModelParams, config: SpgConfig | None = None,
             trace.termination_reason = "diverged"
             raise DivergenceError(
                 f"smoothed objective {step.smoothed_after:.6e} exceeded "
-                f"{config.divergence_factor}x its initial value at iteration {k}",
+                f"{DIVERGENCE_FACTOR}x its initial value at iteration {k}",
                 trace=trace)
         if mu <= config.epsilon:
             trace.termination_reason = "mu<=eps"

@@ -54,16 +54,18 @@ def _parse(name: str, s: str):
 
 @dataclass
 class RunTrace:
-    """Ordered rows plus run-level annotations."""
+    """Ordered rows plus run-level annotations, and the sink (a ``TraceWriter``
+    or anything with ``write_row``) that receives each row as it is appended."""
 
     rows: list = field(default_factory=list)
     termination_reason: str | None = None
     handoff_index: int | None = None    # first solver row of a hybrid run
+    sink: object = field(default=None, compare=False, repr=False)
 
-    def append(self, row: TraceRow, sink=None):
+    def append(self, row: TraceRow):
         self.rows.append(row)
-        if sink is not None:
-            sink.write_row(row)
+        if self.sink is not None:
+            self.sink.write_row(row)
 
     @classmethod
     def read_csv(cls, path) -> "RunTrace":

@@ -44,14 +44,14 @@ def synth_problem(n, n1, n0, *, n_test=0, seed=0, eps0=0.05, kind=1):
     spec = SynthSpec(kind=kind, n_train=n, n_test=n_test, n_visible=n0,
                      eps0=eps0, seed=seed)
     X, Xt = generate(spec)
-    data = ProblemData.from_matrix(X, n1)
-    return data, ModelParams.from_data(data), (Xt if Xt.shape[1] else None)
+    data = ProblemData.from_matrix(X, n1, test_X=Xt)
+    return data, ModelParams.from_data(data)
 
 
 def test_01_smoothing_sandwich_holds_on_feasible_points():
     t0 = time.perf_counter()
     n, n1, n0 = preset(4)
-    data, params, _ = synth_problem(n, n1, n0, seed=101)
+    data, params = synth_problem(n, n1, n0, seed=101)
     cap = smoothing_gap_bound(data, params)
     rng = np.random.default_rng(202)
     violations = 0
@@ -161,7 +161,7 @@ def test_04_inner_solver_scaling_envelopes():
 def preset6_run():
     """Shared solver run on the 100-sample, 10-hidden, 5-visible generator."""
     n, n1, n0 = preset(6)
-    data, params, _ = synth_problem(n, n1, n0, seed=0)
+    data, params = synth_problem(n, n1, n0, seed=0)
     config = SpgConfig()
     t0 = time.perf_counter()
     result = spg_run(data, params, config, seed=0)
@@ -344,15 +344,14 @@ def test_08_hybrid_beats_adadelta_baseline_by_margin():
     t0 = time.perf_counter()
     base_train, base_test, hyb_train, hyb_test = [], [], [], []
     for seed in range(1, 11):
-        data, params, Xt = synth_problem(1000, 20, 5, n_test=300, seed=seed)
+        data, params = synth_problem(1000, 20, 5, n_test=300, seed=seed)
 
         _, btrace = sgd_run(data, params,
-                            SgdConfig(method="adadelta", epochs=100, seed=seed),
-                            test_X=Xt)
+                            SgdConfig(method="adadelta", epochs=100, seed=seed))
         base_train.append(btrace.rows[-1].trainerr)
         base_test.append(btrace.rows[-1].testerr)
 
-        _, htrace = spg_ada(data, params, ada_epochs=1000, seed=seed, test_X=Xt)
+        htrace = spg_ada(data, params, ada_epochs=1000, seed=seed).trace
         hyb_train.append(htrace.rows[-1].trainerr)
         hyb_test.append(htrace.rows[-1].testerr)
         print(f"  seed {seed}: baseline {base_train[-1]:.4e}/{base_test[-1]:.4e} "

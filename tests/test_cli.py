@@ -88,9 +88,9 @@ class TestGenerateData:
         assert run_cli(["generate-data", *shape, "--seed", 4, "--out", out]) == 0
         args = build_parser().parse_args(
             [str(a) for a in ["train", *shape, *n1_flag, "--out", tmp_path / "t"]])
-        data, test_X = _build_problem(resolve_train_config(args), seed=4)
+        data = _build_problem(resolve_train_config(args), seed=4)
         assert np.array_equal(data.X, load_matrix(out / "train.bin"))
-        assert np.array_equal(test_X, load_matrix(out / "test.bin"))
+        assert np.array_equal(data.test_X, load_matrix(out / "test.bin"))
         assert data.n_hidden == n1
 
 
@@ -291,6 +291,17 @@ class TestTrain:
                       "--mnist-images", tmp_path / "missing.idx", "--out", tmp_path / "run"])
         assert rc == 1
         assert "error: [Errno 2] No such file or directory" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_test_file_of_another_width_writes_nothing(self, tmp_path, capsys):
+        for out, n0 in (("a", 3), ("b", 2)):
+            assert run_cli(["generate-data", "--n", 10, "--n0", n0, "--ntest", 4,
+                            "--out", tmp_path / out]) == 0
+        rc = run_cli(["train", "--method", "adam", "--seed", 0, "--n1", 2,
+                      "--train-file", tmp_path / "a" / "train.bin",
+                      "--test-file", tmp_path / "b" / "test.bin", "--out", tmp_path / "run"])
+        assert rc == 1
+        assert "training matrix's 3 rows" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_hybrid_takes_the_batch_size(self, tmp_path):

@@ -9,7 +9,8 @@ import pytest
 from spgae.data import (IdxFormatError, MnistSpec, SynthSpec, generate,
                         load_idx_images, load_idx_labels, load_mnist, metrics,
                         preset)
-from spgae.model import (ModelParams, ProblemData, Variables, objective, relu)
+from spgae.model import (ModelParams, ProblemData, Variables, autoencoder_error,
+                         objective, relu)
 from spgae.rng import stream
 
 from conftest import random_feasible, write_idx_images, write_idx_labels
@@ -260,11 +261,20 @@ class TestMetrics:
         assert metrics(z, data, params)["feasvi"] == pytest.approx(expect,
                                                                    rel=1e-12)
 
+    def test_testerr_is_the_error_on_the_problems_test_matrix(self, tiny_problem,
+                                                               test_rng):
+        data, params = tiny_problem
+        test_X = np.abs(test_rng.standard_normal((data.n_visible, 5)))
+        data = ProblemData.from_matrix(data.X, data.n_hidden, test_X=test_X)
+        z = random_feasible(data, params, test_rng)
+        assert metrics(z, data, params)["testerr"] == autoencoder_error(z, data.test_X)
+
     def test_testerr_loop_oracle(self, tiny_problem, test_rng):
         data, params = tiny_problem
         z = random_feasible(data, params, test_rng)
         test_X = np.abs(test_rng.standard_normal((data.n_visible, 4)))
-        got = metrics(z, data, params, test_X=test_X)["testerr"]
+        data = ProblemData.from_matrix(data.X, data.n_hidden, test_X=test_X)
+        got = metrics(z, data, params)["testerr"]
         total = 0.0
         for t in range(4):
             x = test_X[:, t]

@@ -72,6 +72,26 @@ class TestProblemData:
         data = ProblemData.from_matrix(X, 2)
         assert data.one_norm == pytest.approx(4.0)
 
+    def test_empty_test_matrix_is_none(self):
+        data = ProblemData.from_matrix(np.ones((2, 3)), 2, test_X=np.empty((2, 0)))
+        assert data.test_X is None
+        assert ProblemData.from_matrix(np.ones((2, 3)), 2).test_X is None
+
+    def test_float64_test_matrix_is_held_not_copied(self):
+        test_X = np.ascontiguousarray(np.arange(8.0).reshape(2, 4))
+        data = ProblemData.from_matrix(np.ones((2, 3)), 2, test_X=test_X)
+        assert np.shares_memory(data.test_X, test_X)
+        # another dtype is converted once, into a float64 matrix of its own
+        ints = ProblemData.from_matrix(np.ones((2, 3)), 2, test_X=test_X.astype(int))
+        assert ints.test_X.dtype == np.float64
+        assert np.array_equal(ints.test_X, test_X)
+
+    @pytest.mark.parametrize("test_X", [np.ones((3, 4)), np.ones(4),
+                                        np.array([[1.0, np.nan], [0.0, 1.0]])])
+    def test_test_matrix_needs_the_training_rows_and_finite_entries(self, test_X):
+        with pytest.raises(ValueError, match="finite and 2-d with the training matrix's 2"):
+            ProblemData.from_matrix(np.ones((2, 3)), 2, test_X=test_X)
+
     def test_constraint_count_formula(self):
         # nu = 2*(N*N1 + N0 + N1)
         data, _ = random_problem(100, 5, 10, seed=1)

@@ -17,7 +17,7 @@ from spgae.sgd import (METHODS, GradWorkspace, NetParams, SgdConfig, SgdMember,
                        spg_ada, spg_ada_tail)
 from spgae.rng import stream
 from spgae.serialize import load_variables
-from spgae.spg import DivergenceError, SpgConfig
+from spgae.spg import DivergenceError, SpgConfig, init_point
 from spgae.trace import RunTrace
 
 from conftest import random_problem
@@ -307,6 +307,12 @@ class TestSgdRun:
         p2, _ = sgd_run(data, params, SgdConfig(method="adam", epochs=3, seed=2))
         assert not np.array_equal(p1.W, p2.W)
 
+    def test_start_weights_are_the_solvers(self, tiny_problem):
+        data, _ = tiny_problem
+        for seed in (0, 3):
+            W = NetParams.default_init(data, seed).W
+            assert np.array_equal(bits(W), bits(init_point(data, seed)[0].W))
+
     def test_zero_epochs_returns_init(self, tiny_problem):
         data, params = tiny_problem
         cfg = SgdConfig(method="vanilla", epochs=0, seed=4)
@@ -317,9 +323,9 @@ class TestSgdRun:
     def test_testerr_column_filled_when_given(self, tiny_problem):
         data, params = tiny_problem
         test_X = np.abs(np.random.default_rng(0).standard_normal((3, 4)))
+        data = ProblemData.from_matrix(data.X, data.n_hidden, test_X=test_X)
         _, trace = sgd_run(data, params,
-                           SgdConfig(method="adagrad", epochs=2, seed=0),
-                           test_X=test_X)
+                           SgdConfig(method="adagrad", epochs=2, seed=0))
         assert all(r.testerr is not None for r in trace.rows)
 
     def test_adadelta_reduces_training_error(self):
@@ -380,16 +386,17 @@ class TestLockstep:
         for seed, sink in zip((0, 1, 2), sinks):
             data, params = random_problem(105, 4, 6, seed=50 + seed)   # last batch 5
             test_X = np.abs(stream(seed, "test").standard_normal((4, 7)))
+            data = ProblemData.from_matrix(data.X, data.n_hidden, test_X=test_X)
             out.append(SgdMember(data, params, SgdConfig(
                 method=method, epochs=3, batch_size=10, seed=seed, **cfg),
-                test_X=test_X, sink=sink))
+                trace=RunTrace(sink=sink)))
         return out
 
     @pytest.mark.parametrize("method", METHODS)
     def test_group_matches_one_member_runs(self, method):
         group = sgd_lockstep(self.members(method))
         for m, (p, trace) in zip(self.members(method), group):
-            p_solo, t_solo = sgd_run(m.data, m.params, m.config, test_X=m.test_X)
+            p_solo, t_solo = sgd_run(m.data, m.params, m.config)
             assert np.array_equal(bits(p.theta), bits(p_solo.theta))
             assert row_values(trace) == row_values(t_solo)
             assert trace.termination_reason == t_solo.termination_reason == "epochs"
@@ -467,13 +474,25 @@ class TestHandoff:
 
 
 class TestSpgAda:
+    def test_trace_sink_sees_every_row_once_in_order(self, tiny_problem):
+        data, params = tiny_problem
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cfg = SpgConfig(max_outer_iters=4, epsilon=1e-6)
+        rec = Recorder()
+        result = spg_ada(data, params, cfg, ada_epochs=3, seed=6, trace=RunTrace(sink=rec))
+        assert result.trace.sink is rec
+        assert result.trace.handoff_index == 4
+        assert len(rec.rows) == len(result.trace.rows) == 4 + 1 + result.iterations
+        assert all(a is b for a, b in zip(rec.rows, result.trace.rows))
+
     def test_combined_trace_layout(self, tiny_problem):
         data, params = tiny_problem
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             cfg = SpgConfig(max_outer_iters=4, epsilon=1e-6)
-        result, trace = spg_ada(data, params, spg_config=cfg, ada_epochs=3,
-                                seed=6)
+        result = spg_ada(data, params, spg_config=cfg, ada_epochs=3, seed=6)
+        trace = result.trace
         assert trace.handoff_index == 4          # rows 0..3 are the warm start
         assert [r.k for r in trace.rows] == list(range(len(trace.rows)))
         assert all(r.mu is None for r in trace.rows[:trace.handoff_index])
@@ -497,10 +516,11 @@ class TestSpgAda:
             def write_row(self, row):
                 streamed.append(row)
 
-        p, ada_trace = sgd_run(data, params, SgdConfig(epochs=2, seed=6), sink=Recorder())
-        result, trace = spg_ada_tail(p, ada_trace, data, params, cfg, seed=6,
-                                     sink=Recorder())
-        assert trace is ada_trace and result.trace is ada_trace
+        p, ada_trace = sgd_run(data, params, SgdConfig(epochs=2, seed=6),
+                               trace=RunTrace(sink=Recorder()))
+        result = spg_ada_tail(p, ada_trace, data, params, cfg, seed=6)
+        trace = result.trace
+        assert trace is ada_trace
         assert trace.handoff_index == 3
         assert streamed == trace.rows
         assert [r.k for r in trace.rows] == list(range(3 + 1 + result.iterations))
@@ -510,10 +530,10 @@ class TestSpgAda:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             cfg = SpgConfig(max_outer_iters=3, epsilon=1e-6)
-        r1, t1 = spg_ada(data, params, spg_config=cfg, ada_epochs=2, seed=8)
-        r2, t2 = spg_ada(data, params, spg_config=cfg, ada_epochs=2, seed=8)
+        r1 = spg_ada(data, params, spg_config=cfg, ada_epochs=2, seed=8)
+        r2 = spg_ada(data, params, spg_config=cfg, ada_epochs=2, seed=8)
         assert np.array_equal(r1.z.pack(), r2.z.pack())
-        assert [r.fval for r in t1.rows] == [r.fval for r in t2.rows]
+        assert [r.fval for r in r1.trace.rows] == [r.fval for r in r2.trace.rows]
 
     def test_subnormals_stop_at_the_solver(self, tiny_problem, monkeypatch, tmp_path):
         def subnormal(a):
@@ -541,7 +561,7 @@ class TestSpgAda:
                 "--seed", "0", "--out", str(tmp_path)]
         assert main(argv) == 0
         cfg = resolve_train_config(build_parser().parse_args(argv))
-        data, _ = _build_problem(cfg, seed=0)
+        data = _build_problem(cfg, seed=0)
         p, _ = sgd_run(data, _model_params(cfg, data),
                        SgdConfig(epochs=50, batch_size=1, seed=0))
         z, _ = load_variables(tmp_path / "model.bin")
@@ -549,11 +569,12 @@ class TestSpgAda:
         for saved, trained in ((z.W, p.W), (z.b1, p.b1), (z.b2, p.b2)):
             assert saved.tobytes() == trained.tobytes()
 
-    def test_rows_stream_before_divergence(self, tiny_problem):
+    def test_rows_stream_before_divergence(self, tiny_problem, monkeypatch):
         data, params = tiny_problem
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            cfg = SpgConfig(divergence_factor=1e-12)
+            cfg = SpgConfig()
+        monkeypatch.setattr(spgae.spg, "DIVERGENCE_FACTOR", 1e-12)
 
         class Recorder:
             def __init__(self):
@@ -564,7 +585,7 @@ class TestSpgAda:
 
         rec = Recorder()
         with pytest.raises(DivergenceError) as err:
-            spg_ada(data, params, cfg, ada_epochs=2, seed=6, sink=rec)
+            spg_ada(data, params, cfg, ada_epochs=2, seed=6, trace=RunTrace(sink=rec))
         # three Adadelta rows (initial point plus two epochs), then the
         # solver's initial row and the row of the step that diverged
         assert [k for k, _ in rec.rows] == [0, 1, 2, 3, 4]

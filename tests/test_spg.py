@@ -15,6 +15,7 @@ from spgae.model import (ModelParams, ProblemData, Variables, feasibility,
                          objective, penalty)
 from spgae.smoothing import smoothed_objective
 from spgae.subproblem import WbFactor
+from spgae.trace import RunTrace
 from spgae.spg import (DivergenceError, SpgConfig, default_l0,
                        estimate_local_l0, estimate_validated_l0,
                        init_point, run, spg_step, stationarity_diagnostic)
@@ -249,7 +250,7 @@ class TestRun:
             def write_row(self, row):
                 self.ks.append(row.k)
 
-        res = run(data, params, config=cfg, seed=4, sink=Collect())
+        res = run(data, params, config=cfg, seed=4, trace=RunTrace(sink=Collect()))
         rep = feasibility(res.z, data, params, tol=1e-9)
         assert rep.in_Z
         assert len(Collect.ks) == len(res.trace.rows)
@@ -262,9 +263,10 @@ class TestRun:
         assert np.array_equal(r1.z.pack(), r2.z.pack())
         assert [t.fval for t in r1.trace.rows] == [t.fval for t in r2.trace.rows]
 
-    def test_divergence_guard_trips(self, tiny_problem):
+    def test_divergence_guard_trips(self, tiny_problem, monkeypatch):
         data, params = tiny_problem
-        cfg = self.config(divergence_factor=1e-9)
+        cfg = self.config()
+        monkeypatch.setattr(spgae.spg, "DIVERGENCE_FACTOR", 1e-9)
         with pytest.raises(DivergenceError) as err:
             run(data, params, config=cfg, seed=1)
         assert err.value.trace.termination_reason == "diverged"
