@@ -19,7 +19,7 @@ from .spg import (DivergenceError, SpgConfig, SpgResult, default_l0,
                   estimate_validated_l0, init_point, run, spg_step,
                   stationarity_diagnostic)
 from .sgd import (NetParams, SgdConfig, SgdMember, net_to_feasible, sgd_lockstep,
-                  sgd_run, spg_ada, spg_ada_tail)
+                  sgd_run, spg_ada)
 from .data import (MnistSpec, SynthSpec, generate, load_idx_images,
                    load_idx_labels, load_mnist, metrics, preset)
 from .trace import RunTrace, TraceRow, TraceWriter, TRACE_HEADER
@@ -38,6 +38,6 @@ __all__ = [
     "metrics", "net_to_feasible", "objective", "penalty", "preactivations",
     "preset", "regularizer", "relu", "run", "sgd_lockstep", "sgd_run",
     "smooth_relu", "smooth_relu_deriv", "smoothed_loss", "smoothed_loss_grad",
-    "smoothed_objective", "solve_subproblem", "spg_ada", "spg_ada_tail",
-    "spg_step", "stationarity_diagnostic", "stream", "subproblem_objective",
+    "smoothed_objective", "solve_subproblem", "spg_ada", "spg_step",
+    "stationarity_diagnostic", "stream", "subproblem_objective",
 ]

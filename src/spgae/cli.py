@@ -23,7 +23,7 @@ from . import serialize
 from .model import ModelParams, ProblemData, Variables, packed_size, relu
 from .rng import stream
 from .sgd import (METHODS as SGD_METHODS, SgdConfig, SgdMember, net_to_feasible,
-                  sgd_lockstep, spg_ada, spg_ada_tail)
+                  sgd_lockstep, spg_ada)
 from .spg import SpgConfig, estimate_validated_l0, run as spg_run
 from .subproblem import SubproblemSpec, solve_subproblem
 from .trace import RunTrace, TraceWriter
@@ -234,9 +234,10 @@ def train_seeds(cfg: dict, seeds, outs, spg_config: SpgConfig | None) -> list[di
     ``spg_config`` is ``_spg_config(cfg)`` for the ``spg`` and ``spg-ada``
     methods, else None.  Every seed is set up; the methods with an SGD phase
     (every one but ``spg``; ``spg-ada``'s is its Adadelta warm start) train
-    all seeds in it as one lockstep group (``sgd_lockstep``).  Each seed is
-    then finished (``spg``: the solver run, ``spg-ada``: its solver tail) and
-    its files written.
+    all seeds in it as one lockstep group (``sgd_lockstep``), and each net is
+    made feasible (``net_to_feasible``).  For ``spg`` and ``spg-ada`` each
+    seed then makes one ``spg.run``, from that point if there is one.  Each
+    seed's files are written last.
     """
     method = cfg["method"]
     ada = method == "spg-ada"       # the SGD phase is spg-ada's Adadelta warm start
@@ -260,23 +261,21 @@ def train_seeds(cfg: dict, seeds, outs, spg_config: SpgConfig | None) -> list[di
         summaries = []
         for run, p in zip(runs, nets):
             t_start = time.perf_counter()
-            if method == "spg":
-                result = spg_run(run.data, run.params, run.config, seed=run.seed,
-                                 trace=run.trace)
-                fields = {"final_stationarity": result.final_stationarity}
-            elif ada:
-                result = spg_ada_tail(p, run.trace, run.data, run.params, run.config,
-                                      seed=run.seed)
-                fields = {"handoff_index": run.trace.handoff_index}
-            else:
-                z = net_to_feasible(p, run.data, run.params)
+            z = None if p is None else net_to_feasible(p, run.data, run.params)
+            if spg_config is None:
                 fields = {"epochs": cfg["epochs"]}
-            if spg_config is not None:
+            else:
+                result = spg_run(run.data, run.params, run.config, z0=z, seed=run.seed,
+                                 trace=run.trace)
                 z = result.z
                 fields = {"iterations": result.iterations, "final_mu": result.mu,
                           "final_L": result.L, "b1_clamp_hits": result.b1_clamp_hits,
                           "capped_solves": result.capped_solves,
-                          "mu_shrinks": result.mu_shrinks, **fields}
+                          "mu_shrinks": result.mu_shrinks}
+                if ada:
+                    fields["handoff_index"] = run.trace.handoff_index
+                else:
+                    fields["final_stationarity"] = result.final_stationarity
             run.elapsed_s += shared_s + time.perf_counter() - t_start
             summaries.append(run.finish(z, fields))
         return summaries

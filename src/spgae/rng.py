@@ -16,7 +16,7 @@ STREAMS = {
     "init": 1,    # variable / network initialisation
     "batch": 2,   # minibatch permutations
     "bench": 3,   # benchmark instance generation
-    "test": 4,    # test-only sampling
+    "test": 4,    # L0 estimators' probes (spg-ada warm start, --theoretical-L), tests
 }
 
 

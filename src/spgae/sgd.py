@@ -24,7 +24,7 @@ import numpy as np
 from .model import (ModelParams, ProblemData, Variables, autoencoder_error, init_W,
                     relu)
 from .rng import stream
-from .spg import SpgConfig, SpgResult, estimate_local_l0, run as spg_run_driver
+from .spg import SpgConfig, SpgResult, run as spg_run_driver
 from .trace import RunTrace, TraceRow
 
 METHODS = ("vanilla", "adam", "adamax", "adadelta", "adagrad", "adagrad-decay")
@@ -260,10 +260,11 @@ def sgd_lockstep(members) -> list[tuple[NetParams, RunTrace]]:
     their configs may differ only in ``seed``.  Each member starts from its own
     point, draws its batch permutations from its own seed's ``batch`` stream,
     gathers its batches from its own data and appends its rows (one per
-    epoch; row 0 is the initial point; test error on its ``data.test_X``) to
-    its own trace, so its parameters and rows are the same bits as in a group
-    of one.  Only ``wall_ms`` is shared: it is the wall time of the group's
-    epoch.  Returns (parameters, trace) per member, in order.
+    epoch after one for the initial point, numbered on from the trace's
+    length; test error on its ``data.test_X``) to its own trace, so its
+    parameters and rows are the same bits as in a group of one.  Only
+    ``wall_ms`` is shared: it is the wall time of the group's epoch.  Returns
+    (parameters, trace) per member, in order.
     """
     first = members[0]
     config, n = first.config, first.data.n_samples
@@ -285,21 +286,21 @@ def sgd_lockstep(members) -> list[tuple[NetParams, RunTrace]]:
     for trace in traces:
         trace.termination_reason = "epochs"
 
-    def epoch_rows(k, wall_ms):
+    def epoch_rows(wall_ms):
         for net, data, trace in zip(nets, datas, traces):
             te = None if data.test_X is None else autoencoder_error(net, data.test_X)
-            trace.append(TraceRow(k=k, trainerr=autoencoder_error(net, data.X),
-                                  testerr=te, wall_ms=wall_ms))
+            trace.append(TraceRow(k=len(trace.rows), testerr=te, wall_ms=wall_ms,
+                                  trainerr=autoencoder_error(net, data.X)))
 
-    epoch_rows(0, 0.0)
-    for epoch in range(1, config.epochs + 1):
+    epoch_rows(0.0)
+    for _ in range(config.epochs):
         t0 = time.perf_counter()
         perms = [rng.permutation(n) for rng in batch_rngs]
         for lo in range(0, n, bs):
             g = minibatch_grad(p, datas, [perm[lo:lo + bs] for perm in perms],
                                first.params.lambda2, out=ws)
             opt.update(p.theta, g.theta)
-        epoch_rows(epoch, 1e3 * (time.perf_counter() - t0))
+        epoch_rows(1e3 * (time.perf_counter() - t0))
     return list(zip(nets, traces))
 
 
@@ -325,32 +326,15 @@ def net_to_feasible(p: NetParams, data: ProblemData, params: ModelParams) -> Var
 def spg_ada(data: ProblemData, params: ModelParams, spg_config: SpgConfig | None = None,
             ada_epochs: int = 1000, seed: int = 0,
             trace: RunTrace | None = None) -> SpgResult:
-    """Adadelta warm start, feasibility handoff, then the deterministic solver.
+    """Adadelta warm start (``sgd_run``), feasibility handoff
+    (``net_to_feasible``), then the deterministic solver (``spg.run``).
 
     The result's ``.trace`` is the run's one trace (``trace``, else a new one):
     the warm start's rows, then the solver's, numbered on across the handoff,
-    whose index (the first row with a non-blank mu) it records.  Rows reach
-    its sink as each phase produces them.
+    whose index (the first row with a non-blank mu) the solver records.  Rows
+    reach its sink as each phase produces them.
     """
     ada_cfg = SgdConfig(method="adadelta", epochs=ada_epochs, seed=seed)
-    p, ada_trace = sgd_run(data, params, ada_cfg, trace=trace)
-    return spg_ada_tail(p, ada_trace, data, params, spg_config, seed=seed)
-
-
-def spg_ada_tail(p: NetParams, ada_trace: RunTrace, data: ProblemData,
-                 params: ModelParams, spg_config: SpgConfig | None = None,
-                 seed: int = 0) -> SpgResult:
-    """``spg_ada`` after its warm start: the handoff from the Adadelta point
-    ``p`` and the solver run, which continues ``p``'s trace ``ada_trace``."""
-    z0 = net_to_feasible(p, data, params)
-    config = spg_config if spg_config is not None else SpgConfig()
-    if config.L0 is None:
-        # warm starts sit in high-curvature territory where the cold-start
-        # default proximal weight overshoots; size it to the local gradient
-        # Lipschitz scale instead
-        config = config.with_L0(
-            estimate_local_l0(z0, config.mu0, data, params, seed=seed),
-            config.infnorm_bound)
-    ada_trace.handoff_index = len(ada_trace.rows)
-    return spg_run_driver(data, params, config=config, z0=z0, seed=seed,
-                          trace=ada_trace)
+    p, trace = sgd_run(data, params, ada_cfg, trace=trace)
+    return spg_run_driver(data, params, spg_config, z0=net_to_feasible(p, data, params),
+                          seed=seed, trace=trace)

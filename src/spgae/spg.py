@@ -49,7 +49,7 @@ class SpgConfig:
     tau1: float = 0.5
     tau2: float = 1e-3
     tau3: float = 1.1
-    L0: float | None = None          # None -> size-based default
+    L0: float | None = None          # None -> default_l0, or a warm start's estimate
     epsilon: float = 1e-7
     max_outer_iters: int = 4000
     sub_tol: float = _SOLVE_DEFAULTS["tol"].default
@@ -81,7 +81,7 @@ class SpgConfig:
             warnings.warn("tau1*tau3 < 1: mu*L may shrink, descent guarantees do not "
                           "apply (practical setting)", stacklevel=3)
 
-    def with_L0(self, L0: float, infnorm_bound: float | None = None) -> "SpgConfig":
+    def with_L0(self, L0: float, infnorm_bound: float | None) -> "SpgConfig":
         """This config with the L0 (and level-set bound) estimated for one run.
 
         Not constructed anew, which would repeat the tau1*tau3 warning once
@@ -208,23 +208,29 @@ def run(data: ProblemData, params: ModelParams, config: SpgConfig | None = None,
     that L.  Each row goes to ``trace`` (a new one by default) and its sink
     with its index there as ``k``; test error is on ``data.test_X``.
 
-    A caller's ``z0`` is copied with every entry below the smallest normal
-    float set to 0.0, and is itself left as it is: the dead ReLU units of a
-    weight-decayed warm start hold subnormal rows, and each BLAS product of
-    the inner sweeps with such a row runs several times slower.
+    Without ``z0`` the run starts at ``init_point`` and, when ``config.L0`` is
+    None, at ``default_l0``.  A caller's ``z0`` is a warm start: it is copied
+    with every entry below the smallest normal float set to 0.0, and is itself
+    left as it is (the dead ReLU units of a weight-decayed warm start hold
+    subnormal rows, and each BLAS product of the inner sweeps with such a row
+    runs several times slower).  A warm start records its first row's index
+    as ``trace.handoff_index`` and, when ``config.L0`` is None, starts at
+    ``estimate_local_l0`` of the copy: the cold default proximal weight
+    overshoots where preactivations cross the smoothing band.
     """
     config = config or SpgConfig()
-    S = None
+    trace = RunTrace() if trace is None else trace
+    mu, L, S = config.mu0, config.L0, None
     if z0 is None:
         z, S = init_point(data, seed)
+        L = L or default_l0(data, params)
     else:
         z = z0.copy()
         for a in z.blocks():
             a[np.abs(a) < np.finfo(np.float64).tiny] = 0.0
+        L = L or estimate_local_l0(z, mu, data, params, seed=seed)
+        trace.handoff_index = len(trace.rows)
     fw = preactivations(z, data, S=S)
-    mu = config.mu0
-    L = config.L0 if config.L0 is not None else default_l0(data, params)
-    trace = RunTrace() if trace is None else trace
 
     reg = regularizer(z, params)
     smoothed = smoothed_objective(z, mu, data, params, fw=fw, reg=reg)

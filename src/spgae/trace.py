@@ -59,7 +59,7 @@ class RunTrace:
 
     rows: list = field(default_factory=list)
     termination_reason: str | None = None
-    handoff_index: int | None = None    # first solver row of a hybrid run
+    handoff_index: int | None = None    # a warm-started spg.run's first row
     sink: object = field(default=None, compare=False, repr=False)
 
     def append(self, row: TraceRow):

@@ -166,7 +166,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("method,extra", [
         ("spg", []), ("spg", ["--L0", 2]), ("spg", ["--theoretical-L"]),
-        ("spg-ada", ["--ada-epochs", 2]),
+        ("spg-ada", ["--ada-epochs", 2]), ("spg-ada", ["--ada-epochs", 2, "--L0", 2]),
+        ("spg-ada", ["--ada-epochs", 2, "--theoretical-L"]),
     ])
     def test_resolved_L0_is_the_first_solver_rows_L(self, tmp_path, method, extra):
         out = tmp_path / "run"
@@ -176,7 +177,7 @@ class TestTrain:
         L = RunTrace.read_csv(out / "trace.csv").rows[first].L
         assert L is not None
         assert float(load_kv(out / "config.txt")["resolved_L0"]) == L
-        if extra == ["--L0", 2]:
+        if "--L0" in extra:
             assert L == 2.0
 
     def test_multi_seed_layout(self, tmp_path):

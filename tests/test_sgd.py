@@ -14,11 +14,11 @@ from spgae.model import (ModelParams, ProblemData, fidelity, penalty,
 from spgae.sgd import (METHODS, GradWorkspace, NetParams, SgdConfig, SgdMember,
                        _Optimizer, autoencoder_error, default_batch_size,
                        minibatch_grad, net_to_feasible, sgd_lockstep, sgd_run,
-                       spg_ada, spg_ada_tail)
+                       spg_ada)
 from spgae.rng import stream
 from spgae.serialize import load_variables
-from spgae.spg import DivergenceError, SpgConfig, init_point
-from spgae.trace import RunTrace
+from spgae.spg import DivergenceError, SpgConfig, init_point, run
+from spgae.trace import RunTrace, TraceRow
 
 from conftest import random_problem
 
@@ -301,6 +301,12 @@ class TestSgdRun:
         assert t1.termination_reason == "epochs"
         assert all(r.mu is None and r.L is None for r in t1.rows)
 
+    def test_rows_number_on_from_the_trace_given(self, tiny_problem):
+        data, params = tiny_problem
+        _, trace = sgd_run(data, params, SgdConfig(method="adam", epochs=2),
+                           trace=RunTrace(rows=[TraceRow(k=0)]))
+        assert [r.k for r in trace.rows] == [0, 1, 2, 3]
+
     def test_seed_changes_trajectory(self, tiny_problem):
         data, params = tiny_problem
         p1, _ = sgd_run(data, params, SgdConfig(method="adam", epochs=3, seed=1))
@@ -518,7 +524,8 @@ class TestSpgAda:
 
         p, ada_trace = sgd_run(data, params, SgdConfig(epochs=2, seed=6),
                                trace=RunTrace(sink=Recorder()))
-        result = spg_ada_tail(p, ada_trace, data, params, cfg, seed=6)
+        result = run(data, params, cfg, z0=net_to_feasible(p, data, params), seed=6,
+                     trace=ada_trace)
         trace = result.trace
         assert trace is ada_trace
         assert trace.handoff_index == 3
@@ -553,7 +560,7 @@ class TestSpgAda:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             cfg = SpgConfig(max_outer_iters=4)
-        spg_ada_tail(p, RunTrace(), data, params, cfg, seed=2)
+        run(data, params, cfg, z0=net_to_feasible(p, data, params), seed=2)
         assert len(seen) == 4 and not np.any(seen)
         # the SGD baselines still write their weights as trained, subnormals too
         argv = ["train", "--method", "adadelta", "--n", "100", "--n1", "20", "--n0", "5",

@@ -15,7 +15,7 @@ from spgae.model import (ModelParams, ProblemData, Variables, feasibility,
                          objective, penalty)
 from spgae.smoothing import smoothed_objective
 from spgae.subproblem import WbFactor
-from spgae.trace import RunTrace
+from spgae.trace import RunTrace, TraceRow
 from spgae.spg import (DivergenceError, SpgConfig, default_l0,
                        estimate_local_l0, estimate_validated_l0,
                        init_point, run, spg_step, stationarity_diagnostic)
@@ -45,7 +45,7 @@ class TestConfig:
         assert (cfg.L0, cfg.infnorm_bound) == (None, None)
         assert (run_cfg.mu0, run_cfg.max_outer_iters) == (2e-3, 7)
         with pytest.raises(ValueError, match="L0"):
-            cfg.with_L0(0.5)
+            cfg.with_L0(0.5, None)
 
     def test_no_warning_with_compensating_tau3(self):
         with warnings.catch_warnings():
@@ -436,6 +436,36 @@ class TestRun:
         assert res.z.pack().tobytes() == ref.z.pack().tobytes()
         z = res.z.pack()
         assert not np.any((z != 0.0) & (np.abs(z) < np.finfo(np.float64).tiny))
+
+    def test_warm_start_L0_is_the_secant_estimate_of_the_flushed_point(
+            self, tiny_problem):
+        data, params = tiny_problem
+        cfg = self.config(max_outer_iters=2)
+        # at the origin every preactivation sits on the smoothing kink, so the
+        # estimate is far above the cold default
+        flushed = Variables.zeros(data)
+        expected = estimate_local_l0(flushed, cfg.mu0, data, params, seed=3)
+        assert expected > 10.0 * default_l0(data, params)
+        assert run(data, params, cfg, z0=flushed, seed=3).trace.rows[0].L == expected
+        z0 = Variables.zeros(data)
+        z0.W[0] = z0.b1[0] = z0.V[0] = 5e-324
+        assert run(data, params, cfg, z0=z0, seed=3).trace.rows[0].L == expected
+
+    def test_warm_start_marks_the_handoff(self, tiny_problem):
+        data, params = tiny_problem
+        cfg = self.config(max_outer_iters=2)
+        trace = RunTrace(rows=[TraceRow(k=k) for k in range(3)])
+        res = run(data, params, cfg, z0=init_point(data, seed=1)[0], trace=trace)
+        assert res.trace is trace
+        assert trace.handoff_index == 3
+        assert [r.k for r in trace.rows] == [0, 1, 2, 3, 4, 5]
+        assert run(data, params, cfg, seed=1).trace.handoff_index is None
+
+    def test_warm_start_keeps_a_given_L0(self, tiny_problem):
+        data, params = tiny_problem
+        cfg = self.config(L0=2.0, max_outer_iters=2)
+        res = run(data, params, cfg, z0=Variables.zeros(data))
+        assert res.trace.rows[0].L == 2.0
 
     def test_final_stationarity_is_the_last_steps(self, tiny_problem):
         data, params = tiny_problem
