@@ -87,8 +87,8 @@ _TRAIN_FLAG_EXTRAS = {
                       "help": "derive L0 from the sampled descent bound"},
 }
 
-_BOOL_TRUE = {"1", "true", "yes", "on"}
-_BOOL_FALSE = {"0", "false", "no", "off"}
+_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+          **dict.fromkeys(("0", "false", "no", "off"), False)}
 
 
 def _coerce(key: str, raw: str):
@@ -96,14 +96,11 @@ def _coerce(key: str, raw: str):
     typ = _TRAIN_TYPES[key]
     if raw == "none":
         return None
-    if typ is bool:
-        low = raw.lower()
-        if low in _BOOL_TRUE:
-            return True
-        if low in _BOOL_FALSE:
-            return False
-        raise ValueError(f"config key {key}: expected boolean, got {raw!r}")
-    return typ(raw)
+    try:
+        return _BOOLS[raw.lower()] if typ is bool else typ(raw)
+    except (KeyError, ValueError):
+        name = "boolean" if typ is bool else typ.__name__
+        raise ValueError(f"config key {key}: expected {name}, got {raw!r}") from None
 
 
 def resolve_train_config(args: argparse.Namespace) -> dict:
@@ -124,8 +121,12 @@ def resolve_train_config(args: argparse.Namespace) -> dict:
 
 def _synthetic(cfg: dict, seed: int):
     """(SynthSpec, N1, train X, test X) for train and generate-data: sizes from
-    --preset, whose N1 beats --n1, or from --n/--n1/--n0."""
+    --preset (never with --n or --n0; its N1 beats --n1) or --n/--n1/--n0."""
     if cfg["preset"] is not None:
+        for key in ("n", "n0"):
+            if cfg[key] is not None:
+                raise ValueError(f"--preset sets synthetic sizes and cannot be "
+                                 f"combined with --{key}")
         n, n1, n0 = datamod.preset(cfg["preset"])
     elif cfg["n"] is None or cfg["n0"] is None:
         raise ValueError("need --preset or both --n and --n0 "
@@ -218,10 +219,10 @@ class _SeedRun:
             snap["resolved_L0"] = self.trace.rows[self.trace.handoff_index or 0].L
         else:
             m = datamod.metrics(z, self.data, self.params)
-        summary.update({k: ("" if v is None else v) for k, v in m.items()})
+        summary.update(m)
         summary["termination"] = self.trace.termination_reason
         summary["elapsed_s"] = self.elapsed_s + time.perf_counter() - t_start
-        serialize.save_variables(os.path.join(self.outdir, "model.bin"), z, self.data)
+        serialize.save_variables(os.path.join(self.outdir, "model.bin"), z)
         serialize.save_kv(os.path.join(self.outdir, "config.txt"), snap)
         serialize.save_kv(os.path.join(self.outdir, "summary.txt"), summary)
         return summary
@@ -321,7 +322,7 @@ def cmd_train(args) -> int:
         line = (f"seed {s['seed']}: {s['method']} {s['termination']} "
                 f"fval={s['fval']:.6e} feasvi={s['feasvi']:.3e} "
                 f"trainerr={s['trainerr']:.6e}")
-        if s.get("testerr") != "":
+        if s["testerr"] is not None:
             line += f" testerr={s['testerr']:.6e}"
         print(line)
     return 0
@@ -452,9 +453,7 @@ def cmd_report(args) -> int:
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join("" if v is None else
-                              (str(v) if isinstance(v, int) else format(v, ".17g"))
-                              for v in row) + "\n")
+            fh.write(",".join(map(serialize.format_value, row)) + "\n")
     print(f"aggregated {len(args.traces)} traces over {len(rows)} rows -> {args.out}")
     return 0
 

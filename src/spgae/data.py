@@ -53,35 +53,25 @@ class SynthSpec:
             raise ValueError("eps0 must be finite and nonnegative")
 
 
-def _type1_from_factors(theta_vec, sigma0, eps0, m, rng):
-    """x_i = (theta + sigma0 * g_i + eps0 * h_i)_+ with scalar g_i, vector h_i."""
-    g = rng.standard_normal(m)
-    h = rng.standard_normal((theta_vec.size, m))
-    return relu(theta_vec[:, None] + sigma0[:, None] * g[None, :] + eps0 * h)
-
-
-def gen_type1(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Mean 0.5 + randn, rank-one covariance sigma0 sigma0^T plus isotropic noise;
-    negatives zeroed.  First n_train columns train, last n_test columns test."""
-    rng = stream(spec.seed, "data")
-    theta_vec = 0.5 + rng.standard_normal(spec.n_visible)
-    sigma0 = rng.standard_normal(spec.n_visible)
-    X = _type1_from_factors(theta_vec, sigma0, spec.eps0, spec.n_train + spec.n_test, rng)
-    return X[:, :spec.n_train].copy(), X[:, spec.n_train:].copy()
-
-
-def gen_type2(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform [0,1) plus eps0 * randn, negatives zeroed; generated row-major
-    (samples as rows) then transposed into the column-sample convention."""
-    rng = stream(spec.seed, "data")
-    m = spec.n_train + spec.n_test
-    rows = rng.random((m, spec.n_visible)) + spec.eps0 * rng.standard_normal((m, spec.n_visible))
-    X = relu(rows).T
-    return X[:, :spec.n_train].copy(), X[:, spec.n_train:].copy()
-
-
 def generate(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
-    return gen_type1(spec) if spec.kind == 1 else gen_type2(spec)
+    """(train X, test X): the first n_train and last n_test columns of one
+    draw from the ``data`` stream, negatives zeroed.
+
+    Kind 1 draws theta = 0.5 + randn and sigma0 = randn, then columns
+    theta + sigma0 * g_i + eps0 * h_i, scalar g_i and vector h_i randn (mean
+    theta, rank-one covariance sigma0 sigma0^T plus isotropic noise).  Kind 2
+    draws uniform [0,1) plus eps0 * randn row-major (samples as rows), then
+    transposes.
+    """
+    rng = stream(spec.seed, "data")
+    m, n0 = spec.n_train + spec.n_test, spec.n_visible
+    if spec.kind == 1:
+        theta_vec, sigma0 = 0.5 + rng.standard_normal(n0), rng.standard_normal(n0)
+        g, h = rng.standard_normal(m), rng.standard_normal((n0, m))
+        X = relu(theta_vec[:, None] + sigma0[:, None] * g[None, :] + spec.eps0 * h)
+    else:
+        X = relu(rng.random((m, n0)) + spec.eps0 * rng.standard_normal((m, n0))).T
+    return X[:, :spec.n_train].copy(), X[:, spec.n_train:].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -225,9 +225,9 @@ def preactivations(z: Variables, data: ProblemData, S: np.ndarray | None = None)
     """Decoder and encoder pre-activations (Y, S) = (W^T V + b2 1^T, W X + b1 1^T).
 
     Pass ``S`` when the caller holds z's encoder pre-activation (an inner
-    solve returns it); only Y is then formed.  Outside the inner solver and
-    spg.init_point this is the only place either product is formed:
-    evaluations of one iterate take the result as ``fw``.
+    solve returns it); only Y is then formed.  For an SPG iterate, outside
+    the inner solver and spg.init_point, this is the only place either
+    product is formed: evaluations of one iterate take the result as ``fw``.
     """
     if S is None:
         S = z.W @ data.X + z.b1[:, None]

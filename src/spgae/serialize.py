@@ -62,20 +62,13 @@ def read_framed(path, magic: bytes, header: str, min_dim: int, payload_bytes,
     return dims, raw
 
 
-def save_variables(path, z: Variables, dims) -> None:
-    """dims is (N, N0, N1) or an object with a .dims tuple."""
-    if hasattr(dims, "dims"):
-        dims = dims.dims
-    n, n0, n1 = (int(d) for d in dims)
-    vec = z.pack().astype("<f8")
-    expected = packed_size((n, n0, n1))
-    if vec.size != expected:
-        raise ValueError(f"variables do not match dims {dims}: "
-                         f"{vec.size} != {expected}")
+def save_variables(path, z: Variables) -> None:
+    """Write z under the header (N, N0, N1), read from the shapes of z.W and z.V."""
+    (n1, n0), n = z.W.shape, z.V.shape[1]
     with open(path, "wb") as fh:
         fh.write(VAR_MAGIC)
         fh.write(struct.pack("<qqq", n, n0, n1))
-        fh.write(vec.tobytes())
+        fh.write(z.pack().astype("<f8").tobytes())
 
 
 def load_variables(path) -> tuple[Variables, tuple[int, int, int]]:
@@ -106,13 +99,19 @@ def save_matrix_csv(path, M) -> None:
     np.savetxt(path, M, fmt="%.17g", delimiter=",")
 
 
+def format_value(v) -> str:
+    """The text of one value in every text output: blank for None, 17
+    significant digits (lossless) for a float, ``str`` for anything else."""
+    if v is None:
+        return ""
+    return format(v, ".17g") if isinstance(v, float) else str(v)
+
+
 def save_kv(path, mapping: dict) -> None:
-    """Write ``key = value`` lines; values are stringified, floats at full precision."""
+    """Write ``key = value`` lines, each value in ``format_value``'s text."""
     with open(path, "w", encoding="utf-8") as fh:
         for key, value in mapping.items():
-            if isinstance(value, float):
-                value = format(value, ".17g")
-            fh.write(f"{key} = {value}\n")
+            fh.write(f"{key} = {format_value(value)}\n")
 
 
 def load_kv(path) -> dict:

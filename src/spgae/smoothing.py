@@ -46,8 +46,6 @@ def smooth_relu_deriv(y, mu: float):
 def smoothed_loss(z: Variables, mu: float, data: ProblemData, params: ModelParams, *,
                   fw: Forward | None = None) -> float:
     """H~(z, mu) = F~ + P~ (everything except the regularizer)."""
-    if not (mu > 0):
-        raise ValueError("mu must be positive")
     n = data.n_samples
     Y, S = fw or preactivations(z, data)
     ry = relu(Y)
@@ -77,8 +75,6 @@ def smoothed_loss_grad(z: Variables, mu: float, data: ProblemData,
         g_b2 = Q 1
         g_V = W Q + beta * 1 1^T
     """
-    if not (mu > 0):
-        raise ValueError("mu must be positive")
     n = data.n_samples
     Y, S = fw or preactivations(z, data)
     Q = (2.0 / n) * (relu(Y) - data.X * smooth_relu_deriv(Y, mu))

@@ -145,21 +145,16 @@ class StepResult:
 
 
 def spg_step(z: Variables, mu: float, L: float, data: ProblemData,
-             params: ModelParams, config: SpgConfig, *, fw: Forward | None = None,
-             before: float | None = None,
-             factor: WbFactor | None = None) -> StepResult:
+             params: ModelParams, config: SpgConfig, *, fw: Forward, before: float,
+             factor: WbFactor) -> StepResult:
     """One proximal step plus the (mu, L) update rule.
 
-    ``fw`` and ``before`` are z's pre-activations and O~(z, mu) when the
-    caller already has them.  z_next's encoder pre-activation is the one the
-    solve returns, so the step forms only its decoder product.  ``factor``
-    is the caller's WbFactor for this L; without it the solve builds one.
-    The gradient is dropped once the solve returns, and R(z_next) is formed
-    once for both smoothed objectives.
+    ``fw`` and ``before`` are z's pre-activations and O~(z, mu), and
+    ``factor`` is the WbFactor for L: ``run`` holds all three.  z_next's
+    encoder pre-activation is the one the solve returns, so the step forms
+    only its decoder product.  The gradient is dropped once the solve
+    returns, and R(z_next) is formed once for both smoothed objectives.
     """
-    fw = fw or preactivations(z, data)
-    if before is None:
-        before = smoothed_objective(z, mu, data, params, fw=fw)
     grads = smoothed_loss_grad(z, mu, data, params, fw=fw)
     spec = SubproblemSpec(anchor=z, grads=grads, L=L, params=params, data=data)
     # plain sweeps: the accelerated sweep is not yet judged on the outer loop

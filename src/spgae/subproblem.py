@@ -126,16 +126,14 @@ class WbFactor:
     def build(cls, data: ProblemData, L: float, lambda2: float) -> "WbFactor":
         n, n0 = data.n_samples, data.n_visible
         Xhat = np.vstack([data.X, np.ones((1, n))])
+        d = np.full(n0 + 1, L + 2.0 * lambda2)
+        d[n0] = L
         if n > n0:
             M = Xhat @ Xhat.T
-            idx = np.arange(n0)
-            M[idx, idx] += L + 2.0 * lambda2
-            M[n0, n0] += L
+            M[np.diag_indices(n0 + 1)] += d
             Minv = np.linalg.inv(M)
             del M  # as large as its inverse: free it before P is formed
             return cls(L=L, lambda2=lambda2, X=data.X, P=Xhat.T @ Minv, Minv=Minv)
-        d = np.full(n0 + 1, L + 2.0 * lambda2)
-        d[n0] = L
         DiX = Xhat / d[:, None]
         IK = Xhat.T @ DiX
         IK[np.diag_indices(n)] += 1.0

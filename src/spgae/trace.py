@@ -11,10 +11,9 @@ columns) blank.  Everything except wall_ms is deterministic for a fixed
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-TRACE_HEADER = ("k", "mu", "L", "fval", "smoothed", "feasvi", "trainerr",
-                "testerr", "sub_iters", "wall_ms")
+from .serialize import format_value
 
 
 @dataclass
@@ -31,17 +30,10 @@ class TraceRow:
     wall_ms: float | None = None
 
     def to_csv_line(self) -> str:
-        return ",".join(_fmt(getattr(self, name)) for name in TRACE_HEADER)
+        return ",".join(format_value(getattr(self, name)) for name in TRACE_HEADER)
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, int):
-        return str(v)
-    return format(float(v), ".17g")
+TRACE_HEADER = tuple(f.name for f in fields(TraceRow))
 
 
 def _parse(name: str, s: str):

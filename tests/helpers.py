@@ -3,7 +3,8 @@
 The library applies the constraint system, the bias box and the (V, U)
 closed form only implicitly or in place, and never reads back the CSV
 matrices it writes; these spell each one out for the tests.  ``plain_solve``
-drives the three sweep blocks by hand, without acceleration.
+drives the three sweep blocks by hand, without acceleration, and ``run_step``
+makes one outer step with the inputs ``spg.run`` holds.
 ``dense_reference_solve`` and ``dense_kkt_stationarity`` are the reference
 QP and its certificate on the whole dense system, which ``qp_reference``
 splits by hidden unit.
@@ -13,7 +14,10 @@ import numpy as np
 
 from spgae.model import ModelParams, ProblemData, Variables, preactivations
 from spgae.qp_reference import MAX_REFERENCE_DIM, _polish, nnls, quadratic_terms
-from spgae.subproblem import AdmmState, update_multipliers, update_vu, update_wb
+from spgae.smoothing import smoothed_objective
+from spgae.spg import spg_step
+from spgae.subproblem import (AdmmState, WbFactor, update_multipliers, update_vu,
+                              update_wb)
 
 
 def constraint_count(data: ProblemData) -> int:
@@ -86,6 +90,16 @@ def plain_solve(spec, tol=1e-6, max_iter=10000, *, anchor_S=None, factor=None):
         update_multipliers(state)
         converged = max(state.delta_rho_sq, state.delta_u_sq) <= tol
     return state.finish(spec, converged)
+
+
+def run_step(z, mu, L, data, params, config, fw=None):
+    """``spg_step`` at z given what ``spg.run`` holds there: z's pre-activations
+    (``fw``, formed here when not given), O~(z, mu) and a WbFactor for L,
+    built here anew."""
+    fw = fw or preactivations(z, data)
+    return spg_step(z, mu, L, data, params, config, fw=fw,
+                    before=smoothed_objective(z, mu, data, params, fw=fw),
+                    factor=WbFactor.build(data, L, params.lambda2))
 
 
 def dense_constraints(data: ProblemData, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,7 @@ import spgae
 from spgae.cli import (_build_problem, _coerce, aggregate_traces, bench_instance,
                        build_parser, main, resolve_train_config)
 from spgae.data import SynthSpec, generate
-from spgae.serialize import load_kv, load_matrix, load_variables
+from spgae.serialize import load_kv, load_matrix, load_variables, save_kv
 from spgae.subproblem import solve_subproblem
 from spgae.trace import RunTrace, TraceRow, TraceWriter
 
@@ -56,6 +56,14 @@ class TestGenerateData:
         assert run_cli(["generate-data", "--preset", 4, "--out", out]) == 0
         assert load_matrix(out / "train.bin").shape == (5, 50)
         assert load_matrix(out / "test.bin").shape == (5, 0)
+
+    def test_preset_with_sizes_writes_nothing(self, tmp_path, capsys):
+        rc = run_cli(["generate-data", "--preset", 6, "--n", 50, "--n0", 3,
+                      "--out", tmp_path / "x"])
+        assert rc == 1
+        assert ("error: --preset sets synthetic sizes and cannot be combined with --n\n"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "x").exists()
 
     def test_missing_sizes_is_an_error(self, tmp_path, capsys):
         rc = run_cli(["generate-data", "--out", tmp_path / "x"])
@@ -251,6 +259,8 @@ class TestTrain:
                                       "combined with --train-file"),
         ("--mnist-images", "images.idx", "--preset sets synthetic sizes and cannot be "
                                          "combined with --mnist-images"),
+        ("--n", 50, "--preset sets synthetic sizes and cannot be combined with --n"),
+        ("--n0", 3, "--preset sets synthetic sizes and cannot be combined with --n0"),
     ])
     def test_bad_solver_setting_is_an_error(self, tmp_path, capsys, flag, value, message):
         rc = run_cli(["train", "--method", "spg", "--preset", 6, "--seed", 0,
@@ -412,6 +422,20 @@ class TestConfigPrecedence:
         assert _coerce("seeds", "1 2 3") == "1 2 3"
         with pytest.raises(ValueError, match="expected boolean"):
             _coerce("theoretical_L", "maybe")
+        with pytest.raises(ValueError,
+                           match=r"^config key workers: expected int, got '2\.5'$"):
+            _coerce("workers", "2.5")
+        with pytest.raises(ValueError,
+                           match=r"^config key mu0: expected float, got 'abc'$"):
+            _coerce("mu0", "abc")
+
+    def test_config_type_error_names_the_key_and_writes_nothing(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, "workers = 2.5\n")
+        rc = run_cli(["train", "--config", cfg, "--out", tmp_path / "run"])
+        assert rc == 1
+        assert ("error: config key workers: expected int, got '2.5'\n"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
 
 
 class TestQpBench:
@@ -539,6 +563,26 @@ class TestReport:
         lines = out.read_text().splitlines()
         assert lines[0] == "k,fval_median,fval_q25,fval_q75"
         assert lines[1].split(",")[1] == "2"
+
+    def test_text_outputs_write_values_alike(self, tmp_path):
+        # 0.1, 3 and None as a save_kv value, a trace cell and a report cell
+        texts = ["0.10000000000000001", "3", ""]
+        save_kv(tmp_path / "kv.txt", {"a": 0.1, "b": 3, "c": None})
+        assert (tmp_path / "kv.txt").read_text().splitlines() == [
+            f"{key} = {text}" for key, text in zip("abc", texts)]
+        cells = TraceRow(k=0, fval=0.1, sub_iters=3).to_csv_line().split(",")
+        assert [cells[3], cells[8], cells[7]] == texts   # fval, sub_iters, testerr
+        # over one trace each cell is its row's value; row 1 has no fval
+        with TraceWriter(tmp_path / "t.csv") as writer:
+            writer.write_row(TraceRow(k=0, fval=0.1, sub_iters=3))
+            writer.write_row(TraceRow(k=1, sub_iters=3))
+        rc = run_cli(["report", "--traces", tmp_path / "t.csv",
+                      "--out", tmp_path / "agg.csv"])
+        assert rc == 0
+        lines = (tmp_path / "agg.csv").read_text().splitlines()
+        assert lines[0].startswith("k,fval_median,fval_q25,fval_q75,sub_iters_median")
+        assert [line.split(",")[1:5] for line in lines[1:]] == [
+            [texts[0]] * 3 + [texts[1]], [texts[2]] * 3 + [texts[1]]]
 
 
 def test_module_entry_point_help():

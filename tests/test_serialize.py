@@ -68,30 +68,17 @@ class TestMatrix:
 
 class TestVariables:
     def test_round_trip(self, tmp_path, tiny_problem, test_rng):
-        data, params = tiny_problem
-        z = random_feasible(data, params, test_rng)
-        path = tmp_path / "z.bin"
-        save_variables(path, z, data)
-        got, dims = load_variables(path)
-        assert dims == data.dims
-        assert np.array_equal(got.pack(), z.pack())
-        assert np.array_equal(got.W, z.W)
-        assert np.array_equal(got.V, z.V)
-
-    def test_accepts_dims_tuple(self, tmp_path, tiny_problem, test_rng):
-        data, params = tiny_problem
-        z = random_feasible(data, params, test_rng)
-        path = tmp_path / "z.bin"
-        save_variables(path, z, data.dims)
-        got, dims = load_variables(path)
-        assert dims == data.dims
-        assert np.array_equal(got.pack(), z.pack())
-
-    def test_dims_mismatch_rejected(self, tmp_path, tiny_problem, test_rng):
-        data, params = tiny_problem
-        z = random_feasible(data, params, test_rng)
-        with pytest.raises(ValueError, match="do not match dims"):
-            save_variables(tmp_path / "z.bin", z, (7, 3, 2))
+        # the header is read from z's own shapes: (N, N0, N1) = (6, 3, 2), then
+        # a shape with N < N0
+        for data, params in (tiny_problem, random_problem(5, 7, 4, seed=3)):
+            z = random_feasible(data, params, test_rng)
+            path = tmp_path / "z.bin"
+            save_variables(path, z)
+            got, dims = load_variables(path)
+            assert dims == data.dims == (data.n_samples, data.n_visible, data.n_hidden)
+            assert np.array_equal(got.pack(), z.pack())
+            assert np.array_equal(got.W, z.W)
+            assert np.array_equal(got.V, z.V)
 
     def test_nonpositive_dim_in_header(self, tmp_path, tiny_problem, test_rng):
         import struct
@@ -99,7 +86,7 @@ class TestVariables:
         data, params = tiny_problem
         z = random_feasible(data, params, test_rng)
         path = tmp_path / "z.bin"
-        save_variables(path, z, data)
+        save_variables(path, z)
         blob = bytearray(path.read_bytes())
         blob[8:32] = struct.pack("<qqq", 0, data.n_visible, data.n_hidden)
         path.write_bytes(bytes(blob))

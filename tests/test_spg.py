@@ -21,7 +21,7 @@ from spgae.spg import (DivergenceError, SpgConfig, default_l0,
                        init_point, run, spg_step, stationarity_diagnostic)
 
 from conftest import random_problem
-from helpers import plain_solve, smoothing_gap_bound
+from helpers import plain_solve, run_step, smoothing_gap_bound
 
 
 class TestConfig:
@@ -110,7 +110,7 @@ class TestStep:
         mu, L = cfg.mu0, 1.0
         seen = set()
         for _ in range(30):
-            step = spg_step(z, mu, L, data, params, cfg)
+            step = run_step(z, mu, L, data, params, cfg)
             if step.accepted:
                 assert step.decrease < -cfg.tau2 * mu / L
                 assert step.mu_next == mu and step.L_next == L
@@ -139,7 +139,7 @@ class TestStep:
             return solve(spec, **kwargs)
 
         monkeypatch.setattr(spgae.spg, "solve_subproblem", spy)
-        spg_step(z, cfg.mu0, 1.0, data, params, cfg, fw=fw)
+        run_step(z, cfg.mu0, 1.0, data, params, cfg, fw=fw)
         assert passed[0] is fw.S
         assert np.array_equal(fw.S, S_before)
 
@@ -178,7 +178,7 @@ class TestStep:
         params = ModelParams.from_data(data, theta=1.0, alpha=1.0)
         cfg = self.config()
         z = Variables.zeros(data)
-        step = spg_step(z, cfg.mu0, 1.0, data, params, cfg)
+        step = run_step(z, cfg.mu0, 1.0, data, params, cfg)
         assert not step.accepted
         assert step.decrease == pytest.approx(0.0, abs=1e-12)
         assert np.allclose(step.z_next.pack(), 0.0, atol=1e-8)
@@ -189,7 +189,7 @@ class TestStep:
         gap = smoothing_gap_bound(data, params)
         z, mu, L = init_point(data, seed=2)[0], cfg.mu0, 1.0
         for _ in range(25):
-            step = spg_step(z, mu, L, data, params, cfg)
+            step = run_step(z, mu, L, data, params, cfg)
             z, mu, L = step.z_next, step.mu_next, step.L_next
             o = objective(z, data, params)
             o_smooth = smoothed_objective(z, mu, data, params)
@@ -409,10 +409,10 @@ class TestRun:
         used = [row.L for row in res.trace.rows[:-1]]   # the L each step solved at
         assert built == list(dict.fromkeys(used))
         monkeypatch.undo()
-        # the same steps, each solve building its own factor
+        # the same steps, each building its own factor
         z, mu, L = init_point(data, seed=1)[0], cfg.mu0, cfg.L0
         for row in res.trace.rows[1:]:
-            step = spg_step(z, mu, L, data, params, cfg)
+            step = run_step(z, mu, L, data, params, cfg)
             z, mu, L = step.z_next, step.mu_next, step.L_next
             assert (mu, L, step.sub.iters) == (row.mu, row.L, row.sub_iters)
             assert smoothed_objective(z, mu, data, params) == row.smoothed
