@@ -14,7 +14,8 @@ import inspect
 import os
 import sys
 import time
-from dataclasses import fields
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -25,13 +26,13 @@ from .rng import stream
 from .sgd import (METHODS as SGD_METHODS, SgdConfig, SgdMember, net_to_feasible,
                   sgd_lockstep, spg_ada)
 from .spg import SpgConfig, estimate_validated_l0, run as spg_run
-from .subproblem import SubproblemSpec, solve_subproblem
+from .subproblem import SubproblemSpec, solve_subproblem, subproblem_objective
 from .trace import RunTrace, TraceWriter
 
 ALL_METHODS = ("spg", "spg-ada") + SGD_METHODS
 
 BENCH_SIZES = ((100, 5, 5), (100, 10, 10), (100, 20, 20), (100, 40, 40),
-               (100, 100, 10), (1000, 100, 10), (10000, 784, 1000))
+               (100, 100, 10), (1000, 100, 10))
 
 _SPG_DEFAULTS = {f.name: f.default for f in fields(SpgConfig)}
 _SGD_DEFAULTS = {f.name: f.default for f in fields(SgdConfig)}
@@ -146,10 +147,15 @@ def _build_problem(cfg: dict, seed: int) -> ProblemData:
     for key in ("mnist_labels", "per_class"):
         if cfg[key] is not None and not cfg["mnist_images"]:
             raise ValueError(f"--{key.replace('_', '-')} needs --mnist-images")
-    for key in ("train_file", "mnist_images"):
-        if cfg["preset"] is not None and cfg[key]:
-            raise ValueError(f"--preset sets synthetic sizes and cannot be combined "
-                             f"with --{key.replace('_', '-')}")
+    source = next((k for k in ("train_file", "mnist_images") if cfg[k]), None)
+    if source and cfg["preset"] is not None:
+        raise ValueError(f"--preset sets synthetic sizes and cannot be combined "
+                         f"with --{source.replace('_', '-')}")
+    for key in ("n", "n0", "datatype", "eps0", "ntest", "mnist_images"):
+        # a file fixes the data: no synthetic flag, nor the other file, applies
+        if source and key != source and cfg[key] != TRAIN_DEFAULTS[key]:
+            raise ValueError(f"--{key.replace('_', '-')} does not apply to "
+                             f"--{source.replace('_', '-')}")
     if cfg["train_file"]:
         X = serialize.load_matrix(cfg["train_file"])
         test_X = serialize.load_matrix(cfg["test_file"]) if cfg["test_file"] else None
@@ -191,8 +197,11 @@ class _SeedRun:
         self.params = _model_params(cfg, self.data)
         self.config = spg_config
         if cfg["theoretical_L"] and spg_config is not None:
-            self.config = spg_config.with_L0(*estimate_validated_l0(
-                self.data, self.params, cfg["mu0"], seed=seed))
+            l0, box = estimate_validated_l0(self.data, self.params, cfg["mu0"], seed=seed)
+            with warnings.catch_warnings():
+                # _spg_config already gave the tau1*tau3 warning once for the command
+                warnings.simplefilter("ignore")
+                self.config = replace(spg_config, L0=l0, infnorm_bound=box)
         os.makedirs(outdir, exist_ok=True)   # only once the set-up has validated
         self.trace = RunTrace(sink=TraceWriter(os.path.join(outdir, "trace.csv")))
         self.elapsed_s = time.perf_counter() - t_start
@@ -205,13 +214,13 @@ class _SeedRun:
         time the caller adds) and the metrics of ``z``.
         """
         t_start = time.perf_counter()
-        method = self.cfg["method"]
-        summary = {"method": method, "seed": self.seed, **fields}
+        summary = {"method": self.cfg["method"], "seed": self.seed, **fields}
         snap = {k: ("none" if v is None else v) for k, v in sorted(self.cfg.items())}
         snap["seed"] = self.seed
         for k in ("lambda1", "lambda2", "beta", "theta", "alpha"):
             snap[f"resolved_{k}"] = getattr(self.params, k)
-        if method in ("spg", "spg-ada"):
+        snap.update(zip(("resolved_n", "resolved_n0", "resolved_n1"), self.data.dims))
+        if self.config is not None:
             # the solver's last trace row already holds the metrics of z; its
             # first (row handoff_index) holds the L0 it started at
             last = self.trace.rows[-1]
@@ -363,7 +372,6 @@ def bench_instance(n: int, n1: int, n0: int, seed: int = 0):
 
 def cmd_qp_bench(args) -> int:
     from .qp_reference import MAX_REFERENCE_DIM, kkt_residual, reference_solve
-    from .subproblem import subproblem_objective
 
     if not (args.tol >= 0.0):   # NaN fails it too; checked before the header prints
         raise ValueError(f"--tol must be >= 0, got {args.tol}")
@@ -384,9 +392,6 @@ def cmd_qp_bench(args) -> int:
           f"{'resid':>9} {'ref_gap':>9} {'kkt':>9}")
     for n, n1, n0 in sizes:
         n2 = packed_size((n, n0, n1))
-        if n2 > args.max_n2:
-            print(f"{n:>6} {n1:>5} {n0:>5} {n2:>9} {'skip':>6} (raise --max-n2)")
-            continue
         spec = bench_instance(n, n1, n0, seed=args.seed)
         t0 = time.perf_counter()
         res = solve_subproblem(spec, tol=args.tol)
@@ -406,11 +411,8 @@ def cmd_qp_bench(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write("N,N1,N0,N2,iters,seconds,resid,ref_gap,kkt\n")
-            for r in rows:
-                fh.write(",".join(str(x) for x in r[:5])
-                         + f",{r[5]:.6f},{r[6]:.6e}"
-                         + "".join("," if v is None else f",{v:.6e}"
-                                   for v in r[7:]) + "\n")
+            for row in rows:
+                fh.write(",".join(map(serialize.format_value, row)) + "\n")
     return 0
 
 
@@ -488,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("qp-bench", help="time the inner solver on standard sizes")
     q.add_argument("--sizes", help="comma list of N:N1:N0 triples")
-    q.add_argument("--max-n2", dest="max_n2", type=int, default=200000)
     q.add_argument("--tol", type=float, default=_SPG_DEFAULTS["sub_tol"])
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--out")

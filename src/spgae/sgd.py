@@ -243,13 +243,12 @@ class _Optimizer:
 
 @dataclass
 class SgdMember:
-    """One network of a lockstep group: its problem, config, optional start
-    point (else ``NetParams.default_init`` under the config's seed) and
-    optional trace (else a new one), which receives its rows."""
+    """One network of a lockstep group: its problem, config and optional trace
+    (else a new one), which receives its rows.  It starts at
+    ``NetParams.default_init`` under the config's seed."""
     data: ProblemData
     params: ModelParams
     config: SgdConfig
-    p0: NetParams | None = None
     trace: RunTrace | None = None
 
 
@@ -257,14 +256,15 @@ def sgd_lockstep(members) -> list[tuple[NetParams, RunTrace]]:
     """Minibatch training of a group of networks, one stacked step per batch.
 
     The members must share the problem shape (N, N1, N0) and ``lambda2``, and
-    their configs may differ only in ``seed``.  Each member starts from its own
-    point, draws its batch permutations from its own seed's ``batch`` stream,
-    gathers its batches from its own data and appends its rows (one per
-    epoch after one for the initial point, numbered on from the trace's
-    length; test error on its ``data.test_X``) to its own trace, so its
-    parameters and rows are the same bits as in a group of one.  Only
-    ``wall_ms`` is shared: it is the wall time of the group's epoch.  Returns
-    (parameters, trace) per member, in order.
+    their configs may differ only in ``seed``.  Each member starts at
+    ``NetParams.default_init`` under its seed, draws its batch permutations
+    from its own seed's ``batch`` stream, gathers its batches from its own
+    data and appends its rows (one per epoch after one for the initial
+    point, numbered on from the trace's length; test error on its
+    ``data.test_X``) to its own trace, so its parameters and rows are the
+    same bits as in a group of one.  Only ``wall_ms`` is shared: it is the
+    wall time of the group's epoch.  Returns (parameters, trace) per member,
+    in order.
     """
     first = members[0]
     config, n = first.config, first.data.n_samples
@@ -273,8 +273,7 @@ def sgd_lockstep(members) -> list[tuple[NetParams, RunTrace]]:
                 or replace(m.config, seed=config.seed) != config):
             raise ValueError("lockstep members must share the problem shape, "
                              "lambda2 and the config apart from the seed")
-    p = NetParams.stack([m.p0 if m.p0 is not None
-                         else NetParams.default_init(m.data, m.config.seed)
+    p = NetParams.stack([NetParams.default_init(m.data, m.config.seed)
                          for m in members])
     nets = p.rows()
     bs = config.batch_size or default_batch_size(n)
@@ -305,13 +304,12 @@ def sgd_lockstep(members) -> list[tuple[NetParams, RunTrace]]:
 
 
 def sgd_run(data: ProblemData, params: ModelParams, config: SgdConfig,
-            p0: NetParams | None = None,
             trace: RunTrace | None = None) -> tuple[NetParams, RunTrace]:
     """Minibatch training; one trace row per epoch (row 0 is the initial point).
 
     The group of one of ``sgd_lockstep``.
     """
-    return sgd_lockstep([SgdMember(data, params, config, p0, trace)])[0]
+    return sgd_lockstep([SgdMember(data, params, config, trace)])[0]
 
 
 def net_to_feasible(p: NetParams, data: ProblemData, params: ModelParams) -> Variables:

@@ -13,7 +13,6 @@ sandwich bound the smoothed and true objectives then agree to
 
 from __future__ import annotations
 
-import copy
 import inspect
 import math
 import time
@@ -80,20 +79,6 @@ class SpgConfig:
             # stacklevel 3 skips the generated __init__: report the caller's line
             warnings.warn("tau1*tau3 < 1: mu*L may shrink, descent guarantees do not "
                           "apply (practical setting)", stacklevel=3)
-
-    def with_L0(self, L0: float, infnorm_bound: float | None) -> "SpgConfig":
-        """This config with the L0 (and level-set bound) estimated for one run.
-
-        Not constructed anew, which would repeat the tau1*tau3 warning once
-        per seed: importing scipy, say, changes the warning filters, and that
-        clears the once-per-location registry.
-        """
-        if not (L0 >= 1.0):
-            raise ValueError("L0 must be >= 1")
-        new = copy.copy(self)
-        object.__setattr__(new, "L0", L0)
-        object.__setattr__(new, "infnorm_bound", infnorm_bound)
-        return new
 
 
 def default_l0(data: ProblemData, params: ModelParams) -> float:

@@ -17,6 +17,7 @@ from spgae.serialize import load_kv, load_matrix, load_variables, save_kv
 from spgae.subproblem import solve_subproblem
 from spgae.trace import RunTrace, TraceRow, TraceWriter
 
+from conftest import write_idx_images
 from helpers import load_matrix_csv, plain_solve
 
 
@@ -123,9 +124,9 @@ class TestTrain:
         cfg = load_kv(out / "config.txt")
         assert cfg["seed"] == "3"
         assert float(cfg["resolved_lambda2"]) == 0.1
-        from spgae.serialize import load_variables
+        resolved = tuple(int(cfg[f"resolved_{k}"]) for k in ("n", "n0", "n1"))
         z, dims = load_variables(out / "model.bin")
-        assert dims == (12, 2, 3)
+        assert dims == resolved == (12, 2, 3)
         assert z.W.shape == (3, 2)
 
     def test_rerun_is_identical_except_wall_clock(self, tmp_path):
@@ -315,6 +316,28 @@ class TestTrain:
         assert "training matrix's 3 rows" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    SYNTHETIC_FLAGS = (("--n", 50), ("--n0", 3), ("--datatype", 2), ("--eps0", 0.2),
+                       ("--ntest", 5))
+
+    @pytest.mark.parametrize("source,flag,value", [
+        *(("--train-file", flag, value) for flag, value in SYNTHETIC_FLAGS),
+        *(("--mnist-images", flag, value) for flag, value in SYNTHETIC_FLAGS),
+        ("--train-file", "--mnist-images", "images.idx"),
+    ])
+    def test_file_source_refuses_synthetic_flags(self, tmp_path, capsys, source, flag,
+                                                 value):
+        # each run would succeed on these files without the flag
+        assert run_cli(["generate-data", "--n", 10, "--n0", 9, "--out", tmp_path]) == 0
+        write_idx_images(tmp_path / "images.idx", np.arange(36).reshape(4, 3, 3))
+        files = {"--train-file": tmp_path / "train.bin",
+                 "--mnist-images": tmp_path / "images.idx"}
+        rc = run_cli(["train", "--method", "adadelta", "--epochs", 1, "--n1", 2,
+                      source, files[source], flag, files.get(flag, value),
+                      "--out", tmp_path / "run"])
+        assert rc == 1
+        assert f"error: {flag} does not apply to {source}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_hybrid_takes_the_batch_size(self, tmp_path):
         args = ["train", "--method", "spg-ada", "--n", 30, "--n1", 3, "--n0", 2,
                 "--ada-epochs", 2, "--max-iters", 3, "--seed", 1]
@@ -359,6 +382,7 @@ class TestTrain:
         assert run_cli(["train", "--method", "spg", "--preset", 4, "--n1", 7,
                         "--max-iters", 1, "--out", out]) == 0
         assert load_variables(out / "model.bin")[1] == (50, 5, 10)
+        assert load_kv(out / "config.txt")["resolved_n1"] == "10"
 
     def test_theoretical_L_warns_once_from_the_cli(self, tmp_path):
         with warnings.catch_warnings(record=True) as rec:
@@ -514,14 +538,11 @@ class TestQpBench:
         """qp-bench runs solve_subproblem's default, accelerated sweep."""
         out = tmp_path / "bench.csv"
         assert run_cli(["qp-bench", "--sizes", "40:6:4", "--seed", 3, "--out", out]) == 0
-        iters = int(out.read_text().splitlines()[1].split(",")[4])
+        row = out.read_text().splitlines()[1].split(",")
         spec = bench_instance(40, 6, 4, seed=3)
-        assert iters == solve_subproblem(spec).iters < plain_solve(spec).iters
-
-    def test_oversize_instances_are_skipped(self, capsys):
-        rc = run_cli(["qp-bench", "--sizes", "1000:100:10", "--max-n2", "1000"])
-        assert rc == 0
-        assert "skip" in capsys.readouterr().out
+        res = solve_subproblem(spec)
+        assert int(row[4]) == res.iters < plain_solve(spec).iters
+        assert float(row[6]) == max(res.deltas)   # resid is written losslessly
 
 
 class TestReport:
@@ -609,11 +630,14 @@ def run_in_fresh_process(argv):
 class TestFreshProcess:
     SHAPE = ["--n", 40, "--n0", 3, "--ntest", 5]
 
-    @pytest.mark.parametrize("method", ["spg", "spg-ada"])
-    def test_three_seeds_warn_once(self, tmp_path, method):
+    @pytest.mark.parametrize("method,extra", [
+        pytest.param("spg", [], id="spg"), pytest.param("spg-ada", [], id="spg-ada"),
+        pytest.param("spg", ["--theoretical-L"], id="spg-theoretical-L"),
+        pytest.param("spg-ada", ["--theoretical-L"], id="spg-ada-theoretical-L")])
+    def test_three_seeds_warn_once(self, tmp_path, method, extra):
         err, scipy_modules = run_in_fresh_process(
             ["train", "--method", method, *self.SHAPE, "--n1", 4, "--ada-epochs", 2,
-             "--max-iters", 2, "--seeds", "0,1,2", "--out", tmp_path])
+             "--max-iters", 2, "--seeds", "0,1,2", *extra, "--out", tmp_path])
         # the config warns once, before any seed runs; the solver factors
         # with numpy alone
         assert scipy_modules == []

@@ -408,16 +408,6 @@ class TestLockstep:
             assert trace.termination_reason == t_solo.termination_reason == "epochs"
         assert not np.array_equal(group[0][0].theta, group[1][0].theta)
 
-    def test_members_start_from_their_p0(self):
-        members = self.members("adam")
-        start = NetParams.default_init(members[0].data, seed=9)
-        members[1].p0 = start
-        (_, _), (p, _), (_, _) = sgd_lockstep(members)
-        m = members[1]
-        p_solo, _ = sgd_run(m.data, m.params, m.config, p0=start)
-        assert np.array_equal(bits(p.theta), bits(p_solo.theta))
-        assert np.array_equal(start.theta, NetParams.default_init(m.data, seed=9).theta)
-
     def test_each_member_streams_to_its_own_sink(self):
         sinks = (Recorder(), Recorder(), Recorder())
         group = sgd_lockstep(self.members("adadelta", sinks))

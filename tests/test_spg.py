@@ -35,18 +35,6 @@ class TestConfig:
             SpgConfig(tau1=0.5, tau3=1.5)
         assert rec[0].filename == __file__
 
-    def test_with_L0_copies_without_warning_again(self):
-        with pytest.warns(UserWarning, match="tau1\\*tau3"):
-            cfg = SpgConfig(mu0=2e-3, max_outer_iters=7)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            run_cfg = cfg.with_L0(12.5, infnorm_bound=3.0)
-        assert (run_cfg.L0, run_cfg.infnorm_bound) == (12.5, 3.0)
-        assert (cfg.L0, cfg.infnorm_bound) == (None, None)
-        assert (run_cfg.mu0, run_cfg.max_outer_iters) == (2e-3, 7)
-        with pytest.raises(ValueError, match="L0"):
-            cfg.with_L0(0.5, None)
-
     def test_no_warning_with_compensating_tau3(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
