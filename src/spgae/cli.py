@@ -24,7 +24,7 @@ from . import serialize
 from .model import ModelParams, ProblemData, Variables, packed_size, relu
 from .rng import stream
 from .sgd import (METHODS as SGD_METHODS, SgdConfig, SgdMember, net_to_feasible,
-                  sgd_lockstep, spg_ada)
+                  sgd_lockstep)
 from .spg import SpgConfig, estimate_validated_l0, run as spg_run
 from .subproblem import SubproblemSpec, solve_subproblem, subproblem_objective
 from .trace import RunTrace, TraceWriter
@@ -74,7 +74,7 @@ TRAIN_OPTIONS = (
     ("sub_max_iter", int, _SPG_DEFAULTS["sub_max_iter"]),
     ("theoretical_L", bool, False),
     ("epochs", int, _SGD_DEFAULTS["epochs"]),
-    ("ada_epochs", int, inspect.signature(spg_ada).parameters["ada_epochs"].default),
+    ("ada_epochs", int, _SGD_DEFAULTS["epochs"]),
     ("batch_size", int, _SGD_DEFAULTS["batch_size"]),
     ("lr", float, _SGD_DEFAULTS["lr"]),
 )

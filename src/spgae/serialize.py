@@ -68,7 +68,7 @@ def save_variables(path, z: Variables) -> None:
     with open(path, "wb") as fh:
         fh.write(VAR_MAGIC)
         fh.write(struct.pack("<qqq", n, n0, n1))
-        fh.write(z.pack().astype("<f8").tobytes())
+        fh.write(np.asarray(z.pack(), dtype="<f8"))   # one copy: the packed vector
 
 
 def load_variables(path) -> tuple[Variables, tuple[int, int, int]]:
@@ -78,13 +78,13 @@ def load_variables(path) -> tuple[Variables, tuple[int, int, int]]:
 
 
 def save_matrix(path, M) -> None:
-    M = np.ascontiguousarray(np.asarray(M, dtype=np.float64))
+    M = np.ascontiguousarray(M, dtype="<f8")
     if M.ndim != 2:
         raise ValueError("matrix must be 2-d")
     with open(path, "wb") as fh:
         fh.write(MAT_MAGIC)
         fh.write(struct.pack("<qq", M.shape[0], M.shape[1]))
-        fh.write(M.astype("<f8").tobytes())
+        fh.write(M)
 
 
 def load_matrix(path) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Stochastic baselines on the unconstrained autoencoder objective, plus the
-hybrid run that warm-starts the deterministic solver from an Adadelta point.
+"""Stochastic baselines on the unconstrained autoencoder objective, and the
+handoff of a trained network to the solver's feasible set.
 
 The baselines minimize (1/N) sum_n ||relu(W^T relu(W x_n + b1) + b2) - x_n||^2
 + lambda2 ||W||_F^2 by minibatch backpropagation.  The ReLU derivative is taken
@@ -21,10 +21,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (ModelParams, ProblemData, Variables, autoencoder_error, init_W,
-                    relu)
+from .model import (ModelParams, ProblemData, Variables, autoencoder_error,
+                    flush_subnormals, init_W, relu)
 from .rng import stream
-from .spg import SpgConfig, SpgResult, run as spg_run_driver
 from .trace import RunTrace, TraceRow
 
 METHODS = ("vanilla", "adam", "adamax", "adadelta", "adagrad", "adagrad-decay")
@@ -263,8 +262,9 @@ def sgd_lockstep(members) -> list[tuple[NetParams, RunTrace]]:
     point, numbered on from the trace's length; test error on its
     ``data.test_X``) to its own trace, so its parameters and rows are the
     same bits as in a group of one.  Only ``wall_ms`` is shared: it is the
-    wall time of the group's epoch.  Returns (parameters, trace) per member,
-    in order.
+    wall time of the group's epoch.  Each epoch ends with ``flush_subnormals``
+    of the parameters and the optimizer state, before its rows are taken.
+    Returns (parameters, trace) per member, in order.
     """
     first = members[0]
     config, n = first.config, first.data.n_samples
@@ -299,17 +299,9 @@ def sgd_lockstep(members) -> list[tuple[NetParams, RunTrace]]:
             g = minibatch_grad(p, datas, [perm[lo:lo + bs] for perm in perms],
                                first.params.lambda2, out=ws)
             opt.update(p.theta, g.theta)
+        flush_subnormals(p.theta, opt.m, opt.v)
         epoch_rows(1e3 * (time.perf_counter() - t0))
     return list(zip(nets, traces))
-
-
-def sgd_run(data: ProblemData, params: ModelParams, config: SgdConfig,
-            trace: RunTrace | None = None) -> tuple[NetParams, RunTrace]:
-    """Minibatch training; one trace row per epoch (row 0 is the initial point).
-
-    The group of one of ``sgd_lockstep``.
-    """
-    return sgd_lockstep([SgdMember(data, params, config, trace)])[0]
 
 
 def net_to_feasible(p: NetParams, data: ProblemData, params: ModelParams) -> Variables:
@@ -319,20 +311,3 @@ def net_to_feasible(p: NetParams, data: ProblemData, params: ModelParams) -> Var
     b2 = np.clip(p.b2, -params.alpha, params.alpha)
     V = relu(p.W @ data.X + b1[:, None])
     return Variables(W=p.W.copy(), b1=b1, b2=b2, V=V)
-
-
-def spg_ada(data: ProblemData, params: ModelParams, spg_config: SpgConfig | None = None,
-            ada_epochs: int = 1000, seed: int = 0,
-            trace: RunTrace | None = None) -> SpgResult:
-    """Adadelta warm start (``sgd_run``), feasibility handoff
-    (``net_to_feasible``), then the deterministic solver (``spg.run``).
-
-    The result's ``.trace`` is the run's one trace (``trace``, else a new one):
-    the warm start's rows, then the solver's, numbered on across the handoff,
-    whose index (the first row with a non-blank mu) the solver records.  Rows
-    reach its sink as each phase produces them.
-    """
-    ada_cfg = SgdConfig(method="adadelta", epochs=ada_epochs, seed=seed)
-    p, trace = sgd_run(data, params, ada_cfg, trace=trace)
-    return spg_run_driver(data, params, spg_config, z0=net_to_feasible(p, data, params),
-                          seed=seed, trace=trace)

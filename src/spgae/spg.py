@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import metrics
-from .model import (Forward, ModelParams, ProblemData, Variables, init_W,
-                    preactivations, regularizer, relu)
+from .model import (Forward, ModelParams, ProblemData, Variables, flush_subnormals,
+                    init_W, preactivations, regularizer, relu)
 from .rng import stream
 from .smoothing import smoothed_loss, smoothed_loss_grad, smoothed_objective
 from .subproblem import SubproblemResult, SubproblemSpec, WbFactor, solve_subproblem
@@ -189,14 +189,13 @@ def run(data: ProblemData, params: ModelParams, config: SpgConfig | None = None,
     with its index there as ``k``; test error is on ``data.test_X``.
 
     Without ``z0`` the run starts at ``init_point`` and, when ``config.L0`` is
-    None, at ``default_l0``.  A caller's ``z0`` is a warm start: it is copied
-    with every entry below the smallest normal float set to 0.0, and is itself
-    left as it is (the dead ReLU units of a weight-decayed warm start hold
-    subnormal rows, and each BLAS product of the inner sweeps with such a row
-    runs several times slower).  A warm start records its first row's index
-    as ``trace.handoff_index`` and, when ``config.L0`` is None, starts at
-    ``estimate_local_l0`` of the copy: the cold default proximal weight
-    overshoots where preactivations cross the smoothing band.
+    None, at ``default_l0``.  A caller's ``z0`` is a warm start: the run
+    starts from a copy with its subnormals flushed (``flush_subnormals``: each
+    BLAS product of the inner sweeps with a subnormal row runs several times
+    slower), and ``z0`` itself is left as it is.  A warm start records its
+    first row's index as ``trace.handoff_index`` and, when ``config.L0`` is
+    None, starts at ``estimate_local_l0`` of the copy: the cold default
+    proximal weight overshoots where preactivations cross the smoothing band.
     """
     config = config or SpgConfig()
     trace = RunTrace() if trace is None else trace
@@ -206,8 +205,7 @@ def run(data: ProblemData, params: ModelParams, config: SpgConfig | None = None,
         L = L or default_l0(data, params)
     else:
         z = z0.copy()
-        for a in z.blocks():
-            a[np.abs(a) < np.finfo(np.float64).tiny] = 0.0
+        flush_subnormals(*z.blocks())
         L = L or estimate_local_l0(z, mu, data, params, seed=seed)
         trace.handoff_index = len(trace.rows)
     fw = preactivations(z, data, S=S)

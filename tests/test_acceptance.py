@@ -19,7 +19,7 @@ from spgae.data import MnistSpec, SynthSpec, generate, load_mnist, metrics, pres
 from spgae.model import (ModelParams, ProblemData, Variables, feasibility,
                          objective, relu)
 from spgae.qp_reference import kkt_residual, reference_solve
-from spgae.sgd import SgdConfig, sgd_run, spg_ada
+from spgae.sgd import SgdConfig, SgdMember, net_to_feasible, sgd_lockstep
 from spgae.smoothing import smoothed_loss, smoothed_loss_grad, smoothed_objective
 from spgae.spg import SpgConfig, estimate_validated_l0, run as spg_run
 from spgae.subproblem import WbFactor, solve_subproblem, subproblem_objective
@@ -342,16 +342,25 @@ def test_mnist_pipeline_smoke(tmp_path):
     "per-seed numbers this test prints."))
 def test_08_hybrid_beats_adadelta_baseline_by_margin():
     t0 = time.perf_counter()
-    base_train, base_test, hyb_train, hyb_test = [], [], [], []
-    for seed in range(1, 11):
-        data, params = synth_problem(1000, 20, 5, n_test=300, seed=seed)
+    seeds = range(1, 11)
+    problems = [synth_problem(1000, 20, 5, n_test=300, seed=seed) for seed in seeds]
 
-        _, btrace = sgd_run(data, params,
-                            SgdConfig(method="adadelta", epochs=100, seed=seed))
+    def adadelta_group(epochs):
+        # every seed in one lockstep group: each seed's numbers are the bits
+        # of a run of its own
+        return sgd_lockstep([SgdMember(data, params, SgdConfig(
+            method="adadelta", epochs=epochs, seed=seed))
+            for seed, (data, params) in zip(seeds, problems)])
+
+    baselines, warm_starts = adadelta_group(100), adadelta_group(1000)
+    base_train, base_test, hyb_train, hyb_test = [], [], [], []
+    for seed, (data, params), (_, btrace), (p, htrace) in zip(
+            seeds, problems, baselines, warm_starts):
         base_train.append(btrace.rows[-1].trainerr)
         base_test.append(btrace.rows[-1].testerr)
 
-        htrace = spg_ada(data, params, ada_epochs=1000, seed=seed).trace
+        spg_run(data, params, z0=net_to_feasible(p, data, params), seed=seed,
+                trace=htrace)
         hyb_train.append(htrace.rows[-1].trainerr)
         hyb_test.append(htrace.rows[-1].testerr)
         print(f"  seed {seed}: baseline {base_train[-1]:.4e}/{base_test[-1]:.4e} "

@@ -1,5 +1,6 @@
 """Stochastic baselines: update recurrences, backprop, and the hybrid run."""
 
+import csv
 import math
 import warnings
 
@@ -13,10 +14,9 @@ from spgae.model import (ModelParams, ProblemData, fidelity, penalty,
                          feasibility, relu)
 from spgae.sgd import (METHODS, GradWorkspace, NetParams, SgdConfig, SgdMember,
                        _Optimizer, autoencoder_error, default_batch_size,
-                       minibatch_grad, net_to_feasible, sgd_lockstep, sgd_run,
-                       spg_ada)
+                       minibatch_grad, net_to_feasible, sgd_lockstep)
 from spgae.rng import stream
-from spgae.serialize import load_variables
+from spgae.serialize import load_kv, load_variables
 from spgae.spg import DivergenceError, SpgConfig, init_point, run
 from spgae.trace import RunTrace, TraceRow
 
@@ -232,6 +232,15 @@ def bits(a):
     return a.view(np.int64)
 
 
+def subnormal(a):
+    return np.any((a != 0.0) & (np.abs(a) < np.finfo(np.float64).tiny))
+
+
+# train flags of an Adadelta instance whose dead units decay into subnormals
+SUBNORMAL_INSTANCE = ("--n", "100", "--n1", "20", "--n0", "5", "--datatype", "2",
+                      "--epochs", "50", "--batch-size", "1")
+
+
 class TestWorkspaceStep:
     """minibatch_grad(out=) and the in-place Adadelta step against the
     allocating expressions they replaced, bit for bit."""
@@ -266,10 +275,10 @@ class TestWorkspaceStep:
         assert opt.m is m_obj and opt.v is v_obj        # updated in place
         assert not np.array_equal(p.theta, init.theta)
 
-    def test_sgd_run_matches_allocating_loop(self):
+    def test_lockstep_matches_allocating_loop(self):
         data, params = random_problem(105, 4, 6, seed=43)
         cfg = SgdConfig(method="adadelta", epochs=4, batch_size=10, seed=5)
-        p, _ = sgd_run(data, params, cfg)
+        [(p, _)] = sgd_lockstep([SgdMember(data, params, cfg)])
         ref = NetParams.default_init(data, cfg.seed)
         batch_rng = stream(cfg.seed, "batch")
         m, v = np.zeros(ref.theta.size), np.zeros(ref.theta.size)
@@ -292,8 +301,8 @@ class TestSgdRun:
     def test_trace_shape_and_determinism(self, tiny_problem):
         data, params = tiny_problem
         cfg = SgdConfig(method="adam", epochs=5, seed=11)
-        p1, t1 = sgd_run(data, params, cfg)
-        p2, t2 = sgd_run(data, params, cfg)
+        [(p1, t1)] = sgd_lockstep([SgdMember(data, params, cfg)])
+        [(p2, t2)] = sgd_lockstep([SgdMember(data, params, cfg)])
         assert len(t1.rows) == 6          # initial row + one per epoch
         assert [r.k for r in t1.rows] == list(range(6))
         assert np.array_equal(p1.W, p2.W)
@@ -303,14 +312,15 @@ class TestSgdRun:
 
     def test_rows_number_on_from_the_trace_given(self, tiny_problem):
         data, params = tiny_problem
-        _, trace = sgd_run(data, params, SgdConfig(method="adam", epochs=2),
-                           trace=RunTrace(rows=[TraceRow(k=0)]))
+        [(_, trace)] = sgd_lockstep([SgdMember(data, params, SgdConfig(
+            method="adam", epochs=2), trace=RunTrace(rows=[TraceRow(k=0)]))])
         assert [r.k for r in trace.rows] == [0, 1, 2, 3]
 
     def test_seed_changes_trajectory(self, tiny_problem):
         data, params = tiny_problem
-        p1, _ = sgd_run(data, params, SgdConfig(method="adam", epochs=3, seed=1))
-        p2, _ = sgd_run(data, params, SgdConfig(method="adam", epochs=3, seed=2))
+        p1, p2 = (p for p, _ in sgd_lockstep([
+            SgdMember(data, params, SgdConfig(method="adam", epochs=3, seed=seed))
+            for seed in (1, 2)]))
         assert not np.array_equal(p1.W, p2.W)
 
     def test_start_weights_are_the_solvers(self, tiny_problem):
@@ -322,7 +332,7 @@ class TestSgdRun:
     def test_zero_epochs_returns_init(self, tiny_problem):
         data, params = tiny_problem
         cfg = SgdConfig(method="vanilla", epochs=0, seed=4)
-        p, trace = sgd_run(data, params, cfg)
+        [(p, trace)] = sgd_lockstep([SgdMember(data, params, cfg)])
         assert np.array_equal(p.W, NetParams.default_init(data, 4).W)
         assert len(trace.rows) == 1
 
@@ -330,21 +340,21 @@ class TestSgdRun:
         data, params = tiny_problem
         test_X = np.abs(np.random.default_rng(0).standard_normal((3, 4)))
         data = ProblemData.from_matrix(data.X, data.n_hidden, test_X=test_X)
-        _, trace = sgd_run(data, params,
-                           SgdConfig(method="adagrad", epochs=2, seed=0))
+        [(_, trace)] = sgd_lockstep([SgdMember(
+            data, params, SgdConfig(method="adagrad", epochs=2, seed=0))])
         assert all(r.testerr is not None for r in trace.rows)
 
     def test_adadelta_reduces_training_error(self):
         data, params = random_problem(40, 5, 10, seed=31)
-        _, trace = sgd_run(data, params,
-                           SgdConfig(method="adadelta", epochs=50, seed=31))
+        [(_, trace)] = sgd_lockstep([SgdMember(
+            data, params, SgdConfig(method="adadelta", epochs=50, seed=31))])
         assert trace.rows[-1].trainerr < 0.5 * trace.rows[0].trainerr
 
     @pytest.mark.parametrize("method", METHODS)
     def test_every_method_runs(self, method, tiny_problem):
         data, params = tiny_problem
-        _, trace = sgd_run(data, params,
-                           SgdConfig(method=method, epochs=2, seed=1))
+        [(_, trace)] = sgd_lockstep([SgdMember(
+            data, params, SgdConfig(method=method, epochs=2, seed=1))])
         assert len(trace.rows) == 3
         assert all(np.isfinite(r.trainerr) for r in trace.rows)
 
@@ -402,11 +412,26 @@ class TestLockstep:
     def test_group_matches_one_member_runs(self, method):
         group = sgd_lockstep(self.members(method))
         for m, (p, trace) in zip(self.members(method), group):
-            p_solo, t_solo = sgd_run(m.data, m.params, m.config)
+            [(p_solo, t_solo)] = sgd_lockstep([SgdMember(m.data, m.params, m.config)])
             assert np.array_equal(bits(p.theta), bits(p_solo.theta))
             assert row_values(trace) == row_values(t_solo)
             assert trace.termination_reason == t_solo.termination_reason == "epochs"
         assert not np.array_equal(group[0][0].theta, group[1][0].theta)
+
+    def test_no_subnormal_survives_an_epoch(self):
+        cfg = resolve_train_config(build_parser().parse_args(
+            ["train", "--method", "adadelta", *SUBNORMAL_INSTANCE, "--ntest", "0",
+             "--out", "unused"]))
+        members = []
+        for seed in (0, 1, 2):
+            data = _build_problem(cfg, seed=seed)
+            members.append(SgdMember(data, _model_params(cfg, data),
+                                     SgdConfig(epochs=50, batch_size=1, seed=seed)))
+        group = [p for p, _ in sgd_lockstep(members)]
+        solo = [p for m in members for p, _ in sgd_lockstep([m])]
+        for p, p_solo in zip(group, solo):
+            assert not subnormal(p.theta) and not subnormal(p_solo.theta)
+            assert np.array_equal(bits(p.theta), bits(p_solo.theta))
 
     def test_each_member_streams_to_its_own_sink(self):
         sinks = (Recorder(), Recorder(), Recorder())
@@ -461,8 +486,8 @@ class TestHandoff:
 
     def test_error_metric_carries_over(self, tiny_problem):
         data, params = tiny_problem
-        p, _ = sgd_run(data, params,
-                       SgdConfig(method="adadelta", epochs=5, seed=2))
+        [(p, _)] = sgd_lockstep([SgdMember(
+            data, params, SgdConfig(method="adadelta", epochs=5, seed=2))])
         z = net_to_feasible(p, data, params)
         # biases stay inside the (huge) box, so F(z) is the net's error
         assert fidelity(z, data) == pytest.approx(
@@ -470,25 +495,35 @@ class TestHandoff:
 
 
 class TestSpgAda:
-    def test_trace_sink_sees_every_row_once_in_order(self, tiny_problem):
-        data, params = tiny_problem
+    """The hybrid as ``train`` composes it: an Adadelta group (``sgd_lockstep``),
+    ``net_to_feasible`` of each net, then ``run`` from that point on the warm
+    start's trace."""
+
+    @staticmethod
+    def spg_config(**kwargs):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            cfg = SpgConfig(max_outer_iters=4, epsilon=1e-6)
+            return SpgConfig(**kwargs)
+
+    def test_trace_sink_sees_every_row_once_in_order(self, tiny_problem):
+        data, params = tiny_problem
+        cfg = self.spg_config(max_outer_iters=4, epsilon=1e-6)
         rec = Recorder()
-        result = spg_ada(data, params, cfg, ada_epochs=3, seed=6, trace=RunTrace(sink=rec))
-        assert result.trace.sink is rec
-        assert result.trace.handoff_index == 4
-        assert len(rec.rows) == len(result.trace.rows) == 4 + 1 + result.iterations
-        assert all(a is b for a, b in zip(rec.rows, result.trace.rows))
+        [(p, trace)] = sgd_lockstep([SgdMember(data, params, SgdConfig(epochs=3, seed=6),
+                                               trace=RunTrace(sink=rec))])
+        result = run(data, params, cfg, z0=net_to_feasible(p, data, params), seed=6,
+                     trace=trace)
+        assert result.trace is trace and trace.sink is rec
+        assert trace.handoff_index == 4
+        assert len(rec.rows) == len(trace.rows) == 4 + 1 + result.iterations
+        assert all(a is b for a, b in zip(rec.rows, trace.rows))
 
     def test_combined_trace_layout(self, tiny_problem):
         data, params = tiny_problem
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cfg = SpgConfig(max_outer_iters=4, epsilon=1e-6)
-        result = spg_ada(data, params, spg_config=cfg, ada_epochs=3, seed=6)
-        trace = result.trace
+        cfg = self.spg_config(max_outer_iters=4, epsilon=1e-6)
+        [(p, trace)] = sgd_lockstep([SgdMember(data, params, SgdConfig(epochs=3, seed=6))])
+        result = run(data, params, cfg, z0=net_to_feasible(p, data, params), seed=6,
+                     trace=trace)
         assert trace.handoff_index == 4          # rows 0..3 are the warm start
         assert [r.k for r in trace.rows] == list(range(len(trace.rows)))
         assert all(r.mu is None for r in trace.rows[:trace.handoff_index])
@@ -501,41 +536,34 @@ class TestSpgAda:
         rep = feasibility(result.z, data, params, tol=1e-9)
         assert rep.in_Z
 
-    def test_solver_continues_the_warm_start_trace(self, tiny_problem):
-        data, params = tiny_problem
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cfg = SpgConfig(max_outer_iters=3, epsilon=1e-6)
-        streamed = []
-
-        class Recorder:
-            def write_row(self, row):
-                streamed.append(row)
-
-        p, ada_trace = sgd_run(data, params, SgdConfig(epochs=2, seed=6),
-                               trace=RunTrace(sink=Recorder()))
-        result = run(data, params, cfg, z0=net_to_feasible(p, data, params), seed=6,
-                     trace=ada_trace)
-        trace = result.trace
-        assert trace is ada_trace
-        assert trace.handoff_index == 3
-        assert streamed == trace.rows
-        assert [r.k for r in trace.rows] == list(range(3 + 1 + result.iterations))
+    @pytest.mark.filterwarnings("ignore:tau1")
+    def test_solver_continues_the_warm_start_trace(self, tmp_path):
+        argv = ["train", "--method", "spg-ada", "--n", "100", "--n1", "20", "--n0", "5",
+                "--datatype", "2", "--ada-epochs", "2", "--max-iters", "3", "--seed", "6",
+                "--out", str(tmp_path)]
+        assert main(argv) == 0
+        rows = list(csv.DictReader((tmp_path / "trace.csv").read_text().splitlines()))
+        summary = load_kv(tmp_path / "summary.txt")
+        assert summary["handoff_index"] == "3"
+        assert [r["k"] for r in rows] == [
+            str(k) for k in range(3 + 1 + int(summary["iterations"]))]
+        assert all(r["mu"] == "" for r in rows[:3])
+        assert all(r["mu"] != "" for r in rows[3:])
 
     def test_deterministic(self, tiny_problem):
         data, params = tiny_problem
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cfg = SpgConfig(max_outer_iters=3, epsilon=1e-6)
-        r1 = spg_ada(data, params, spg_config=cfg, ada_epochs=2, seed=8)
-        r2 = spg_ada(data, params, spg_config=cfg, ada_epochs=2, seed=8)
+        cfg = self.spg_config(max_outer_iters=3, epsilon=1e-6)
+        results = []
+        for _ in range(2):
+            [(p, trace)] = sgd_lockstep([SgdMember(data, params,
+                                                   SgdConfig(epochs=2, seed=8))])
+            results.append(run(data, params, cfg, z0=net_to_feasible(p, data, params),
+                               seed=8, trace=trace))
+        r1, r2 = results
         assert np.array_equal(r1.z.pack(), r2.z.pack())
         assert [r.fval for r in r1.trace.rows] == [r.fval for r in r2.trace.rows]
 
     def test_subnormals_stop_at_the_solver(self, tiny_problem, monkeypatch, tmp_path):
-        def subnormal(a):
-            return np.any((a != 0.0) & (np.abs(a) < np.finfo(np.float64).tiny))
-
         data, params = tiny_problem
         p = NetParams.default_init(data, seed=2)
         p.W[0] = p.b1[0] = 5e-324        # a dead unit under weight decay
@@ -547,49 +575,40 @@ class TestSpgAda:
             return solve(spec, **kwargs)
 
         monkeypatch.setattr(spgae.spg, "solve_subproblem", spy)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cfg = SpgConfig(max_outer_iters=4)
+        cfg = self.spg_config(max_outer_iters=4)
         run(data, params, cfg, z0=net_to_feasible(p, data, params), seed=2)
         assert len(seen) == 4 and not np.any(seen)
-        # the SGD baselines still write their weights as trained, subnormals too
-        argv = ["train", "--method", "adadelta", "--n", "100", "--n1", "20", "--n0", "5",
-                "--datatype", "2", "--ntest", "0", "--epochs", "50", "--batch-size", "1",
+        # the SGD baselines flush theirs every epoch, and write their weights
+        # as trained
+        argv = ["train", "--method", "adadelta", *SUBNORMAL_INSTANCE, "--ntest", "0",
                 "--seed", "0", "--out", str(tmp_path)]
         assert main(argv) == 0
         cfg = resolve_train_config(build_parser().parse_args(argv))
         data = _build_problem(cfg, seed=0)
-        p, _ = sgd_run(data, _model_params(cfg, data),
-                       SgdConfig(epochs=50, batch_size=1, seed=0))
+        [(p, _)] = sgd_lockstep([SgdMember(data, _model_params(cfg, data),
+                                           SgdConfig(epochs=50, batch_size=1, seed=0))])
         z, _ = load_variables(tmp_path / "model.bin")
-        assert subnormal(p.W) and subnormal(p.b1)
+        assert not subnormal(p.theta)
         for saved, trained in ((z.W, p.W), (z.b1, p.b1), (z.b2, p.b2)):
             assert saved.tobytes() == trained.tobytes()
 
     def test_rows_stream_before_divergence(self, tiny_problem, monkeypatch):
         data, params = tiny_problem
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cfg = SpgConfig()
+        cfg = self.spg_config()
         monkeypatch.setattr(spgae.spg, "DIVERGENCE_FACTOR", 1e-12)
-
-        class Recorder:
-            def __init__(self):
-                self.rows = []
-
-            def write_row(self, row):
-                self.rows.append((row.k, row.mu))
-
         rec = Recorder()
+        [(p, trace)] = sgd_lockstep([SgdMember(data, params, SgdConfig(epochs=2, seed=6),
+                                               trace=RunTrace(sink=rec))])
         with pytest.raises(DivergenceError) as err:
-            spg_ada(data, params, cfg, ada_epochs=2, seed=6, trace=RunTrace(sink=rec))
+            run(data, params, cfg, z0=net_to_feasible(p, data, params), seed=6,
+                trace=trace)
         # three Adadelta rows (initial point plus two epochs), then the
         # solver's initial row and the row of the step that diverged
-        assert [k for k, _ in rec.rows] == [0, 1, 2, 3, 4]
-        assert all(mu is None for _, mu in rec.rows[:3])
-        assert all(mu is not None for _, mu in rec.rows[3:])
+        assert [r.k for r in rec.rows] == [0, 1, 2, 3, 4]
+        assert all(r.mu is None for r in rec.rows[:3])
+        assert all(r.mu is not None for r in rec.rows[3:])
         # the error's trace is the run's one trace, warm-start rows included
-        trace = err.value.trace
-        assert [(r.k, r.mu) for r in trace.rows] == rec.rows
+        assert err.value.trace is trace
+        assert trace.rows == rec.rows
         assert trace.handoff_index == 3
         assert trace.termination_reason == "diverged"
