@@ -14,8 +14,7 @@ import inspect
 import os
 import sys
 import time
-import warnings
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .model import ModelParams, ProblemData, Variables, packed_size, relu
 from .rng import stream
 from .sgd import (METHODS as SGD_METHODS, SgdConfig, SgdMember, net_to_feasible,
                   sgd_lockstep)
-from .spg import SpgConfig, estimate_validated_l0, run as spg_run
+from .spg import SpgConfig, run as spg_run
 from .subproblem import SubproblemSpec, solve_subproblem, subproblem_objective
 from .trace import RunTrace, TraceWriter
 
@@ -179,29 +178,25 @@ def _model_params(cfg: dict, data: ProblemData) -> ModelParams:
 def _spg_config(cfg: dict) -> SpgConfig:
     """The solver config of a ``train`` command, built (and warned about) once
     for all its seeds."""
-    l0 = None if cfg["theoretical_L"] else cfg["L0"]   # estimated per seed instead
+    if cfg["theoretical_L"] and not (cfg["lambda1"] > 0 and cfg["lambda2"] > 0):
+        # spg.run would find this only once trace.csv is open
+        raise ValueError("--theoretical-L requires positive lambda1, lambda2")
     return SpgConfig(mu0=cfg["mu0"], tau1=cfg["tau1"], tau2=cfg["tau2"],
-                     tau3=cfg["tau3"], L0=l0, epsilon=cfg["epsilon"],
+                     tau3=cfg["tau3"], L0=cfg["L0"], epsilon=cfg["epsilon"],
                      max_outer_iters=cfg["max_iters"], sub_tol=cfg["sub_tol"],
-                     sub_max_iter=cfg["sub_max_iter"])
+                     sub_max_iter=cfg["sub_max_iter"],
+                     theoretical_L=cfg["theoretical_L"])
 
 
 class _SeedRun:
-    """One seed of a ``train`` command: its problem, solver config and trace
-    (whose sink is the open ``trace.csv``), then its files in ``outdir``."""
+    """One seed of a ``train`` command: its problem and trace (whose sink is
+    the open ``trace.csv``), then its files in ``outdir``."""
 
-    def __init__(self, cfg: dict, seed: int, outdir: str, spg_config: SpgConfig | None):
+    def __init__(self, cfg: dict, seed: int, outdir: str):
         t_start = time.perf_counter()
         self.cfg, self.seed, self.outdir = cfg, seed, outdir
         self.data = _build_problem(cfg, seed)
         self.params = _model_params(cfg, self.data)
-        self.config = spg_config
-        if cfg["theoretical_L"] and spg_config is not None:
-            l0, box = estimate_validated_l0(self.data, self.params, cfg["mu0"], seed=seed)
-            with warnings.catch_warnings():
-                # _spg_config already gave the tau1*tau3 warning once for the command
-                warnings.simplefilter("ignore")
-                self.config = replace(spg_config, L0=l0, infnorm_bound=box)
         os.makedirs(outdir, exist_ok=True)   # only once the set-up has validated
         self.trace = RunTrace(sink=TraceWriter(os.path.join(outdir, "trace.csv")))
         self.elapsed_s = time.perf_counter() - t_start
@@ -220,10 +215,10 @@ class _SeedRun:
         for k in ("lambda1", "lambda2", "beta", "theta", "alpha"):
             snap[f"resolved_{k}"] = getattr(self.params, k)
         snap.update(zip(("resolved_n", "resolved_n0", "resolved_n1"), self.data.dims))
-        if self.config is not None:
-            # the solver's last trace row already holds the metrics of z; its
-            # first (row handoff_index) holds the L0 it started at
-            last = self.trace.rows[-1]
+        last = self.trace.rows[-1]
+        if last.fval is not None:
+            # a solver row (SGD rows have no fval) already holds the metrics
+            # of z; the solver's first (row handoff_index) holds its L0
             m = {k: getattr(last, k) for k in ("fval", "feasvi", "trainerr", "testerr")}
             snap["resolved_L0"] = self.trace.rows[self.trace.handoff_index or 0].L
         else:
@@ -242,31 +237,30 @@ def train_seeds(cfg: dict, seeds, outs, spg_config: SpgConfig | None) -> list[di
     summaries.
 
     ``spg_config`` is ``_spg_config(cfg)`` for the ``spg`` and ``spg-ada``
-    methods, else None.  Every seed is set up; the methods with an SGD phase
-    (every one but ``spg``; ``spg-ada``'s is its Adadelta warm start) train
-    all seeds in it as one lockstep group (``sgd_lockstep``), and each net is
-    made feasible (``net_to_feasible``).  For ``spg`` and ``spg-ada`` each
-    seed then makes one ``spg.run``, from that point if there is one.  Each
-    seed's files are written last.
+    methods, else None; it and the SGD phase's one ``SgdConfig`` serve every
+    seed, so the seeds differ only by their seed.  Every seed is set up; the
+    methods with an SGD phase (every one but ``spg``; ``spg-ada``'s is its
+    Adadelta warm start) train all seeds in it as one lockstep group
+    (``sgd_lockstep``), and each net is made feasible (``net_to_feasible``).
+    For ``spg`` and ``spg-ada`` each seed then makes one ``spg.run``, from
+    that point if there is one.  Each seed's files are written last.
     """
     method = cfg["method"]
     ada = method == "spg-ada"       # the SGD phase is spg-ada's Adadelta warm start
-    sgd_configs = [] if method == "spg" else [
-        SgdConfig(method="adadelta" if ada else method,
-                  epochs=cfg["ada_epochs" if ada else "epochs"],
-                  batch_size=cfg["batch_size"], lr=cfg["lr"], seed=seed)
-        for seed in seeds]
+    sgd_config = None if method == "spg" else SgdConfig(
+        method="adadelta" if ada else method,
+        epochs=cfg["ada_epochs" if ada else "epochs"],
+        batch_size=cfg["batch_size"], lr=cfg["lr"])
     with contextlib.ExitStack() as stack:
         runs = []
         for seed, outdir in zip(seeds, outs):
-            runs.append(_SeedRun(cfg, seed, outdir, spg_config))
+            runs.append(_SeedRun(cfg, seed, outdir))
             stack.enter_context(runs[-1].trace.sink)
         t_start = time.perf_counter()
         nets = [None] * len(runs)
-        if sgd_configs:
-            group = [SgdMember(r.data, r.params, c, trace=r.trace)
-                     for r, c in zip(runs, sgd_configs)]
-            nets = [p for p, _ in sgd_lockstep(group)]
+        if sgd_config is not None:
+            group = [SgdMember(r.data, r.params, r.seed, trace=r.trace) for r in runs]
+            nets = [p for p, _ in sgd_lockstep(group, sgd_config)]
         shared_s = time.perf_counter() - t_start
         summaries = []
         for run, p in zip(runs, nets):
@@ -275,17 +269,16 @@ def train_seeds(cfg: dict, seeds, outs, spg_config: SpgConfig | None) -> list[di
             if spg_config is None:
                 fields = {"epochs": cfg["epochs"]}
             else:
-                result = spg_run(run.data, run.params, run.config, z0=z, seed=run.seed,
+                result = spg_run(run.data, run.params, spg_config, z0=z, seed=run.seed,
                                  trace=run.trace)
                 z = result.z
                 fields = {"iterations": result.iterations, "final_mu": result.mu,
                           "final_L": result.L, "b1_clamp_hits": result.b1_clamp_hits,
                           "capped_solves": result.capped_solves,
-                          "mu_shrinks": result.mu_shrinks}
+                          "mu_shrinks": result.mu_shrinks,
+                          "final_stationarity": result.final_stationarity}
                 if ada:
                     fields["handoff_index"] = run.trace.handoff_index
-                else:
-                    fields["final_stationarity"] = result.final_stationarity
             run.elapsed_s += shared_s + time.perf_counter() - t_start
             summaries.append(run.finish(z, fields))
         return summaries

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class SgdConfig:
     epochs: int = 1000
     batch_size: int | None = None    # None -> default_batch_size(N)
     lr: float | None = None          # None -> method default
-    seed: int = 0
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -102,32 +101,28 @@ class NetParams:
         n, n0, n1 = data.dims
         return cls(W=init_W(data, seed), b1=np.zeros(n1), b2=np.zeros(n0))
 
-    def copy(self) -> "NetParams":
-        n1, n0 = self.W.shape[-2:]
-        return NetParams.over(self.theta.copy(), n1, n0)
-
 
 class GradWorkspace:
-    """The buffers ``minibatch_grad`` fills for one ``NetParams``, single or
-    stacked.
+    """The buffers ``minibatch_grad`` fills for one stack of networks
+    (``NetParams.stack``).
 
-    Holds the gradient ``grad``, packed like ``p``, one (S, N1, N0) product
-    buffer, the batch-sized intermediates (one set per batch width, so a
-    partial last batch gets its own) and stacked views of ``p`` (S = 1 for a
-    single network), built once; they stay valid as long as ``p.theta`` is
-    only updated in place.
+    Holds the gradient ``grad``, stacked like ``p``, one (S, N1, N0) product
+    buffer and the batch-sized intermediates (one set per batch width, so a
+    partial last batch gets its own), built once; they stay valid as long as
+    ``p.theta`` is only updated in place.
     """
 
     def __init__(self, p: NetParams):
+        if p.theta.ndim != 2:
+            raise ValueError("a gradient workspace needs a stack of networks, "
+                             "theta (S, P)")
         n1, n0 = p.W.shape[-2:]
         self.p = p
         self.grad = NetParams.over(np.zeros(p.theta.shape), n1, n0)
-        ps = NetParams.over(p.theta.reshape(-1, p.theta.shape[-1]), n1, n0)
-        self.g = NetParams.over(self.grad.theta.reshape(ps.theta.shape), n1, n0)
-        self.grad_b = self.g.theta[:, n1 * n0:]    # (b1, b2): one reduce fills both
-        self.prod = np.empty(ps.W.shape)
-        self.W, self.W_T = ps.W, ps.W.transpose(0, 2, 1)
-        self.b1_col, self.b2_col = ps.b1[..., None], ps.b2[..., None]
+        self.grad_b = self.grad.theta[:, n1 * n0:]   # (b1, b2): one reduce fills both
+        self.prod = np.empty(p.W.shape)
+        self.W_T = p.W.transpose(0, 2, 1)
+        self.b1_col, self.b2_col = p.b1[..., None], p.b2[..., None]
         self._widths = {}
 
     def batch(self, bs: int) -> tuple:
@@ -136,7 +131,7 @@ class GradWorkspace:
         rows)."""
         bufs = self._widths.get(bs)
         if bufs is None:
-            s, n1, n0 = self.W.shape
+            s, n1, n0 = self.p.W.shape
             Xb, d = np.empty((s, n0, bs)), np.empty((s, n1 + n0, bs))
             bufs = self._widths[bs] = (
                 Xb, tuple(Xb), np.empty((s, n1, bs)), np.empty((s, n1, bs)),
@@ -146,42 +141,38 @@ class GradWorkspace:
 
 
 def minibatch_grad(p: NetParams, data, idx, lambda2: float,
-                   out: GradWorkspace | None = None) -> NetParams:
-    """Backprop gradient packed like ``p``, batch-averaged, decay term included.
+                   out: GradWorkspace) -> NetParams:
+    """Backprop gradient stacked like ``p``, batch-averaged, decay term included.
 
-    ``p`` is one network with one ``ProblemData`` and index array, or a stack
-    of S with a sequence of S of each (all batches of one width); network i
-    trains on batch ``data[i].X[:, idx[i]]``.  The result is ``out.grad``,
-    which the next call with the same ``out`` overwrites; without ``out`` a
-    fresh workspace is built.  ``out`` must have been built on ``p``.
+    ``p`` is a stack of S networks with a sequence of S ``ProblemData`` and of
+    S index arrays (all batches of one width); network i trains on batch
+    ``data[i].X[:, idx[i]]``.  The result is ``out.grad``, which the next call
+    with the same ``out`` overwrites.  ``out`` must have been built on ``p``.
     """
-    ws = GradWorkspace(p) if out is None else out
-    if ws.p is not p:
+    if out.p is not p:
         raise ValueError("the workspace was built for other parameters")
-    if p.theta.ndim == 1:
-        data, idx = (data,), (idx,)
     bs = len(idx[0])
-    Xb, Xb_rows, pre1, H, pre2, mask1, mask2, d, d1, d2 = ws.batch(bs)
-    g = ws.g
+    Xb, Xb_rows, pre1, H, pre2, mask1, mask2, d, d1, d2 = out.batch(bs)
+    g = out.grad
     for Xi, di, ix in zip(Xb_rows, data, idx, strict=True):
         di.X.take(ix, axis=1, out=Xi, mode="clip")  # ix is in range: no check
-    np.matmul(ws.W, Xb, out=pre1)
-    pre1 += ws.b1_col
+    np.matmul(p.W, Xb, out=pre1)
+    pre1 += out.b1_col
     np.maximum(pre1, 0.0, out=H)
-    np.matmul(ws.W_T, H, out=pre2)
-    pre2 += ws.b2_col
+    np.matmul(out.W_T, H, out=pre2)
+    pre2 += out.b2_col
     np.maximum(pre2, 0.0, out=d2)                       # recon
     d2 -= Xb
     d2 *= 2.0
     d2 *= np.greater(pre2, 0.0, out=mask2)              # (S, N0, B)
-    np.matmul(ws.W, d2, out=d1)
+    np.matmul(p.W, d2, out=d1)
     d1 *= np.greater(pre1, 0.0, out=mask1)              # (S, N1, B)
     np.matmul(H, d2.transpose(0, 2, 1), out=g.W)
-    g.W += np.matmul(d1, Xb.transpose(0, 2, 1), out=ws.prod)
-    np.add.reduce(d, axis=2, out=ws.grad_b)
+    g.W += np.matmul(d1, Xb.transpose(0, 2, 1), out=out.prod)
+    np.add.reduce(d, axis=2, out=out.grad_b)
     g.theta /= bs
-    g.W += np.multiply(ws.W, 2.0 * lambda2, out=ws.prod)
-    return ws.grad
+    g.W += np.multiply(p.W, 2.0 * lambda2, out=out.prod)
+    return g
 
 
 class _Optimizer:
@@ -242,44 +233,42 @@ class _Optimizer:
 
 @dataclass
 class SgdMember:
-    """One network of a lockstep group: its problem, config and optional trace
+    """One network of a lockstep group: its problem, seed and optional trace
     (else a new one), which receives its rows.  It starts at
-    ``NetParams.default_init`` under the config's seed."""
+    ``NetParams.default_init`` under its seed."""
     data: ProblemData
     params: ModelParams
-    config: SgdConfig
+    seed: int
     trace: RunTrace | None = None
 
 
-def sgd_lockstep(members) -> list[tuple[NetParams, RunTrace]]:
-    """Minibatch training of a group of networks, one stacked step per batch.
+def sgd_lockstep(members, config: SgdConfig) -> list[tuple[NetParams, RunTrace]]:
+    """Minibatch training of a group of networks under one ``config``, one
+    stacked step per batch.
 
-    The members must share the problem shape (N, N1, N0) and ``lambda2``, and
-    their configs may differ only in ``seed``.  Each member starts at
-    ``NetParams.default_init`` under its seed, draws its batch permutations
-    from its own seed's ``batch`` stream, gathers its batches from its own
-    data and appends its rows (one per epoch after one for the initial
-    point, numbered on from the trace's length; test error on its
-    ``data.test_X``) to its own trace, so its parameters and rows are the
+    The members must share the problem shape (N, N1, N0) and ``lambda2``.
+    Each member starts at ``NetParams.default_init`` under its seed, draws
+    its batch permutations from its own seed's ``batch`` stream, gathers its
+    batches from its own data and appends its rows (one per epoch after one
+    for the initial point, numbered on from the trace's length; test error on
+    its ``data.test_X``) to its own trace, so its parameters and rows are the
     same bits as in a group of one.  Only ``wall_ms`` is shared: it is the
     wall time of the group's epoch.  Each epoch ends with ``flush_subnormals``
     of the parameters and the optimizer state, before its rows are taken.
     Returns (parameters, trace) per member, in order.
     """
     first = members[0]
-    config, n = first.config, first.data.n_samples
+    n = first.data.n_samples
     for m in members:
-        if (m.data.dims != first.data.dims or m.params.lambda2 != first.params.lambda2
-                or replace(m.config, seed=config.seed) != config):
-            raise ValueError("lockstep members must share the problem shape, "
-                             "lambda2 and the config apart from the seed")
-    p = NetParams.stack([NetParams.default_init(m.data, m.config.seed)
-                         for m in members])
+        if m.data.dims != first.data.dims or m.params.lambda2 != first.params.lambda2:
+            raise ValueError("lockstep members must share the problem shape "
+                             "and lambda2")
+    p = NetParams.stack([NetParams.default_init(m.data, m.seed) for m in members])
     nets = p.rows()
     bs = config.batch_size or default_batch_size(n)
     opt = _Optimizer(config.method, config.lr, p.theta.shape)
     ws = GradWorkspace(p)
-    batch_rngs = [stream(m.config.seed, "batch") for m in members]
+    batch_rngs = [stream(m.seed, "batch") for m in members]
     datas = [m.data for m in members]
     traces = [RunTrace() if m.trace is None else m.trace for m in members]
     for trace in traces:

@@ -208,9 +208,9 @@ def test_06_smoothed_objective_monotone_under_validated_l():
     # on genuine z-moves and not only on the smoothing anneal.
     t0 = time.perf_counter()
     data, params = random_problem(6, 2, 2, seed=31)
-    l0, radius = estimate_validated_l0(data, params, mu0=1e-2, seed=5)
+    l0, _ = estimate_validated_l0(data, params, mu0=1e-2, seed=5)
     config = SpgConfig(mu0=1e-2, epsilon=1e-8, L0=l0, tau3=2.0,
-                       infnorm_bound=radius, max_outer_iters=500)
+                       theoretical_L=True, max_outer_iters=500)
     result = spg_run(data, params, config, seed=5)
     vals = [r.smoothed for r in result.trace.rows]
     increases = sum(1 for a, b in zip(vals, vals[1:]) if b > a + 1e-12)
@@ -348,9 +348,9 @@ def test_08_hybrid_beats_adadelta_baseline_by_margin():
     def adadelta_group(epochs):
         # every seed in one lockstep group: each seed's numbers are the bits
         # of a run of its own
-        return sgd_lockstep([SgdMember(data, params, SgdConfig(
-            method="adadelta", epochs=epochs, seed=seed))
-            for seed, (data, params) in zip(seeds, problems)])
+        return sgd_lockstep([SgdMember(data, params, seed)
+                             for seed, (data, params) in zip(seeds, problems)],
+                            SgdConfig(method="adadelta", epochs=epochs))
 
     baselines, warm_starts = adadelta_group(100), adadelta_group(1000)
     base_train, base_test, hyb_train, hyb_test = [], [], [], []

@@ -167,7 +167,8 @@ class TestTrain:
         assert rc == 0
         summary = load_kv(out / "summary.txt")
         assert summary["handoff_index"] == "3"
-        for key in ("final_L", "b1_clamp_hits", "capped_solves", "mu_shrinks"):
+        for key in ("final_L", "b1_clamp_hits", "capped_solves", "mu_shrinks",
+                    "final_stationarity"):
             assert key in summary
         trace = RunTrace.read_csv(out / "trace.csv")
         assert trace.rows[2].mu is None
@@ -177,6 +178,8 @@ class TestTrain:
         ("spg", []), ("spg", ["--L0", 2]), ("spg", ["--theoretical-L"]),
         ("spg-ada", ["--ada-epochs", 2]), ("spg-ada", ["--ada-epochs", 2, "--L0", 2]),
         ("spg-ada", ["--ada-epochs", 2, "--theoretical-L"]),
+        ("spg", ["--L0", 2, "--theoretical-L"]),
+        ("spg-ada", ["--ada-epochs", 2, "--L0", 2, "--theoretical-L"]),
     ])
     def test_resolved_L0_is_the_first_solver_rows_L(self, tmp_path, method, extra):
         out = tmp_path / "run"
@@ -268,6 +271,16 @@ class TestTrain:
                       flag, value, "--out", tmp_path / "run"])
         assert rc == 1
         assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_theoretical_L_without_a_positive_lambda1_writes_nothing(self, tmp_path,
+                                                                      capsys):
+        # --alpha spares the model its own check, so only the validated-L
+        # box sees lambda1 = 0
+        rc = run_cli(["train", "--method", "spg", "--preset", 6, "--lambda1", 0,
+                      "--alpha", 1, "--theoretical-L", "--out", tmp_path / "run"])
+        assert rc == 1
+        assert "requires positive lambda1, lambda2" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("args,message", [

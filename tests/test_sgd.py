@@ -23,6 +23,13 @@ from spgae.trace import RunTrace, TraceRow
 from conftest import random_problem
 
 
+def grad_of(p, data, idx, lambda2):
+    """``minibatch_grad`` of one network, run as a stack of one: its only row."""
+    stack = NetParams.stack([p])
+    return minibatch_grad(stack, [data], [idx], lambda2,
+                          out=GradWorkspace(stack)).rows()[0]
+
+
 def one_scalar_step(method, p0, g, lr=None):
     """Drive the real optimizer one step on a 1-element tensor."""
     t = np.array([p0])
@@ -103,11 +110,12 @@ class TestPackedParams:
         data, _ = tiny_problem
         init = NetParams.default_init(data, seed=2)
         built = NetParams(W=np.ones((2, 3)), b1=np.zeros(2), b2=np.zeros(3))
-        for p in (init, init.copy(), built):
+        stacked = NetParams.stack([init])
+        for p in (init, stacked, *stacked.rows(), built):
             for block in (p.W, p.b1, p.b2):
                 assert np.shares_memory(p.theta, block)
         assert built.theta.size == 2 * 3 + 2 + 3
-        assert not np.shares_memory(init.theta, init.copy().theta)
+        assert not np.shares_memory(init.theta, stacked.theta)
 
     def test_theta_order_is_w_row_major_then_b1_then_b2(self):
         W = np.arange(6.0).reshape(2, 3)
@@ -117,8 +125,9 @@ class TestPackedParams:
 
     def test_gradient_is_packed_like_params(self, tiny_problem):
         data, _ = tiny_problem
-        p = NetParams.default_init(data, seed=3)
-        g = minibatch_grad(p, data, np.arange(data.n_samples), lambda2=0.1)
+        p = NetParams.stack([NetParams.default_init(data, seed=3)])
+        g = minibatch_grad(p, [data], [np.arange(data.n_samples)], lambda2=0.1,
+                           out=GradWorkspace(p))
         assert g.theta.shape == p.theta.shape
         for block in (g.W, g.b1, g.b2):
             assert np.shares_memory(g.theta, block)
@@ -150,7 +159,7 @@ class TestBackprop:
                       b2=np.array([-0.2]))
         # pre1 = 1.1, H = 1.1, pre2 = 0.35, recon = 0.35
         # d2 = 2(0.35-2) = -3.3, d1 = 0.5 * -3.3 = -1.65
-        g = minibatch_grad(p, data, np.array([0]), lambda2=0.0)
+        g = grad_of(p, data, np.array([0]), lambda2=0.0)
         g_W, g_b1, g_b2 = g.W, g.b1, g.b2
         assert g_W[0, 0] == pytest.approx(1.1 * -3.3 + -1.65 * 2.0, abs=1e-12)
         assert g_b1[0] == pytest.approx(-1.65, abs=1e-12)
@@ -161,8 +170,8 @@ class TestBackprop:
         p = NetParams.default_init(data, seed=3)
         p.W += 0.5  # move off zero so the decay term is visible
         idx = np.arange(data.n_samples)
-        bare = minibatch_grad(p, data, idx, lambda2=0.0)
-        dec = minibatch_grad(p, data, idx, lambda2=0.3)
+        bare = grad_of(p, data, idx, lambda2=0.0)
+        dec = grad_of(p, data, idx, lambda2=0.3)
         assert np.allclose(dec.W - bare.W, 0.6 * p.W, atol=1e-12)
         assert np.allclose(dec.b1, bare.b1, atol=1e-15)
         assert np.allclose(dec.b2, bare.b2, atol=1e-15)
@@ -171,7 +180,7 @@ class TestBackprop:
         X = np.array([[1.0, 2.0], [3.0, 1.0]])
         data = ProblemData.from_matrix(X, 2)
         p = NetParams(W=np.eye(2), b1=np.zeros(2), b2=np.zeros(2))
-        grads = minibatch_grad(p, data, np.array([0, 1]), lambda2=0.0)
+        grads = grad_of(p, data, np.array([0, 1]), lambda2=0.0)
         for g in (grads.W, grads.b1, grads.b2):
             assert np.allclose(g, 0.0, atol=1e-15)
         assert autoencoder_error(p, X) == 0.0
@@ -189,7 +198,7 @@ class TestBackprop:
             err = autoencoder_error(pp, data.X)
             return err + lam2 * float(np.sum(pp.W ** 2))
 
-        grads = minibatch_grad(p, data, idx, lambda2=lam2)
+        grads = grad_of(p, data, idx, lambda2=lam2)
         h = 1e-6
         flat = p.theta    # W, b1 and b2 are views into it
         for j in range(flat.size):
@@ -242,8 +251,8 @@ SUBNORMAL_INSTANCE = ("--n", "100", "--n1", "20", "--n0", "5", "--datatype", "2"
 
 
 class TestWorkspaceStep:
-    """minibatch_grad(out=) and the in-place Adadelta step against the
-    allocating expressions they replaced, bit for bit."""
+    """minibatch_grad on a stack of one and the in-place Adadelta step
+    against the allocating expressions they replaced, bit for bit."""
 
     @pytest.mark.parametrize("lambda2", [0.0, 0.03])
     def test_matches_allocating_step_bit_for_bit(self, lambda2):
@@ -251,10 +260,10 @@ class TestWorkspaceStep:
         rng = np.random.default_rng(42)
         init = NetParams(W=rng.standard_normal((6, 4)) * 0.5,
                          b1=rng.uniform(-0.3, 0.3, 6), b2=rng.uniform(-0.3, 0.3, 4))
-        p, ref = init.copy(), init.copy()
+        p, ref = NetParams.stack([init]), NetParams.stack([init]).rows()[0]
         ws = GradWorkspace(p)
-        opt = _Optimizer("adadelta", None, p.theta.size)
-        m_ref, v_ref = np.zeros(p.theta.size), np.zeros(p.theta.size)
+        opt = _Optimizer("adadelta", None, p.theta.shape)
+        m_ref, v_ref = np.zeros(ref.theta.size), np.zeros(ref.theta.size)
         m_obj, v_obj = opt.m, opt.v
         widths = set()
         for _ in range(3):
@@ -262,25 +271,25 @@ class TestWorkspaceStep:
             for lo in range(0, data.n_samples, 10):
                 idx = perm[lo:lo + 10]
                 widths.add(idx.size)
-                g = minibatch_grad(p, data, idx, lambda2, out=ws)
+                g = minibatch_grad(p, [data], [idx], lambda2, out=ws)
                 g_ref = allocating_grad(ref, data, idx, lambda2)
                 assert g is ws.grad
-                assert np.array_equal(bits(g.theta), bits(g_ref.theta))
+                assert np.array_equal(bits(g.theta[0]), bits(g_ref.theta))
                 opt.update(p.theta, g.theta)
                 m_ref, v_ref = allocating_adadelta(ref.theta, m_ref, v_ref, g_ref.theta)
-                assert np.array_equal(bits(p.theta), bits(ref.theta))
-                assert np.array_equal(bits(opt.m), bits(m_ref))
-                assert np.array_equal(bits(opt.v), bits(v_ref))
+                assert np.array_equal(bits(p.theta[0]), bits(ref.theta))
+                assert np.array_equal(bits(opt.m[0]), bits(m_ref))
+                assert np.array_equal(bits(opt.v[0]), bits(v_ref))
         assert widths == {10, 5}
         assert opt.m is m_obj and opt.v is v_obj        # updated in place
-        assert not np.array_equal(p.theta, init.theta)
+        assert not np.array_equal(p.theta[0], init.theta)
 
     def test_lockstep_matches_allocating_loop(self):
         data, params = random_problem(105, 4, 6, seed=43)
-        cfg = SgdConfig(method="adadelta", epochs=4, batch_size=10, seed=5)
-        [(p, _)] = sgd_lockstep([SgdMember(data, params, cfg)])
-        ref = NetParams.default_init(data, cfg.seed)
-        batch_rng = stream(cfg.seed, "batch")
+        cfg, seed = SgdConfig(method="adadelta", epochs=4, batch_size=10), 5
+        [(p, _)] = sgd_lockstep([SgdMember(data, params, seed)], cfg)
+        ref = NetParams.default_init(data, seed)
+        batch_rng = stream(seed, "batch")
         m, v = np.zeros(ref.theta.size), np.zeros(ref.theta.size)
         for _ in range(cfg.epochs):
             perm = batch_rng.permutation(data.n_samples)
@@ -291,18 +300,24 @@ class TestWorkspaceStep:
 
     def test_workspace_belongs_to_its_params(self, tiny_problem):
         data, _ = tiny_problem
-        p = NetParams.default_init(data, seed=1)
+        p = NetParams.stack([NetParams.default_init(data, seed=1)])
         ws = GradWorkspace(p)
         with pytest.raises(ValueError, match="other parameters"):
-            minibatch_grad(p.copy(), data, np.arange(data.n_samples), 0.1, out=ws)
+            minibatch_grad(NetParams.stack(p.rows()), [data],
+                           [np.arange(data.n_samples)], 0.1, out=ws)
+
+    def test_workspace_needs_a_stack(self, tiny_problem):
+        data, _ = tiny_problem
+        with pytest.raises(ValueError, match="stack of networks"):
+            GradWorkspace(NetParams.default_init(data, seed=1))
 
 
 class TestSgdRun:
     def test_trace_shape_and_determinism(self, tiny_problem):
         data, params = tiny_problem
-        cfg = SgdConfig(method="adam", epochs=5, seed=11)
-        [(p1, t1)] = sgd_lockstep([SgdMember(data, params, cfg)])
-        [(p2, t2)] = sgd_lockstep([SgdMember(data, params, cfg)])
+        cfg = SgdConfig(method="adam", epochs=5)
+        [(p1, t1)] = sgd_lockstep([SgdMember(data, params, 11)], cfg)
+        [(p2, t2)] = sgd_lockstep([SgdMember(data, params, 11)], cfg)
         assert len(t1.rows) == 6          # initial row + one per epoch
         assert [r.k for r in t1.rows] == list(range(6))
         assert np.array_equal(p1.W, p2.W)
@@ -312,15 +327,16 @@ class TestSgdRun:
 
     def test_rows_number_on_from_the_trace_given(self, tiny_problem):
         data, params = tiny_problem
-        [(_, trace)] = sgd_lockstep([SgdMember(data, params, SgdConfig(
-            method="adam", epochs=2), trace=RunTrace(rows=[TraceRow(k=0)]))])
+        [(_, trace)] = sgd_lockstep([SgdMember(
+            data, params, 0, trace=RunTrace(rows=[TraceRow(k=0)]))],
+            SgdConfig(method="adam", epochs=2))
         assert [r.k for r in trace.rows] == [0, 1, 2, 3]
 
     def test_seed_changes_trajectory(self, tiny_problem):
         data, params = tiny_problem
-        p1, p2 = (p for p, _ in sgd_lockstep([
-            SgdMember(data, params, SgdConfig(method="adam", epochs=3, seed=seed))
-            for seed in (1, 2)]))
+        p1, p2 = (p for p, _ in sgd_lockstep(
+            [SgdMember(data, params, seed) for seed in (1, 2)],
+            SgdConfig(method="adam", epochs=3)))
         assert not np.array_equal(p1.W, p2.W)
 
     def test_start_weights_are_the_solvers(self, tiny_problem):
@@ -331,8 +347,8 @@ class TestSgdRun:
 
     def test_zero_epochs_returns_init(self, tiny_problem):
         data, params = tiny_problem
-        cfg = SgdConfig(method="vanilla", epochs=0, seed=4)
-        [(p, trace)] = sgd_lockstep([SgdMember(data, params, cfg)])
+        [(p, trace)] = sgd_lockstep([SgdMember(data, params, 4)],
+                                    SgdConfig(method="vanilla", epochs=0))
         assert np.array_equal(p.W, NetParams.default_init(data, 4).W)
         assert len(trace.rows) == 1
 
@@ -340,21 +356,21 @@ class TestSgdRun:
         data, params = tiny_problem
         test_X = np.abs(np.random.default_rng(0).standard_normal((3, 4)))
         data = ProblemData.from_matrix(data.X, data.n_hidden, test_X=test_X)
-        [(_, trace)] = sgd_lockstep([SgdMember(
-            data, params, SgdConfig(method="adagrad", epochs=2, seed=0))])
+        [(_, trace)] = sgd_lockstep([SgdMember(data, params, 0)],
+                                    SgdConfig(method="adagrad", epochs=2))
         assert all(r.testerr is not None for r in trace.rows)
 
     def test_adadelta_reduces_training_error(self):
         data, params = random_problem(40, 5, 10, seed=31)
-        [(_, trace)] = sgd_lockstep([SgdMember(
-            data, params, SgdConfig(method="adadelta", epochs=50, seed=31))])
+        [(_, trace)] = sgd_lockstep([SgdMember(data, params, 31)],
+                                    SgdConfig(method="adadelta", epochs=50))
         assert trace.rows[-1].trainerr < 0.5 * trace.rows[0].trainerr
 
     @pytest.mark.parametrize("method", METHODS)
     def test_every_method_runs(self, method, tiny_problem):
         data, params = tiny_problem
-        [(_, trace)] = sgd_lockstep([SgdMember(
-            data, params, SgdConfig(method=method, epochs=2, seed=1))])
+        [(_, trace)] = sgd_lockstep([SgdMember(data, params, 1)],
+                                    SgdConfig(method=method, epochs=2))
         assert len(trace.rows) == 3
         assert all(np.isfinite(r.trainerr) for r in trace.rows)
 
@@ -397,22 +413,25 @@ class TestLockstep:
     """A group trains every member as a run of its own would, bit for bit."""
 
     @staticmethod
-    def members(method, sinks=(None, None, None), **cfg):
+    def members(sinks=(None, None, None)):
         out = []
         for seed, sink in zip((0, 1, 2), sinks):
             data, params = random_problem(105, 4, 6, seed=50 + seed)   # last batch 5
             test_X = np.abs(stream(seed, "test").standard_normal((4, 7)))
             data = ProblemData.from_matrix(data.X, data.n_hidden, test_X=test_X)
-            out.append(SgdMember(data, params, SgdConfig(
-                method=method, epochs=3, batch_size=10, seed=seed, **cfg),
-                trace=RunTrace(sink=sink)))
+            out.append(SgdMember(data, params, seed, trace=RunTrace(sink=sink)))
         return out
+
+    @staticmethod
+    def config(method):
+        return SgdConfig(method=method, epochs=3, batch_size=10)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_group_matches_one_member_runs(self, method):
-        group = sgd_lockstep(self.members(method))
-        for m, (p, trace) in zip(self.members(method), group):
-            [(p_solo, t_solo)] = sgd_lockstep([SgdMember(m.data, m.params, m.config)])
+        cfg = self.config(method)
+        group = sgd_lockstep(self.members(), cfg)
+        for m, (p, trace) in zip(self.members(), group):
+            [(p_solo, t_solo)] = sgd_lockstep([SgdMember(m.data, m.params, m.seed)], cfg)
             assert np.array_equal(bits(p.theta), bits(p_solo.theta))
             assert row_values(trace) == row_values(t_solo)
             assert trace.termination_reason == t_solo.termination_reason == "epochs"
@@ -425,49 +444,46 @@ class TestLockstep:
         members = []
         for seed in (0, 1, 2):
             data = _build_problem(cfg, seed=seed)
-            members.append(SgdMember(data, _model_params(cfg, data),
-                                     SgdConfig(epochs=50, batch_size=1, seed=seed)))
-        group = [p for p, _ in sgd_lockstep(members)]
-        solo = [p for m in members for p, _ in sgd_lockstep([m])]
+            members.append(SgdMember(data, _model_params(cfg, data), seed))
+        sgd_config = SgdConfig(epochs=50, batch_size=1)
+        group = [p for p, _ in sgd_lockstep(members, sgd_config)]
+        solo = [p for m in members for p, _ in sgd_lockstep([m], sgd_config)]
         for p, p_solo in zip(group, solo):
             assert not subnormal(p.theta) and not subnormal(p_solo.theta)
             assert np.array_equal(bits(p.theta), bits(p_solo.theta))
 
     def test_each_member_streams_to_its_own_sink(self):
         sinks = (Recorder(), Recorder(), Recorder())
-        group = sgd_lockstep(self.members("adadelta", sinks))
+        group = sgd_lockstep(self.members(sinks), self.config("adadelta"))
         for sink, (_, trace) in zip(sinks, group):
             assert sink.rows == trace.rows
             assert [r.k for r in sink.rows] == [0, 1, 2, 3]
         # a row's wall_ms is the group's epoch
         assert len({tuple(r.wall_ms for r in s.rows) for s in sinks}) == 1
 
-    @pytest.mark.parametrize("change", ["shape", "method", "lambda2", "batch_size"])
+    @pytest.mark.parametrize("change", ["shape", "lambda2"])
     def test_members_must_match(self, change):
-        members = self.members("adam")
+        members = self.members()
         m = members[2]
         if change == "shape":
             m.data, m.params = random_problem(104, 4, 6, seed=3)
-        elif change == "method":
-            m.config = SgdConfig(method="adamax", epochs=3, batch_size=10, seed=2)
-        elif change == "lambda2":
-            m.params = ModelParams.from_data(m.data, lambda2=0.5)
         else:
-            m.config = SgdConfig(method="adam", epochs=3, batch_size=9, seed=2)
+            m.params = ModelParams.from_data(m.data, lambda2=0.5)
         with pytest.raises(ValueError, match="lockstep members"):
-            sgd_lockstep(members)
+            sgd_lockstep(members, self.config("adam"))
 
     def test_stacked_gradient_matches_single_calls(self):
-        members = self.members("adam")
-        nets = [NetParams.default_init(m.data, m.config.seed) for m in members]
+        members = self.members()
+        nets = [NetParams.default_init(m.data, m.seed) for m in members]
         stack = NetParams.stack(nets)
         assert stack.theta.shape == (3, nets[0].theta.size)
         assert all(np.shares_memory(stack.theta, row.theta) for row in stack.rows())
         idx = [stream(s, "test").permutation(105)[:10] for s in range(3)]
         lam2 = members[0].params.lambda2
-        g = minibatch_grad(stack, [m.data for m in members], idx, lam2)
+        g = minibatch_grad(stack, [m.data for m in members], idx, lam2,
+                           out=GradWorkspace(stack))
         for i, (net, m) in enumerate(zip(nets, members)):
-            solo = minibatch_grad(net, m.data, idx[i], lam2)
+            solo = grad_of(net, m.data, idx[i], lam2)
             assert np.array_equal(bits(g.theta[i]), bits(solo.theta))
 
 
@@ -486,8 +502,8 @@ class TestHandoff:
 
     def test_error_metric_carries_over(self, tiny_problem):
         data, params = tiny_problem
-        [(p, _)] = sgd_lockstep([SgdMember(
-            data, params, SgdConfig(method="adadelta", epochs=5, seed=2))])
+        [(p, _)] = sgd_lockstep([SgdMember(data, params, 2)],
+                                SgdConfig(method="adadelta", epochs=5))
         z = net_to_feasible(p, data, params)
         # biases stay inside the (huge) box, so F(z) is the net's error
         assert fidelity(z, data) == pytest.approx(
@@ -509,8 +525,9 @@ class TestSpgAda:
         data, params = tiny_problem
         cfg = self.spg_config(max_outer_iters=4, epsilon=1e-6)
         rec = Recorder()
-        [(p, trace)] = sgd_lockstep([SgdMember(data, params, SgdConfig(epochs=3, seed=6),
-                                               trace=RunTrace(sink=rec))])
+        [(p, trace)] = sgd_lockstep([SgdMember(data, params, 6,
+                                               trace=RunTrace(sink=rec))],
+                                    SgdConfig(epochs=3))
         result = run(data, params, cfg, z0=net_to_feasible(p, data, params), seed=6,
                      trace=trace)
         assert result.trace is trace and trace.sink is rec
@@ -521,7 +538,7 @@ class TestSpgAda:
     def test_combined_trace_layout(self, tiny_problem):
         data, params = tiny_problem
         cfg = self.spg_config(max_outer_iters=4, epsilon=1e-6)
-        [(p, trace)] = sgd_lockstep([SgdMember(data, params, SgdConfig(epochs=3, seed=6))])
+        [(p, trace)] = sgd_lockstep([SgdMember(data, params, 6)], SgdConfig(epochs=3))
         result = run(data, params, cfg, z0=net_to_feasible(p, data, params), seed=6,
                      trace=trace)
         assert trace.handoff_index == 4          # rows 0..3 are the warm start
@@ -555,8 +572,8 @@ class TestSpgAda:
         cfg = self.spg_config(max_outer_iters=3, epsilon=1e-6)
         results = []
         for _ in range(2):
-            [(p, trace)] = sgd_lockstep([SgdMember(data, params,
-                                                   SgdConfig(epochs=2, seed=8))])
+            [(p, trace)] = sgd_lockstep([SgdMember(data, params, 8)],
+                                        SgdConfig(epochs=2))
             results.append(run(data, params, cfg, z0=net_to_feasible(p, data, params),
                                seed=8, trace=trace))
         r1, r2 = results
@@ -585,8 +602,8 @@ class TestSpgAda:
         assert main(argv) == 0
         cfg = resolve_train_config(build_parser().parse_args(argv))
         data = _build_problem(cfg, seed=0)
-        [(p, _)] = sgd_lockstep([SgdMember(data, _model_params(cfg, data),
-                                           SgdConfig(epochs=50, batch_size=1, seed=0))])
+        [(p, _)] = sgd_lockstep([SgdMember(data, _model_params(cfg, data), 0)],
+                                SgdConfig(epochs=50, batch_size=1))
         z, _ = load_variables(tmp_path / "model.bin")
         assert not subnormal(p.theta)
         for saved, trained in ((z.W, p.W), (z.b1, p.b1), (z.b2, p.b2)):
@@ -597,8 +614,9 @@ class TestSpgAda:
         cfg = self.spg_config()
         monkeypatch.setattr(spgae.spg, "DIVERGENCE_FACTOR", 1e-12)
         rec = Recorder()
-        [(p, trace)] = sgd_lockstep([SgdMember(data, params, SgdConfig(epochs=2, seed=6),
-                                               trace=RunTrace(sink=rec))])
+        [(p, trace)] = sgd_lockstep([SgdMember(data, params, 6,
+                                               trace=RunTrace(sink=rec))],
+                                    SgdConfig(epochs=2))
         with pytest.raises(DivergenceError) as err:
             run(data, params, cfg, z0=net_to_feasible(p, data, params), seed=6,
                 trace=trace)

@@ -272,7 +272,7 @@ class TestRun:
         l0, radius = estimate_validated_l0(data, params, mu0=1e-3, seed=0)
         assert l0 >= 8.0 * params.lambda2
         cfg = self.config(L0=min(l0, 1e11), tau3=2.0, max_outer_iters=60,
-                          epsilon=1e-6, infnorm_bound=radius)
+                          epsilon=1e-6, theoretical_L=True)
         res = run(data, params, config=cfg, seed=44)
         vals = [row.smoothed for row in res.trace.rows]
         for prev, cur in zip(vals, vals[1:]):
@@ -333,20 +333,23 @@ class TestRun:
             assert products[1:] == want
 
     @pytest.mark.parametrize("shape", [(6, 3, 2), (5, 9, 4)], ids=["feature", "sample"])
-    def test_infnorm_bound_raises_outside_the_box(self, shape):
+    def test_infnorm_bound_raises_outside_the_box(self, shape, monkeypatch):
         """The validated-L check compares the largest |entry| over all
-        blocks with the bound: a bound just below the first iterate's raises,
+        blocks with the box: a box just below the first iterate's raises,
         one at it does not."""
         data, params = random_problem(*shape, seed=11)
         zmax = float(np.max(np.abs(
             run(data, params, config=self.config(max_outer_iters=1), seed=3).z.pack())))
-        at = run(data, params, config=self.config(max_outer_iters=1, infnorm_bound=zmax),
-                 seed=3)
+        # the cold default L0, given, keeps the first iterate the one above
+        cfg = self.config(max_outer_iters=1, L0=default_l0(data, params),
+                          theoretical_L=True)
+        monkeypatch.setattr(spgae.spg, "_box_radius", lambda data, params: (zmax, None))
+        at = run(data, params, config=cfg, seed=3)
         assert at.iterations == 1
+        monkeypatch.setattr(spgae.spg, "_box_radius",
+                            lambda data, params: (zmax * (1.0 - 1e-6), None))
         with pytest.raises(RuntimeError, match="iterate left the level-set box"):
-            run(data, params, config=self.config(max_outer_iters=1,
-                                                 infnorm_bound=zmax * (1.0 - 1e-6)),
-                seed=3)
+            run(data, params, config=cfg, seed=3)
 
     def test_accepted_steps_reuse_the_acceptance_value(self, tiny_problem, monkeypatch):
         data, params = tiny_problem
